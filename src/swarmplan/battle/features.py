@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sim import ARENA, BattleState
+from .sim import ARENA, BattleState, pair_distances
 
 BASE_FEATURES = 7  # x, y, vx, vy, health, range, cooldown fraction
 
@@ -19,29 +19,35 @@ def feature_dim(state: BattleState) -> int:
     return BASE_FEATURES + len(state.type_ids)
 
 
-def _unit_features(unit, type_ids):
-    onehot = [1.0 if unit.spec.type_id == t else 0.0 for t in type_ids]
-    return [
-        unit.pos[0] / ARENA,
-        unit.pos[1] / ARENA,
-        float(unit.velocity[0]),
-        float(unit.velocity[1]),
-        unit.health / unit.spec.max_health,
-        unit.spec.attack_range / ARENA,
-        unit.cooldown_remaining / unit.spec.cooldown_frames,
-        *onehot,
-    ]
+def _unit_features(units, type_ids):
+    """Feature rows of `units`, and their positions."""
+    specs = [u.spec for u in units]
+    pos = np.array([u.pos for u in units], dtype=float)
+    health, max_health, attack_range, cooldown, cooldown_frames = np.array([
+        [u.health for u in units],
+        [s.max_health for s in specs],
+        [s.attack_range for s in specs],
+        [u.cooldown_remaining for u in units],
+        [s.cooldown_frames for s in specs],
+    ], dtype=float)
+    table = np.column_stack([
+        pos / ARENA,
+        np.array([u.velocity for u in units], dtype=float),
+        health / max_health,
+        attack_range / ARENA,
+        cooldown / cooldown_frames,
+        np.array([[s.type_id == t for t in type_ids] for s in specs], dtype=float),
+    ])
+    return table, pos
 
 
 def extract_battle_features(state: BattleState):
     """Returns (agent features (n,F), task features (m,F), pair extras
     (n,m,2)); dead units keep rows (health 0) so indices stay stable."""
-    agents = np.array([_unit_features(u, state.type_ids) for u in state.ours])
-    tasks = np.array([_unit_features(u, state.type_ids) for u in state.theirs])
-    n, m = len(state.ours), len(state.theirs)
-    extras = np.zeros((n, m, 2))
-    for i, u in enumerate(state.ours):
-        for j, e in enumerate(state.theirs):
-            extras[i, j, 0] = 1.0 if state.prev_targets[i] == j else 0.0
-            extras[i, j, 1] = float(np.linalg.norm(u.pos - e.pos)) / ARENA
+    agents, our_pos = _unit_features(state.ours, state.type_ids)
+    tasks, their_pos = _unit_features(state.theirs, state.type_ids)
+    m = len(state.theirs)
+    extras = np.empty((len(state.ours), m, 2))
+    extras[..., 0] = np.asarray(state.prev_targets)[:, None] == np.arange(m)
+    extras[..., 1] = pair_distances(our_pos, their_pos) / ARENA
     return agents, tasks, extras

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..assign import Assignment, UNASSIGNED
-from .sim import BattleError, BattleState
+from .sim import BattleError, BattleState, pair_distances, vec_norm
 
 HEURISTICS = ("c", "wc", "wcnok", "wcnoknc", "wcnoks", "rand_nc")
 
@@ -19,32 +19,35 @@ def _living_enemy_ids(state):
     return [j for j, u in enumerate(state.theirs) if u.alive]
 
 
-def _dist(a, b) -> float:
-    return float(np.linalg.norm(a.pos - b.pos))
+def _positions(units):
+    return np.array([u.pos for u in units], dtype=float)
 
 
 def closest_heuristic(state: BattleState) -> Assignment:
     """Each unit independently picks its nearest living enemy."""
-    enemies = _living_enemy_ids(state)
     target = np.full(len(state.ours), UNASSIGNED, dtype=int)
-    for i, unit in enumerate(state.ours):
-        if unit.alive and enemies:
-            target[i] = min(enemies,
-                            key=lambda j: (_dist(unit, state.theirs[j]),
-                                           state.theirs[j].uid))
+    living = np.array([e.alive for e in state.theirs])
+    if living.any():
+        dist = pair_distances(_positions(state.ours), _positions(state.theirs))
+        # argmin keeps the first of equal distances: the lowest uid.
+        nearest = np.where(living, dist, np.inf).argmin(axis=1)
+        alive = np.array([u.alive for u in state.ours])
+        target[alive] = nearest[alive]
     return Assignment(target)
 
 
 def _weakest_order(state, enemies):
     """Enemies from most to least attractive: lowest health first,
     distance to our living centroid as tie-break, then id."""
+    if not enemies:
+        return []
     alive = [u for u in state.ours if u.alive]
     centroid = (np.mean([u.pos for u in alive], axis=0) if alive
                 else np.zeros(2))
-    return sorted(enemies,
-                  key=lambda j: (state.theirs[j].health,
-                                 float(np.linalg.norm(state.theirs[j].pos - centroid)),
-                                 state.theirs[j].uid))
+    units = [state.theirs[j] for j in enemies]
+    dist = vec_norm(_positions(units) - centroid).tolist()
+    keys = [(u.health, d, u.uid, j) for u, d, j in zip(units, dist, enemies)]
+    return [key[-1] for key in sorted(keys)]
 
 
 def weakest_closest(state: BattleState) -> Assignment:
@@ -69,15 +72,20 @@ def _fill_no_overkill(state, target, agents):
     for i, j in enumerate(target):
         if j != UNASSIGNED and j in booked:
             booked[j] += state.ours[i].spec.damage_per_attack
+    # Booked damage only grows, so the first enemy still open for one
+    # agent is the earliest candidate for the next.
+    first_open = 0
     for i in agents:
         unit = state.ours[i]
         if not unit.alive:
             continue
-        for j in enemies:
-            if booked[j] < state.theirs[j].health:
-                target[i] = j
-                booked[j] += unit.spec.damage_per_attack
-                break
+        while (first_open < len(enemies)
+               and booked[enemies[first_open]] >= state.theirs[enemies[first_open]].health):
+            first_open += 1
+        if first_open < len(enemies):
+            j = enemies[first_open]
+            target[i] = j
+            booked[j] += unit.spec.damage_per_attack
     return target
 
 

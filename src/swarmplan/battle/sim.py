@@ -7,10 +7,16 @@ scripted attack-move toward our centroid refreshed every
 battles are stochastic but bit-reproducible under a seed. Reward per
 assignment window is the normalized health swing
 (our delta + enemy damage taken) / our initial total health.
+
+A window is stepped on arrays holding every unit's state. Units act in
+unit order, separation pushes run pair by pair, and all distances go
+through `vec_norm`, so the result is the same, bit for bit, as stepping
+the units one at a time.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -139,102 +145,255 @@ def spawn_battle(config: BattleConfig) -> BattleState:
     )
 
 
+def vec_norm(delta) -> np.ndarray:
+    """Euclidean length along the last axis.
+
+    Every distance in the battle package goes through here, for single
+    vectors and for whole pair matrices alike. Its result equals
+    `np.linalg.norm` of each vector bit for bit, which `np.hypot` and
+    `sqrt(x*x + y*y)` do not, so traces do not depend on how distances
+    are batched."""
+    return np.sqrt(np.vecdot(delta, delta))
+
+
+def pair_distances(p, q) -> np.ndarray:
+    """(len(p), len(q)) matrix of vec_norm(p[i] - q[j]) for (k, 2) position arrays."""
+    delta = np.empty((len(p), len(q), 2))
+    np.subtract(p[:, None, 0], q[None, :, 0], out=delta[..., 0])
+    np.subtract(p[:, None, 1], q[None, :, 1], out=delta[..., 1])
+    return vec_norm(delta)
+
+
 def effective_range(attacker: Unit, target: Unit) -> float:
     """Edge-to-edge reach: melee units connect at contact distance."""
     contact = attacker.spec.radius + target.spec.radius + CONTACT_EPS
     return max(attacker.spec.attack_range, contact)
 
 
-def _try_attack(state: BattleState, attacker: Unit, target: Unit):
-    attacker.velocity = np.zeros(2)
-    if attacker.cooldown_remaining > 0:
-        return
-    hit = state.rng.random() >= state.config.miss_probability
-    if hit:
-        target.health = max(0.0, target.health - attacker.spec.damage_per_attack)
-    attacker.cooldown_remaining = attacker.spec.cooldown_frames
+class _Window:
+    """Both teams as arrays for one assignment window.
 
+    Row k < n is `ours[k]`, row n + j is `theirs[j]`; `target` holds row
+    indices, -1 for none. The `Unit` objects stay the state of record:
+    rows are read from them when a window starts and written back when
+    it ends."""
 
-def _move_toward(unit: Unit, dest: np.ndarray, stop_dist: float = 0.0):
-    delta = dest - unit.pos
-    dist = float(np.linalg.norm(delta))
-    if dist <= stop_dist or dist == 0.0:
-        unit.velocity = np.zeros(2)
-        return
-    step_len = min(unit.spec.speed, dist - stop_dist)
-    unit.velocity = delta / dist * step_len
-    unit.pos = unit.pos + unit.velocity
+    def __init__(self, state: BattleState):
+        self.units = units = state.ours + state.theirs
+        self.n = len(state.ours)
+        specs = [u.spec for u in units]
+        self.pos = np.array([u.pos for u in units], dtype=float)
+        self.vel = np.array([u.velocity for u in units], dtype=float)
+        self.health = np.array([u.health for u in units], dtype=float)
+        self.cooldown = np.array([u.cooldown_remaining for u in units], dtype=np.int64)
+        self.radius = np.array([s.radius for s in specs])
+        self.range = np.array([s.attack_range for s in specs])
+        self.speed = np.array([s.speed for s in specs])
+        self.ground = ~np.array([s.is_flying for s in specs])
+        self.damage = [s.damage_per_attack for s in specs]
+        self.cooldown_frames = [s.cooldown_frames for s in specs]
+        self.alive_at_start = np.flatnonzero(self.health > 0.0)
+        n = self.n
+        self.target = np.full(len(units), -1, dtype=np.int64)
+        self.target[:n] = np.where(state.prev_targets >= 0, n + state.prev_targets, -1)
+        self._acquire_opponent_targets()
+        # Reach of each unit to its window target (meaningless without one).
+        self.reach = np.maximum(self.range, self.radius + self.radius[self.target] + CONTACT_EPS)
 
+    def _acquire_opponent_targets(self):
+        """Opponent target acquisition, run once per assignment window so
+        both sides act on the same decision cadence: each opponent unit
+        locks onto the nearest living enemy within reach, if any; ties go
+        to the lowest index, which is the lowest uid."""
+        n = self.n
+        dist = pair_distances(self.pos[:n], self.pos[n:]).T
+        reach = np.maximum(self.range[n:, None],
+                           self.radius[n:, None] + self.radius[None, :n] + CONTACT_EPS)
+        ok = (dist <= reach) & (self.health[None, :n] > 0.0)
+        nearest = np.where(ok.any(axis=1), np.where(ok, dist, np.inf).argmin(axis=1), -1)
+        self.target[n:] = nearest
+        for unit, i in zip(self.units[n:], nearest.tolist()):
+            unit.current_target = None if i < 0 else i
 
-def _act_ours(state: BattleState, unit: Unit):
-    j = unit.current_target
-    if j is None or not state.theirs[j].alive:
-        unit.velocity = np.zeros(2)
-        return
-    target = state.theirs[j]
-    reach = effective_range(unit, target)
-    if np.linalg.norm(target.pos - unit.pos) <= reach:
-        _try_attack(state, unit, target)
-    else:
-        _move_toward(unit, target.pos, stop_dist=reach)
+    def team_turn(self, lo: int, hi: int, waypoint, rng, miss_probability: float):
+        """Rows lo..hi-1 act as if one after another in row order.
 
-
-def _acquire_opponent_targets(state: BattleState):
-    """Opponent target acquisition, run once per assignment window so
-    both sides act on the same decision cadence: each opponent unit
-    locks onto the nearest living enemy within reach, if any."""
-    for unit in state.theirs:
-        best = None
-        for i, e in enumerate(state.ours):
-            if not e.alive:
+        A unit with a live target in reach attacks when its cooldown is
+        over, otherwise it holds; out of reach, it walks toward the target
+        until in reach. Without a live target, our units (waypoint None)
+        stand idle and opponents walk toward the waypoint."""
+        H, P, V, CD = self.health, self.pos, self.vel, self.cooldown
+        rows = lo + np.flatnonzero(H[lo:hi] > 0.0)
+        V[rows] = 0.0
+        tgt = self.target[rows]
+        has = tgt >= 0
+        has[has] = H[tgt[has]] > 0.0
+        i, t = rows[has], tgt[has]
+        delta = P[t] - P[i]
+        dist = vec_norm(delta)
+        reach = self.reach[i]
+        near = dist <= reach
+        # Attacks land one at a time in row order, so the miss rolls keep
+        # their order in the rng stream and a target killed by an earlier
+        # attacker is gone for every later unit.
+        killed_by = np.full(len(H), len(H))
+        fire = near & (CD[i] == 0)
+        for a, b in zip(i[fire].tolist(), t[fire].tolist()):
+            if H[b] <= 0.0:
                 continue
-            d = float(np.linalg.norm(e.pos - unit.pos))
-            if d <= effective_range(unit, e) and (best is None or (d, e.uid) < best[:2]):
-                best = (d, e.uid, i)
-        unit.current_target = None if best is None else best[2]
+            if rng.random() >= miss_probability:
+                H[b] = max(0.0, H[b] - self.damage[a])
+                if H[b] <= 0.0:
+                    killed_by[b] = a
+            CD[a] = self.cooldown_frames[a]
+        lost = killed_by[t] < i
+        go = ~near & ~lost
+        self._move(i[go], delta[go], dist[go], reach[go])
+        if waypoint is not None:
+            walk = np.concatenate((rows[~has], i[lost]))
+            delta = waypoint - P[walk]
+            dist = vec_norm(delta)
+            moving = dist > 0.0
+            self._move(walk[moving], delta[moving], dist[moving], 0.0)
+
+    def _move(self, rows, delta, dist, stop_dist):
+        if not len(rows):
+            return
+        step = np.minimum(self.speed[rows], dist - stop_dist)
+        self.vel[rows] = delta / dist[:, None] * step[:, None]
+        self.pos[rows] += self.vel[rows]
+
+    def resolve_collisions(self):
+        ground = np.flatnonzero((self.health > 0.0) & self.ground)
+        if len(ground) > 1:
+            pos = self.pos[ground]
+            _separate(pos, self.radius[ground])
+            self.pos[ground] = pos
+
+    def write_back(self):
+        # Units dead at the start neither act nor get pushed.
+        rows = self.alive_at_start
+        for k, pos, vel, health, cooldown in zip(
+                rows.tolist(), self.pos[rows].tolist(), self.vel[rows].tolist(),
+                self.health[rows].tolist(), self.cooldown[rows].tolist()):
+            u = self.units[k]
+            u.pos = np.array(pos)
+            u.velocity = np.array(vel)
+            u.health = health
+            u.cooldown_remaining = cooldown
 
 
-def _act_opponent(state: BattleState, unit: Unit):
-    # Attack-move: fight the locked target; with no live target, walk
-    # toward the waypoint until the next acquisition pass.
-    i = unit.current_target
-    if i is not None and state.ours[i].alive:
-        target = state.ours[i]
-        reach = effective_range(unit, target)
-        if np.linalg.norm(target.pos - unit.pos) <= reach:
-            _try_attack(state, unit, target)
+# A separation pass visits the pairs of discs within _SLACK of contact
+# when it starts, plus any pair its pushes carried into contact. Those
+# are looked for among the pairs within _SCREEN of the widest contact,
+# or among all pairs once the pushes of a pass add up to more.
+_SLACK = 1.0
+_SCREEN = 3.0
+_ROUNDING = 1e-9
+
+
+def _separate(pos, radius):
+    """Symmetric separation push between overlapping discs, in place.
+
+    Pairs (a, b), a < b, are handled in lexicographic order and each one
+    sees the pushes of the pairs before it (Gauss-Seidel). A pass visits
+    only the pairs near contact at the start. A pair it skipped can only
+    have overlapped at its turn if its start gap, less how far both discs
+    were pushed in the pass, is below zero; such pairs are checked at
+    the positions they had at their turn, and if one did overlap, the
+    pass is redone with it."""
+    if len(pos) < 2:
+        return
+    start = pos.copy()
+    z = start[:, 0] + 1j * start[:, 1]
+    rough = np.abs(z[None, :] - z[:, None])  # screens pairs; pushes use vec_norm
+    screen = _SCREEN
+    while True:
+        a, b = np.nonzero(rough < 2.0 * radius.max() + screen)
+        a, b = a[a < b], b[a < b]
+        touch = radius[a] + radius[b]
+        gap = rough[a, b] - touch
+        visit = gap < _SLACK
+        while True:
+            moved, trail = _sweep(pos, start, a[visit], b[visit],
+                                  vec_norm(start[b[visit]] - start[a[visit]]), touch[visit])
+            if 2.0 * moved.max() > screen - _ROUNDING:
+                break
+            suspect = np.flatnonzero(~visit & (gap - moved[a] - moved[b] < _ROUNDING))
+            hits = [k for k in suspect.tolist()
+                    if _overlapped_at_turn(int(a[k]), int(b[k]), touch[k], start, trail)]
+            if not hits:
+                return
+            visit[hits] = True
+        screen = np.inf
+
+
+def _overlapped_at_turn(p, q, min_dist, start, trail):
+    """Whether pair (p, q), skipped by a pass, overlapped at its turn."""
+    (xp, yp), (xq, yq) = _position_at(p, (p, q), start, trail), _position_at(q, (p, q), start, trail)
+    dx, dy = xq - xp, yq - yp
+    if math.hypot(dx, dy) >= min_dist + _ROUNDING:
+        return False
+    return vec_norm(np.array([dx, dy])) < min_dist
+
+
+def _position_at(k, turn, start, trail):
+    """Disc k's position in a pass just before pair `turn` was reached."""
+    x, y = start[k]
+    for pair, px, py in trail.get(k, ()):
+        if pair >= turn:
+            break
+        x, y = px, py
+    return x, y
+
+
+def _sweep(pos, start, a_rows, b_rows, dist0, touch):
+    """One separation pass over the pairs (a_rows[k], b_rows[k]) from
+    `start`, whose start distances are dist0; writes the result to `pos`.
+
+    Returns how far each disc was pushed in total, and per pushed disc
+    its trail: the pair and its position after each push."""
+    xs, ys = start[:, 0].tolist(), start[:, 1].tolist()
+    moved = [0.0] * len(xs)
+    trail = {}
+    delta = np.empty(2)
+    for a, b, dist, min_dist in zip(a_rows.tolist(), b_rows.tolist(),
+                                    dist0.tolist(), touch.tolist()):
+        if moved[a] or moved[b]:
+            dx, dy = xs[b] - xs[a], ys[b] - ys[a]
+            # A cheap screen first; the exact length only near contact.
+            if math.hypot(dx, dy) >= min_dist + _ROUNDING:
+                continue
+            delta[0], delta[1] = dx, dy
+            dist = float(vec_norm(delta))
+        if dist >= min_dist:
+            continue
+        dx, dy = xs[b] - xs[a], ys[b] - ys[a]
+        if dist == 0.0:
+            ux, uy = 1.0, 0.0
         else:
-            _move_toward(unit, target.pos, stop_dist=reach)
-    else:
-        unit.velocity = np.zeros(2)
-        _move_toward(unit, state.opp_waypoint)
+            ux, uy = dx / dist, dy / dist
+        push = 0.5 * (min_dist - dist)
+        xs[a], ys[a] = xs[a] - ux * push, ys[a] - uy * push
+        xs[b], ys[b] = xs[b] + ux * push, ys[b] + uy * push
+        moved[a] += push
+        moved[b] += push
+        trail.setdefault(a, []).append(((a, b), xs[a], ys[a]))
+        trail.setdefault(b, []).append(((a, b), xs[b], ys[b]))
+    pos[:, 0] = xs
+    pos[:, 1] = ys
+    return np.array(moved), trail
 
 
 def _resolve_collisions(units):
     """Symmetric pairwise separation push between overlapping ground units."""
     ground = [u for u in units if u.alive and not u.spec.is_flying]
-    for a in range(len(ground)):
-        for b in range(a + 1, len(ground)):
-            ua, ub = ground[a], ground[b]
-            delta = ub.pos - ua.pos
-            dist = float(np.linalg.norm(delta))
-            min_dist = ua.spec.radius + ub.spec.radius
-            if dist >= min_dist:
-                continue
-            if dist == 0.0:
-                direction = np.array([1.0, 0.0])
-            else:
-                direction = delta / dist
-            push = 0.5 * (min_dist - dist)
-            ua.pos = ua.pos - direction * push
-            ub.pos = ub.pos + direction * push
-
-
-def _centroid(units, fallback):
-    alive = [u for u in units if u.alive]
-    if not alive:
-        return fallback
-    return np.mean([u.pos for u in alive], axis=0)
+    if len(ground) < 2:
+        return
+    pos = np.array([u.pos for u in ground], dtype=float)
+    _separate(pos, np.array([u.spec.radius for u in ground]))
+    for u, p in zip(ground, pos.tolist()):
+        u.pos = np.array(p)
 
 
 def step_battle(state: BattleState, our_assignment):
@@ -262,23 +421,21 @@ def step_battle(state: BattleState, our_assignment):
     our_before = state.team_health(TEAM_OURS)
     their_before = state.team_health(TEAM_THEIRS)
 
-    _acquire_opponent_targets(state)
-    for _ in range(state.config.assignment_period):
-        if state.frame % state.config.opponent_order_period == 0:
-            state.opp_waypoint = _centroid(state.ours, state.opp_waypoint)
-        for unit in state.ours + state.theirs:
-            if unit.alive and unit.cooldown_remaining > 0:
-                unit.cooldown_remaining -= 1
-        for unit in state.ours:
-            if unit.alive:
-                _act_ours(state, unit)
-        for unit in state.theirs:
-            if unit.alive:
-                _act_opponent(state, unit)
-        _resolve_collisions(state.ours + state.theirs)
+    cfg = state.config
+    w = _Window(state)
+    n, health = w.n, w.health
+    for _ in range(cfg.assignment_period):
+        if state.frame % cfg.opponent_order_period == 0:
+            alive = health[:n] > 0.0
+            if alive.any():
+                state.opp_waypoint = np.mean(w.pos[:n][alive], axis=0)
+        w.cooldown[(health > 0.0) & (w.cooldown > 0)] -= 1
+        w.team_turn(0, n, None, state.rng, cfg.miss_probability)
+        w.team_turn(n, len(health), state.opp_waypoint, state.rng, cfg.miss_probability)
+        w.resolve_collisions()
         state.frame += 1
-        ours_alive = any(u.alive for u in state.ours)
-        theirs_alive = any(u.alive for u in state.theirs)
+        ours_alive = bool((health[:n] > 0.0).any())
+        theirs_alive = bool((health[n:] > 0.0).any())
         if not ours_alive or not theirs_alive:
             if ours_alive:
                 state.outcome = "win"
@@ -287,9 +444,10 @@ def step_battle(state: BattleState, our_assignment):
             else:
                 state.outcome = "draw"
             break
-        if state.frame >= state.config.frame_cap:
+        if state.frame >= cfg.frame_cap:
             state.outcome = "draw"
             break
+    w.write_back()
 
     reward = (
         state.team_health(TEAM_OURS) - our_before
@@ -303,11 +461,9 @@ def build_battle_constraints(state: BattleState):
     damage per attack. Dead units contribute/absorb nothing."""
     from ..assign import ConstraintSet
 
-    mu = np.array([
-        [u.spec.damage_per_attack if u.alive else 0.0 for _ in state.theirs]
-        for u in state.ours
-    ])
-    u_vec = np.array([e.health for e in state.theirs])
+    damage = np.array([u.spec.damage_per_attack if u.alive else 0.0 for u in state.ours])
+    mu = np.repeat(damage[:, None], len(state.theirs), axis=1)
+    u_vec = np.array([e.health for e in state.theirs], dtype=float)
     return ConstraintSet(mu, u_vec)
 
 
@@ -326,12 +482,6 @@ def frame_record(state: BattleState) -> dict:
         "ours": [unit_row(u) for u in state.ours],
         "theirs": [unit_row(u) for u in state.theirs],
     }
-
-
-def dump_replay(path, records):
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
 
 
 # ---------------------------------------------------------------------------

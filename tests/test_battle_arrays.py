@@ -1,0 +1,104 @@
+"""Tests for the array form of the battle simulator: the distance helpers
+and the pruned Gauss-Seidel collision pass, each against the per-pair
+computation it replaces, bit for bit."""
+import numpy as np
+import pytest
+
+from swarmplan.battle import BattleConfig, UnitSpec, spawn_battle
+from swarmplan.battle import sim
+from swarmplan.battle.sim import _resolve_collisions, pair_distances, vec_norm
+
+
+def random_deltas(rng, k):
+    scale = rng.choice([1e-6, 1e-3, 1.0, 7.5, 100.0, 1e4], size=(k, 1))
+    deltas = rng.normal(size=(k, 2)) * scale
+    deltas[rng.random(k) < 0.1, 0] = 0.0
+    deltas[rng.random(k) < 0.1, 1] = 0.0
+    deltas[rng.random(k) < 0.02] = 0.0
+    whole = rng.random(k) < 0.1
+    deltas[whole] = np.round(deltas[whole])
+    return deltas
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_vec_norm_matches_linalg_norm_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    deltas = random_deltas(rng, 20000)
+    expect = np.array([np.linalg.norm(d) for d in deltas])
+    np.testing.assert_array_equal(vec_norm(deltas), expect)
+    for d, e in zip(deltas[:500], expect[:500]):
+        assert vec_norm(d) == e
+
+
+def test_vec_norm_signs_and_zero():
+    for d in ([0.0, 0.0], [-0.0, 0.0], [3.0, -4.0], [-3.0, -4.0], [-1e-3, 2.5]):
+        d = np.array(d)
+        assert vec_norm(d) == np.linalg.norm(d) == vec_norm(-d)
+
+
+def test_pair_distances_match_per_pair_norm():
+    rng = np.random.default_rng(7)
+    p = rng.uniform(0.0, 100.0, (80, 2))
+    q = rng.uniform(0.0, 100.0, (82, 2))
+    q[:5] = p[:5]  # coincident pairs give exact zeros
+    expect = np.array([[np.linalg.norm(a - b) for b in q] for a in p])
+    np.testing.assert_array_equal(pair_distances(p, q), expect)
+
+
+def reference_collisions(units):
+    """The per-pair separation loop: later pairs see earlier pushes."""
+    ground = [u for u in units if u.alive and not u.spec.is_flying]
+    for a in range(len(ground)):
+        for b in range(a + 1, len(ground)):
+            ua, ub = ground[a], ground[b]
+            delta = ub.pos - ua.pos
+            dist = float(np.linalg.norm(delta))
+            min_dist = ua.spec.radius + ub.spec.radius
+            if dist >= min_dist:
+                continue
+            direction = np.array([1.0, 0.0]) if dist == 0.0 else delta / dist
+            push = 0.5 * (min_dist - dist)
+            ua.pos = ua.pos - direction * push
+            ub.pos = ub.pos + direction * push
+
+
+def crowd(rng, k):
+    """k units packed into a small patch: mixed radii, some flying, some
+    dead, some stacked on the same spot."""
+    specs = [UnitSpec(name=f"u{r}{f}", max_health=10.0, damage_per_attack=1.0,
+                      cooldown_frames=5, attack_range=1.0, speed=0.5,
+                      is_flying=f, type_id=0, radius=r)
+             for r in (0.5, 0.75, 2.0) for f in (False, True)]
+    picks = rng.integers(len(specs), size=k)
+    picks[rng.random(k) < 0.7] = 2  # mostly ground, radius 0.75
+    cfg = BattleConfig(ours=[specs[i] for i in picks], theirs=[specs[0]], seed=0)
+    units = spawn_battle(cfg).ours
+    spread = rng.choice([0.5, 2.0, 6.0, 20.0])
+    for u in units:
+        u.pos = 50.0 + rng.uniform(0.0, spread, 2)
+        if rng.random() < 0.05:
+            u.health = 0.0
+    for _ in range(int(rng.integers(0, 3))):
+        units[int(rng.integers(k))].pos = units[0].pos.copy()
+    return units
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("slack,screen", [(None, None), (0.0, 0.05), (0.05, 1.0)])
+def test_collisions_match_per_pair_loop(monkeypatch, seed, slack, screen):
+    # Narrow margins force the rare paths: skipped pairs that did
+    # overlap, and passes whose pushes outgrow the screened pairs.
+    if slack is not None:
+        monkeypatch.setattr(sim, "_SLACK", slack)
+        monkeypatch.setattr(sim, "_SCREEN", screen)
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        units = crowd(rng, int(rng.integers(2, 45)))
+        start = [u.pos.copy() for u in units]
+        reference_collisions(units)
+        expect = [u.pos for u in units]
+        for u, p in zip(units, start):
+            u.pos = p.copy()
+        _resolve_collisions(units)
+        for u, e in zip(units, expect):
+            np.testing.assert_array_equal(u.pos, e)
