@@ -330,7 +330,8 @@ def _separate(pos, radius):
 
 def _overlapped_at_turn(p, q, min_dist, start, trail):
     """Whether pair (p, q), skipped by a pass, overlapped at its turn."""
-    (xp, yp), (xq, yq) = _position_at(p, (p, q), start, trail), _position_at(q, (p, q), start, trail)
+    xp, yp = _position_at(p, (p, q), start, trail)
+    xq, yq = _position_at(q, (p, q), start, trail)
     dx, dy = xq - xp, yq - yp
     if math.hypot(dx, dy) >= min_dist + _ROUNDING:
         return False
