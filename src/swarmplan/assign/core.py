@@ -1,6 +1,12 @@
 """Inference procedures: argmax, LP relaxation, Frank-Wolfe QP, rounding,
 and the exhaustive oracle.
 
+The LP relaxation has two solvers, chosen by the constraints alone. With
+unit demand (every mu 1, every u a whole number) the polytope is totally
+unimodular, and an exact shortest-augmenting-path matching returns its
+integral optimum directly. Every other polytope, and every Frank-Wolfe
+linear subproblem, runs the revised simplex in `simplex.py`.
+
 Conventions shared by every operation:
   * tie-breaks are deterministic (lowest index / highest score) so repeated
     calls on identical inputs return identical results;
@@ -81,12 +87,107 @@ def _polytope_lp(weights: np.ndarray, cons: ConstraintSet,
     return RelaxedAssignment(lp.solve(weights))
 
 
+def unit_demand(cons: ConstraintSet) -> bool:
+    """True iff every mu is 1 and every capacity is a whole number.
+
+    The polytope is then a bipartite b-matching polytope: totally
+    unimodular, so its LP optimum is an integral matching.
+    """
+    return bool((cons.mu == 1.0).all() and (cons.u == np.floor(cons.u)).all())
+
+
+def _augment(cost, row_dual, col_dual, row4col, col4row, start):
+    """One shortest augmenting path from the free row `start` (Crouse 2016).
+
+    Dijkstra over the reduced costs cost - row_dual - col_dual, which the
+    duals keep nonnegative, and zero on matched edges. Ties go to a free
+    column, then to the lowest index. Updates duals and matching in place.
+    """
+    ncol = cost.shape[1]
+    dist = np.full(ncol, np.inf)
+    path = np.empty(ncol, dtype=int)
+    remaining = np.ones(ncol, dtype=bool)
+    rows = []
+    low = 0.0
+    i = start
+    while True:
+        rows.append(i)
+        reduced = low + cost[i] - row_dual[i] - col_dual
+        closer = remaining & (reduced < dist)
+        dist[closer] = reduced[closer]
+        path[closer] = i
+        open_dist = np.where(remaining, dist, np.inf)
+        low = open_dist.min()
+        ties = np.flatnonzero(open_dist == low)
+        free = ties[row4col[ties] < 0]
+        j = int(free[0] if free.size else ties[0])
+        remaining[j] = False
+        if row4col[j] < 0:
+            break
+        i = int(row4col[j])
+    row_dual[start] += low
+    for r in rows[1:]:
+        row_dual[r] += low - dist[col4row[r]]
+    scanned = ~remaining
+    col_dual[scanned] -= low - dist[scanned]
+    while True:  # flip the path back to `start`
+        i = path[j]
+        row4col[j] = i
+        col4row[i], j = j, col4row[i]
+        if i == start:
+            break
+
+
+def matching_assign(scores: ScoreTable, cons: ConstraintSet) -> Assignment:
+    """Exact LP optimum for unit-demand constraints (see `unit_demand`).
+
+    Task j is repeated min(u_j, n) times and agent i gets a private
+    zero-cost "stay unassigned" column i, placed before the tasks so that
+    a tie between a task and staying idle leaves the agent idle. The
+    min-cost rectangular assignment on cost -h is solved by shortest
+    augmenting paths (Jonker & Volgenant 1987, in Crouse's 2016
+    rectangular form), warm started by row reduction: each agent takes its
+    cheapest column unless an earlier agent holds it, and only the agents
+    that conflict are augmented. The g table, if present, is ignored.
+    """
+    _check_dims(scores, cons)
+    if not unit_demand(cons):
+        raise AssignError("matching_assign needs mu == 1 and whole-number u")
+    n = cons.n
+    task_of = np.concatenate((np.full(n, UNASSIGNED),
+                              np.repeat(np.arange(cons.m), np.minimum(cons.u, n).astype(int))))
+    ncol = task_of.size
+    cost = np.empty((n, ncol))
+    cost[:, :n] = np.inf
+    cost.ravel()[::ncol + 1] = 0.0  # the diagonal of the idle block
+    np.negative(scores.h[:, task_of[n:]], out=cost[:, n:])
+
+    first = cost.argmin(axis=1)
+    row_dual = cost[np.arange(n), first]
+    col_dual = np.zeros(ncol)
+    row4col = np.full(ncol, -1)
+    col4row = np.full(n, -1)
+    conflicts = []
+    for i, j in enumerate(first.tolist()):
+        if row4col[j] < 0:
+            row4col[j], col4row[i] = i, j
+        else:
+            conflicts.append(i)
+    for i in conflicts:
+        _augment(cost, row_dual, col_dual, row4col, col4row, i)
+    return Assignment(task_of[col4row])
+
+
 def lp_relax_solve(scores: ScoreTable, cons: ConstraintSet) -> RelaxedAssignment:
     """Solve the linear relaxation of the constrained assignment ILP.
 
-    The task-task table g, if present, is ignored.
+    Unit-demand constraints take the exact matching, whose 0/1 matrix is
+    an LP optimum; every other polytope runs the simplex. The task-task
+    table g, if present, is ignored.
     """
     _check_dims(scores, cons)
+    if unit_demand(cons):
+        return RelaxedAssignment(matching_assign(scores, cons).to_matrix(cons.m))
     return _polytope_lp(scores.h, cons)
 
 

@@ -5,8 +5,10 @@ from .core import (
     amax_assign,
     greedy_round,
     lp_relax_solve,
+    matching_assign,
     quad_relax_solve,
     round_quad,
+    unit_demand,
 )
 from .types import Assignment, ConstraintSet, ScoreTable
 
@@ -16,6 +18,8 @@ def infer_amax(scores: ScoreTable, cons: ConstraintSet) -> Assignment:
 
 
 def infer_lp(scores: ScoreTable, cons: ConstraintSet) -> Assignment:
+    if unit_demand(cons):  # the LP optimum is already a hard assignment
+        return matching_assign(scores, cons)
     return greedy_round(lp_relax_solve(scores, cons), scores, cons)
 
 

@@ -158,77 +158,3 @@ class PolytopeLp:
         structural = self.basis < self.nm
         beta[self.basis[structural]] = self.xB[structural]
         return np.clip(beta.reshape(self.n, self.m), 0.0, 1.0)
-
-
-def simplex_maximize(c, A, b, max_pivots=None):
-    """Generic dense fallback: max c.x s.t. A x <= b, x >= 0 with b >= 0.
-
-    Kept for tests against textbook instances outside the assignment
-    polytope family; production code uses PolytopeLp.
-    """
-    c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    rows, nvars = A.shape
-    if np.any(b < -_TOL):
-        raise ValueError("simplex_maximize requires b >= 0")
-
-    total = nvars + rows
-    A_full = np.hstack([A, np.eye(rows)])
-    c_full = np.concatenate([c, np.zeros(rows)])
-    basis = np.arange(nvars, total)
-    in_basis = np.zeros(total, dtype=bool)
-    in_basis[basis] = True
-    B_inv = np.eye(rows)
-    xB = b.copy()
-    if max_pivots is None:
-        max_pivots = 50 * (rows + nvars) + 1000
-
-    degenerate_run = 0
-    use_bland = False
-    for pivot in range(max_pivots):
-        y = c_full[basis] @ B_inv
-        reduced = c_full - y @ A_full
-        reduced[in_basis] = 0.0
-        if use_bland:
-            candidates = np.flatnonzero(reduced > _TOL)
-            if candidates.size == 0:
-                break
-            entering = int(candidates[0])
-        else:
-            entering = int(np.argmax(reduced))
-            if reduced[entering] <= _TOL:
-                break
-        w = B_inv @ A_full[:, entering]
-        positive = w > _TOL
-        if not np.any(positive):
-            raise SolverFailure("unbounded direction encountered")
-        ratios = np.full(rows, np.inf)
-        ratios[positive] = xB[positive] / w[positive]
-        theta = ratios.min()
-        leave_candidates = np.flatnonzero(ratios <= theta + _TOL)
-        if use_bland and leave_candidates.size > 1:
-            leaving = int(leave_candidates[np.argmin(basis[leave_candidates])])
-        else:
-            leaving = int(leave_candidates[np.argmax(w[leave_candidates])])
-        if theta <= _TOL:
-            degenerate_run += 1
-            if degenerate_run > rows + 10:
-                use_bland = True
-        else:
-            degenerate_run = 0
-            use_bland = False
-        in_basis[basis[leaving]] = False
-        in_basis[entering] = True
-        basis[leaving] = entering
-        piv = w[leaving]
-        B_inv[leaving, :] /= piv
-        others = np.arange(rows) != leaving
-        B_inv[others, :] -= np.outer(w[others], B_inv[leaving, :])
-        xB = np.maximum(B_inv @ b, 0.0)
-    else:
-        raise SolverFailure(f"pivot budget {max_pivots} exhausted")
-
-    x = np.zeros(total)
-    x[basis] = xB
-    return x[:nvars], float(c @ x[:nvars])

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sim import ARENA, BattleState, pair_distances
+from .sim import ARENA, BattleConfig, BattleState, pair_distances
 
 BASE_FEATURES = 7  # x, y, vx, vy, health, range, cooldown fraction
 
 
-def feature_dim(state: BattleState) -> int:
-    return BASE_FEATURES + len(state.type_ids)
+def feature_dim(config: BattleConfig) -> int:
+    """Feature width of a scenario: one one-hot slot per distinct unit type."""
+    return BASE_FEATURES + len({s.type_id for s in config.ours + config.theirs})
 
 
 def _unit_features(units, type_ids):

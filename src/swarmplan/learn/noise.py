@@ -54,8 +54,3 @@ class NoiseWindows:
             noise = innovation + sum(self.queue)
             self.queue.append(noise)
         return means + noise
-
-
-def sample_correlated(means, windows: NoiseWindows, sigma: float, rng):
-    """Functional wrapper: returns (sampled table, same windows object)."""
-    return windows.sample(means, sigma, rng), windows

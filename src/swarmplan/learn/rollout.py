@@ -81,8 +81,7 @@ class BattleMetaEnv:
     def __init__(self, config):
         self.config = config
         self.state = None
-        probe = spawn_battle(config)
-        self.feature_dim = battle_feature_dim(probe)
+        self.feature_dim = battle_feature_dim(config)
 
     def _observe(self) -> Observation:
         agents, tasks, extras = extract_battle_features(self.state)

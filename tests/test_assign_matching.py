@@ -1,0 +1,228 @@
+"""The exact matching path for unit-demand constraints, and direct tests of
+the simplex engine that every other polytope still runs."""
+import sys
+
+import numpy as np
+import pytest
+
+from swarmplan.assign import (
+    UNASSIGNED,
+    AssignError,
+    ConstraintSet,
+    RelaxedAssignment,
+    ScoreTable,
+    SolverFailure,
+    brute_force_assign,
+    feasible,
+    get_procedure,
+    greedy_round,
+    lp_relax_solve,
+    matching_assign,
+    objective_value,
+    unit_demand,
+)
+from swarmplan.assign import core, procedures
+from swarmplan.assign.simplex import PolytopeLp
+from swarmplan.learn import RescueMetaEnv
+from swarmplan.nets import init_scoring_model, score_pairs
+from swarmplan.rescue import RescueConfig
+
+
+def unit_instance(rng, n, m, u_max=None):
+    h = rng.normal(size=(n, m))
+    u = rng.integers(0, (n if u_max is None else u_max) + 1, size=m).astype(float)
+    return ScoreTable(h), ConstraintSet(np.ones((n, m)), u)
+
+
+def simplex_rounded(scores, cons):
+    """The LP procedure as it is for every non-unit polytope."""
+    relaxed = RelaxedAssignment(PolytopeLp(cons.mu, cons.u).solve(scores.h))
+    return greedy_round(relaxed, scores, cons)
+
+
+def rescue_observations(n, m, episodes, steps, sigma=0.4, seed=0):
+    """(noisy score table, constraints) along rescue episodes driven by the
+    exact matching, with a random scoring model."""
+    model = init_scoring_model(2, 3, with_g=False, seed=seed)
+    rng = np.random.default_rng(seed)
+    for episode in range(episodes):
+        env = RescueMetaEnv(RescueConfig(n, m, seed=seed * 1000 + episode))
+        obs = env.reset()
+        for _ in range(steps):
+            table = score_pairs(model, obs.agent_feats, obs.task_feats)
+            noisy = ScoreTable(table.h + rng.normal(0.0, np.sqrt(sigma), table.h.shape))
+            yield noisy, obs.cons
+            obs, _, done = env.step(matching_assign(noisy, obs.cons))
+            if done:
+                break
+
+
+class TestUnitDemand:
+    def test_detects_unit_mu_and_whole_capacities(self):
+        assert unit_demand(ConstraintSet(np.ones((2, 3)), [0.0, 1.0, 5.0]))
+        assert not unit_demand(ConstraintSet(np.ones((2, 3)), [0.0, 1.5, 5.0]))
+        assert not unit_demand(ConstraintSet([[1.0, 2.0], [1.0, 1.0]], [1.0, 1.0]))
+
+    def test_rejects_other_polytopes(self):
+        scores = ScoreTable(np.ones((2, 2)))
+        with pytest.raises(AssignError):
+            matching_assign(scores, ConstraintSet(np.ones((2, 2)), [0.5, 1.0]))
+        with pytest.raises(AssignError):
+            matching_assign(scores, ConstraintSet(np.ones((2, 3)), [1.0, 1.0, 1.0]))
+
+
+class TestMatchingAssign:
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(0)
+        for trial in range(300):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            scores, cons = unit_instance(rng, n, m)
+            if trial % 10 == 0:  # an agent that prefers to stay idle
+                scores.h[rng.integers(n)] = -np.abs(scores.h[rng.integers(n)]) - 0.1
+            ours = matching_assign(scores, cons)
+            assert feasible(ours, cons)
+            best = brute_force_assign(scores, cons)
+            assert objective_value(ours, scores) == pytest.approx(
+                objective_value(best, scores), abs=1e-9)
+
+    def test_more_agents_than_tasks(self):
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            m = int(rng.integers(1, 4))
+            scores, cons = unit_instance(rng, m + int(rng.integers(1, 4)), m, u_max=2)
+            ours = matching_assign(scores, cons)
+            assert feasible(ours, cons)
+            assert objective_value(ours, scores) == pytest.approx(
+                objective_value(brute_force_assign(scores, cons), scores), abs=1e-9)
+
+    def test_capacity_above_agent_count(self):
+        scores = ScoreTable([[1.0, 0.5], [2.0, -1.0], [0.3, 0.2]])
+        cons = ConstraintSet(np.ones((3, 2)), [7.0, 0.0])
+        assert list(matching_assign(scores, cons).target) == [0, 0, 0]
+
+    def test_all_negative_rows_stay_unassigned(self):
+        scores = ScoreTable([[-1.0, -2.0], [0.5, -0.1], [-0.3, -0.2]])
+        cons = ConstraintSet(np.ones((3, 2)), [1.0, 1.0])
+        assert list(matching_assign(scores, cons).target) == [UNASSIGNED, 0, UNASSIGNED]
+
+    def test_zero_capacity_everywhere(self):
+        scores = ScoreTable(np.ones((3, 4)))
+        cons = ConstraintSet(np.ones((3, 4)), np.zeros(4))
+        assert list(matching_assign(scores, cons).target) == [UNASSIGNED] * 3
+
+    def test_ties_are_deterministic(self):
+        scores = ScoreTable(np.ones((4, 3)))
+        cons = ConstraintSet(np.ones((4, 3)), [1.0, 2.0, 0.0])
+        first = matching_assign(scores, cons).target
+        for _ in range(3):
+            np.testing.assert_array_equal(matching_assign(scores, cons).target, first)
+        assert objective_value(matching_assign(scores, cons), scores) == 3.0
+        # a zero score ties with staying idle, and idle wins
+        idle = matching_assign(ScoreTable(np.zeros((2, 2))), ConstraintSet(np.ones((2, 2)), [1.0, 1.0]))
+        assert list(idle.target) == [UNASSIGNED, UNASSIGNED]
+
+    def test_matches_scipy_linear_sum_assignment(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(2)
+        for _ in range(300):
+            n, m = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+            scores, cons = unit_instance(rng, n, m, u_max=3)
+            # independent reduction: capacity copies plus n shared idle columns
+            columns = np.repeat(np.arange(m), np.minimum(cons.u, n).astype(int))
+            padded = np.hstack([scores.h[:, columns], np.zeros((n, n))])
+            rows, cols = optimize.linear_sum_assignment(padded, maximize=True)
+            expect = padded[rows, cols].sum()
+            assert objective_value(matching_assign(scores, cons), scores) == pytest.approx(
+                expect, abs=1e-9)
+
+    def test_lp_relax_solve_returns_the_matching(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            scores, cons = unit_instance(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+            relaxed = lp_relax_solve(scores, cons)
+            hard = matching_assign(scores, cons)
+            np.testing.assert_array_equal(relaxed.beta, hard.to_matrix(cons.m))
+            assert relaxed.check_invariants(cons)
+
+
+class TestInferLpOnRescue:
+    @pytest.mark.parametrize("n,m", [(2, 4), (8, 15)])
+    def test_targets_equal_simplex_then_rounding(self, n, m):
+        infer = get_procedure("lp")
+        count = 0
+        for scores, cons in rescue_observations(n, m, episodes=4, steps=40):
+            assert unit_demand(cons)
+            np.testing.assert_array_equal(infer(scores, cons).target,
+                                          simplex_rounded(scores, cons).target)
+            count += 1
+        assert count >= 40
+
+    def test_never_builds_a_simplex(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the unit-demand path ran the simplex or the rounding")
+
+        monkeypatch.setattr(core, "PolytopeLp", refuse)
+        monkeypatch.setattr(procedures, "greedy_round", refuse)
+        infer = get_procedure("lp")
+        for scores, cons in rescue_observations(8, 15, episodes=1, steps=10):
+            assert feasible(infer(scores, cons), cons)
+            lp_relax_solve(scores, cons)
+
+
+def _switches_to_bland(lp, weights):
+    """Solve, recording whether the solve ever ran on Bland's rule."""
+    seen = []
+    code = PolytopeLp.solve.__code__
+
+    def local(frame, event, arg):
+        if frame.f_locals.get("use_bland"):
+            seen.append(True)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    sys.settrace(tracer)
+    try:
+        beta = lp.solve(weights)
+    finally:
+        sys.settrace(None)
+    return beta, bool(seen)
+
+
+class TestPolytopeLp:
+    def test_objective_equals_matching(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            scores, cons = unit_instance(rng, int(rng.integers(1, 8)), int(rng.integers(1, 8)))
+            beta = PolytopeLp(cons.mu, cons.u).solve(scores.h)
+            assert RelaxedAssignment(beta).check_invariants(cons)
+            assert float(np.sum(beta * scores.h)) == pytest.approx(
+                objective_value(matching_assign(scores, cons), scores), abs=1e-9)
+
+    def test_pivot_budget_raises(self):
+        # both agents must enter the basis: at least two pivots
+        cons = ConstraintSet(np.ones((2, 2)), [1.0, 1.0])
+        with pytest.raises(SolverFailure):
+            PolytopeLp(cons.mu, cons.u).solve(np.eye(2), max_pivots=1)
+        beta = PolytopeLp(cons.mu, cons.u).solve(np.eye(2), max_pivots=3)
+        np.testing.assert_allclose(beta, np.eye(2), atol=1e-12)
+
+    def test_degenerate_run_switches_to_bland_and_stays_optimal(self):
+        # Tasks 0-4 have capacity 0, so every pivot into them is degenerate.
+        # Agent k has mu = 3**(4-k) and score (k+1) * mu: the score/mu ratio
+        # rises as mu falls, so Dantzig's rule walks each such task through
+        # all 5 agents, 25 degenerate pivots against a switch at rows + 10
+        # = 21. Task 5 holds the optimum, scaled down so it enters last.
+        n, m = 5, 6
+        mu = np.tile((3.0 ** np.arange(n - 1, -1, -1))[:, None], (1, m))
+        weights = mu * np.arange(1, n + 1)[:, None]
+        weights[:, -1] *= 0.01
+        cons = ConstraintSet(mu, np.r_[np.zeros(m - 1), 1.0])
+        beta, used_bland = _switches_to_bland(PolytopeLp(cons.mu, cons.u), weights)
+        assert used_bland
+        scores = ScoreTable(weights)
+        best = brute_force_assign(scores, cons)
+        assert float(np.sum(beta * weights)) == pytest.approx(
+            objective_value(best, scores), abs=1e-12)
+        np.testing.assert_allclose(beta, best.to_matrix(m), atol=1e-12)
