@@ -5,10 +5,6 @@ innovations, each with variance sigma/p. The moving sum has stationary
 variance sigma and lag-l autocovariance (p - l) * sigma / p, so
 consecutive assignments stay consistent while the per-step marginal
 matches the N(h, sigma) likelihood the update assumes.
-
-The `residual` mode instead re-feeds whole past residuals H - h back
-into the window, the literal queue-of-actions reading; it is kept only
-for comparison since its variance grows without bound.
 """
 from __future__ import annotations
 
@@ -16,7 +12,7 @@ from collections import deque
 
 import numpy as np
 
-NOISE_MODES = ("innovation", "residual")
+NOISE_MODES = ("innovation",)
 
 
 class NoiseWindows:
@@ -47,10 +43,6 @@ class NoiseWindows:
         if sigma < 0:
             raise ValueError("sigma must be >= 0")
         innovation = rng.normal(0.0, np.sqrt(sigma / self.p), self.shape)
-        if self.mode == "innovation":
-            self.queue.append(innovation)
-            noise = innovation if self.p == 1 else sum(self.queue)
-        else:
-            noise = innovation + sum(self.queue)
-            self.queue.append(noise)
+        self.queue.append(innovation)
+        noise = innovation if self.p == 1 else sum(self.queue)
         return means + noise

@@ -31,6 +31,8 @@ METRIC_FIELDS = (
     "value_loss",
     "policy_loss",
     "mean_ir",
+    "grad_norm",
+    "skipped",
 )
 
 
@@ -145,6 +147,8 @@ def train(
             "value_loss": diag.value_loss,
             "policy_loss": diag.policy_loss,
             "mean_ir": diag.mean_ir,
+            "grad_norm": diag.grad_norm,
+            "skipped": int(diag.skipped),
         }
         last = update == total_updates - 1
         out_of_time = max_seconds is not None and row["wall_clock"] > max_seconds

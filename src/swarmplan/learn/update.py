@@ -11,6 +11,16 @@ and log l_t is the Gaussian log-likelihood of the sampled score tables
 under the current networks. Freezing R, A and ir at the evaluation point
 makes the analytic gradient exactly the gradient of `frozen_objective`,
 which is what the finite-difference tests check.
+
+An update is one batched pass over the whole batch: every step's
+agent-task pair rows go through h_net together (task-task rows through
+g_net when the steps sampled g), and every step's critic entities, plus
+the bootstrap entities of non-terminal chunks, go through the critic
+together with a segment mean per state. The targets come from that
+forward pass, and each net then runs one backward pass. Batched sums
+round differently from per-step sums, so results agree with a per-step
+loop to rounding, not bit for bit. `frozen_objective` stays a per-step
+loop: it is the independent reference for the gradient checks.
 """
 from __future__ import annotations
 
@@ -21,28 +31,35 @@ import numpy as np
 from ..nets import (
     CriticParams,
     ScoringModel,
-    add_grads,
-    critic_backward,
     critic_value,
+    critic_values,
+    critic_values_backward,
     grads_to_vector,
+    mlp_backward_batch,
+    mlp_forward_batch,
     score_pairs,
-    score_pairs_backward,
     zero_grads,
 )
+from ..nets.scoring import _pair_inputs, _task_pair_inputs
 from .config import A2CConfig, LearnError, OPTIMIZERS
 from .rollout import Chunk, gaussian_loglik
 
 LOG_RATIO_CLIP = 20.0  # clamp log l_new - log l_old before exponentiating
 
 
+def _check_bootstrap(chunk: Chunk):
+    if not chunk.terminal_tail and chunk.bootstrap_entities is None:
+        raise LearnError("non-terminal chunk without bootstrap entities")
+
+
 def nstep_returns(chunk: Chunk, gamma: float, critic: CriticParams) -> list:
     """Discounted n-step returns, bootstrapped with V at the chunk tail."""
-    if chunk.terminal_tail:
-        tail = 0.0
-    else:
-        if chunk.bootstrap_entities is None:
-            raise LearnError("non-terminal chunk without bootstrap entities")
-        tail = critic_value(critic, chunk.bootstrap_entities)
+    _check_bootstrap(chunk)
+    tail = 0.0 if chunk.terminal_tail else critic_value(critic, chunk.bootstrap_entities)
+    return _discounted_returns(chunk, gamma, tail)
+
+
+def _discounted_returns(chunk: Chunk, gamma: float, tail: float) -> list:
     returns = [0.0] * len(chunk.steps)
     running = tail
     for t in range(len(chunk.steps) - 1, -1, -1):
@@ -112,36 +129,96 @@ class FrozenTargets:
     ratios: list
 
 
-def _step_logliks(model: ScoringModel, step, sigma: float, with_cache=False):
-    """log l of the sampled tables under the current model, plus caches."""
-    out = score_pairs(model, step.obs.agent_feats, step.obs.task_feats,
-                      pair_extras=step.obs.pair_extras, with_cache=with_cache)
-    table, cache = out if with_cache else (out, None)
+def _step_loglik(model: ScoringModel, step, sigma: float) -> float:
+    """log l of one step's sampled tables under the current model."""
+    table = score_pairs(model, step.obs.agent_feats, step.obs.task_feats,
+                        pair_extras=step.obs.pair_extras)
     log_l = gaussian_loglik(step.sampled_h, table.h, sigma)
     if step.sampled_g is not None:
         if table.g is None:
             raise LearnError("rollout sampled g but the model has no g_net")
         log_l += gaussian_loglik(step.sampled_g, table.g, sigma)
-    return log_l, table, cache
+    return log_l
+
+
+@dataclass
+class _BatchPass:
+    """Every step of a batch scored by one forward pass, with its caches."""
+
+    steps: list            # the steps of all chunks, in batch order
+    values: np.ndarray     # V of each step, then of each bootstrap state
+    log_l: np.ndarray      # log l of each step under the current networks
+    policy: list           # (net, cache, sampled - predicted, step of each row)
+    critic_cache: tuple
+
+
+def _pair_pass(net, blocks, samples, step_ids, num_steps: int, sigma: float):
+    """One forward of `net` over the stacked pair rows of several steps.
+
+    Returns the policy entry for `_BatchPass` and the per-step Gaussian
+    log-likelihood of the sampled tables (0 for steps without rows).
+    """
+    out, cache = mlp_forward_batch(net, np.vstack(blocks))
+    diff = np.concatenate([np.ravel(sample) for sample in samples]) - out[:, 0]
+    seg = np.repeat(step_ids, [block.shape[0] for block in blocks])
+    sq = np.bincount(seg, weights=diff * diff, minlength=num_steps)
+    k = np.bincount(seg, minlength=num_steps)
+    log_l = -sq / (2.0 * sigma) - 0.5 * k * np.log(2.0 * np.pi * sigma)
+    return (net, cache, diff, seg), log_l
+
+
+def _batch_forward(model: ScoringModel, critic: CriticParams, chunks,
+                   sigma: float) -> _BatchPass:
+    steps = [step for chunk in chunks for step in chunk.steps]
+    S = len(steps)
+    h_blocks = [_pair_inputs(model, step.obs.agent_feats, step.obs.task_feats,
+                             step.obs.pair_extras)[0] for step in steps]
+    h_part, log_l = _pair_pass(model.h_net, h_blocks,
+                               [step.sampled_h for step in steps],
+                               np.arange(S), S, sigma)
+    policy = [h_part]
+    g_ids = [t for t, step in enumerate(steps) if step.sampled_g is not None]
+    if g_ids:
+        if model.g_net is None:
+            raise LearnError("rollout sampled g but the model has no g_net")
+        g_blocks = [_task_pair_inputs(model, steps[t].obs.task_feats)[0]
+                    for t in g_ids]
+        g_part, g_log_l = _pair_pass(model.g_net, g_blocks,
+                                     [steps[t].sampled_g for t in g_ids],
+                                     np.array(g_ids), S, sigma)
+        policy.append(g_part)
+        log_l = log_l + g_log_l
+    for chunk in chunks:
+        _check_bootstrap(chunk)
+    entity_lists = [step.obs.entities for step in steps] + [
+        chunk.bootstrap_entities for chunk in chunks if not chunk.terminal_tail]
+    values, critic_cache = critic_values(critic, entity_lists, with_cache=True)
+    return _BatchPass(steps, values, log_l, policy, critic_cache)
+
+
+def _targets(batch: _BatchPass, chunks, cfg: A2CConfig) -> FrozenTargets:
+    values = batch.values.tolist()
+    tails = iter(values[len(batch.steps):])
+    log_l_old = np.array([step.log_l_old for step in batch.steps])
+    delta = np.clip(batch.log_l - log_l_old, -LOG_RATIO_CLIP, LOG_RATIO_CLIP)
+    ratios = np.exp(delta).tolist()
+    returns, advantages, irs = [], [], []
+    start = 0
+    for chunk in chunks:
+        stop = start + len(chunk.steps)
+        tail = 0.0 if chunk.terminal_tail else next(tails)
+        R = _discounted_returns(chunk, cfg.gamma, tail)
+        returns.append(R)
+        advantages.append([r - v for r, v in zip(R, values[start:stop])])
+        irs.append(ratios[start:stop])
+        start = stop
+    return FrozenTargets(returns, advantages, irs)
 
 
 def freeze_targets(model: ScoringModel, critic: CriticParams, chunks,
                    cfg: A2CConfig) -> FrozenTargets:
     """Evaluate R, A and ir at the current parameters and detach them."""
-    returns, advantages, ratios = [], [], []
-    for chunk in chunks:
-        R = nstep_returns(chunk, cfg.gamma, critic)
-        A = [r - critic_value(critic, step.obs.entities)
-             for r, step in zip(R, chunk.steps)]
-        ir = []
-        for step in chunk.steps:
-            log_l, _, _ = _step_logliks(model, step, cfg.sigma)
-            delta = np.clip(log_l - step.log_l_old, -LOG_RATIO_CLIP, LOG_RATIO_CLIP)
-            ir.append(float(np.exp(delta)))
-        returns.append(R)
-        advantages.append(A)
-        ratios.append(ir)
-    return FrozenTargets(returns, advantages, ratios)
+    return _targets(_batch_forward(model, critic, chunks, cfg.sigma), chunks, cfg)
 
 
 def frozen_objective(model: ScoringModel, critic: CriticParams, chunks,
@@ -153,7 +230,7 @@ def frozen_objective(model: ScoringModel, critic: CriticParams, chunks,
                                frozen.ratios):
         for step, r, a, w in zip(chunk.steps, R, A, ir):
             v = critic_value(critic, step.obs.entities)
-            log_l, _, _ = _step_logliks(model, step, cfg.sigma)
+            log_l = _step_loglik(model, step, cfg.sigma)
             total += abs(r - v) - cfg.lam * w * a * log_l
             count += 1
     return total / count
@@ -177,55 +254,36 @@ def a2c_grads(model: ScoringModel, critic: CriticParams, chunks,
     "g" is None when the model has no g_net. When `frozen` is omitted the
     targets are evaluated at the current parameters, which is the on-line
     update; passing explicit targets reproduces `frozen_objective`.
+    Either way the batch is scored by one forward pass and each net runs
+    one backward pass.
     """
+    batch = _batch_forward(model, critic, chunks, cfg.sigma)
     if frozen is None:
-        frozen = freeze_targets(model, critic, chunks, cfg)
-    h_acc = zero_grads(model.h_net)
-    g_acc = zero_grads(model.g_net) if model.g_net is not None else None
-    embed_acc = zero_grads(critic.embed_net)
-    head_acc = zero_grads(critic.head_net)
-    value_loss = 0.0
-    policy_loss = 0.0
-    ir_sum = 0.0
-    count = 0
-    for chunk, R, A, ir in zip(chunks, frozen.returns, frozen.advantages,
-                               frozen.ratios):
-        for step, r, a, w in zip(chunk.steps, R, A, ir):
-            v, v_cache = critic_value(critic, step.obs.entities, with_cache=True)
-            value_loss += abs(r - v)
-            eg, hg = critic_backward(critic, v_cache, upstream=-np.sign(r - v))
-            add_grads(embed_acc, eg)
-            add_grads(head_acc, hg)
-
-            log_l, table, cache = _step_logliks(model, step, cfg.sigma,
-                                                with_cache=True)
-            policy_loss += -cfg.lam * w * a * log_l
-            ir_sum += w
-            scale = -cfg.lam * w * a / cfg.sigma
-            dH = scale * (step.sampled_h - table.h)
-            dG = None
-            if step.sampled_g is not None:
-                dG = scale * (step.sampled_g - table.g)
-            hg_grads, gg_grads = score_pairs_backward(model, cache, dH, dG)
-            add_grads(h_acc, hg_grads)
-            if gg_grads is not None:
-                add_grads(g_acc, gg_grads)
-            count += 1
-    for acc in (h_acc, g_acc, embed_acc, head_acc):
-        if acc is None:
-            continue
-        for gW, gb in acc:
-            gW /= count
-            gb /= count
-    grads = {"h": h_acc, "g": g_acc, "embed": embed_acc, "head": head_acc}
+        frozen = _targets(batch, chunks, cfg)
+    S = len(batch.steps)
+    R, A, W = (np.array([x for per_chunk in lists for x in per_chunk], dtype=float)
+               for lists in (frozen.returns, frozen.advantages, frozen.ratios))
+    if not R.size == A.size == W.size == S:
+        raise LearnError("frozen targets do not match the batch")
+    V = batch.values[:S]
+    value_up = np.zeros_like(batch.values)  # bootstrap states get no gradient
+    value_up[:S] = -np.sign(R - V) / S
+    embed_grads, head_grads = critic_values_backward(critic, batch.critic_cache,
+                                                     value_up)
+    scale = -cfg.lam * W * A / (cfg.sigma * S)
+    policy = [mlp_backward_batch(net, cache, (scale[seg] * diff)[:, None])[0]
+              for net, cache, diff, seg in batch.policy]
+    g_grads = policy[1] if len(policy) > 1 else (
+        zero_grads(model.g_net) if model.g_net is not None else None)
+    grads = {"h": policy[0], "g": g_grads, "embed": embed_grads, "head": head_grads}
     norm_sq = sum(float(np.sum(grads_to_vector(acc) ** 2))
                   for acc in grads.values() if acc is not None)
     diag = UpdateDiagnostics(
-        value_loss=value_loss / count,
-        policy_loss=policy_loss / count,
-        mean_ir=ir_sum / count,
+        value_loss=float(np.mean(np.abs(R - V))),
+        policy_loss=float(np.mean(-cfg.lam * W * A * batch.log_l)),
+        mean_ir=float(np.mean(W)),
         grad_norm=float(np.sqrt(norm_sq)),
-        steps=count,
+        steps=S,
     )
     return grads, diag
 

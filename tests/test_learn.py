@@ -2,8 +2,9 @@
 
 The analytic update gradient is checked against finite differences of
 the frozen objective (returns, advantages and importance ratios held at
-the evaluation point); noise statistics are checked against the closed
-forms for a moving sum of p innovations.
+the evaluation point), and the batched update against a per-step loop;
+noise statistics are checked against the closed forms for a moving sum
+of p innovations.
 """
 import csv
 
@@ -35,18 +36,24 @@ from swarmplan.learn import (
     nstep_returns,
     play_episode,
     train,
+    worker_rollout,
     write_metrics,
 )
 from swarmplan.nets import (
     CriticParams,
     MlpParams,
     ScoringModel,
+    add_grads,
+    critic_backward,
     critic_value,
     grads_to_vector,
     init_critic,
     init_scoring_model,
     params_to_vector,
+    score_pairs,
+    score_pairs_backward,
     vector_to_params,
+    zero_grads,
 )
 from swarmplan.rescue import RescueConfig
 
@@ -92,22 +99,14 @@ def test_noise_sigma_zero_returns_means_exactly():
         assert np.array_equal(win.sample(means, 0.0, rng), means)
 
 
-def test_residual_mode_variance_grows():
-    """The literal re-feed variant is divergent; keep a record of that."""
-    sigma = 1.0
-    rng = np.random.default_rng(3)
-    win = NoiseWindows((1,), 3, "residual")
-    draws = np.array([win.sample(np.zeros(1), sigma, rng)[0] for _ in range(400)])
-    early = draws[:50].var()
-    late = draws[-50:].var()
-    assert late > 10 * early
-
-
 def test_noise_rejects_bad_args():
     with pytest.raises(ValueError):
         NoiseWindows((1,), 0)
-    with pytest.raises(ValueError):
-        NoiseWindows((1,), 2, "bogus")
+    for mode in ("bogus", "residual"):
+        with pytest.raises(ValueError):
+            NoiseWindows((1,), 2, mode)
+        with pytest.raises(LearnError):
+            A2CConfig(noise_mode=mode)
     win = NoiseWindows((2,), 2)
     with pytest.raises(ValueError):
         win.sample(np.zeros(3), 1.0, np.random.default_rng(0))
@@ -416,6 +415,194 @@ def test_update_descends_frozen_objective():
 
 
 # ---------------------------------------------------------------------------
+# the batched update against a per-step loop
+
+
+def reference_targets(model, critic, chunks, cfg):
+    """R, A and ir step by step: one score_pairs and one critic_value each."""
+    returns, advantages, ratios = [], [], []
+    for chunk in chunks:
+        R = nstep_returns(chunk, cfg.gamma, critic)
+        A, ir = [], []
+        for r, step in zip(R, chunk.steps):
+            A.append(r - critic_value(critic, step.obs.entities))
+            table = score_pairs(model, step.obs.agent_feats, step.obs.task_feats,
+                                pair_extras=step.obs.pair_extras)
+            log_l = gaussian_loglik(step.sampled_h, table.h, cfg.sigma)
+            if step.sampled_g is not None:
+                log_l += gaussian_loglik(step.sampled_g, table.g, cfg.sigma)
+            ir.append(float(np.exp(np.clip(log_l - step.log_l_old, -20.0, 20.0))))
+        returns.append(R)
+        advantages.append(A)
+        ratios.append(ir)
+    return FrozenTargets(returns, advantages, ratios)
+
+
+def reference_grads(model, critic, chunks, cfg, frozen):
+    """Gradients of the batch loss with one forward and backward per step."""
+    acc = {"h": zero_grads(model.h_net),
+           "g": zero_grads(model.g_net) if model.g_net is not None else None,
+           "embed": zero_grads(critic.embed_net),
+           "head": zero_grads(critic.head_net)}
+    value_loss = policy_loss = ir_sum = 0.0
+    count = 0
+    for chunk, R, A, ir in zip(chunks, frozen.returns, frozen.advantages,
+                               frozen.ratios):
+        for step, r, a, w in zip(chunk.steps, R, A, ir):
+            v, v_cache = critic_value(critic, step.obs.entities, with_cache=True)
+            eg, hg = critic_backward(critic, v_cache, upstream=-np.sign(r - v))
+            add_grads(acc["embed"], eg)
+            add_grads(acc["head"], hg)
+            table, cache = score_pairs(model, step.obs.agent_feats,
+                                       step.obs.task_feats,
+                                       pair_extras=step.obs.pair_extras,
+                                       with_cache=True)
+            log_l = gaussian_loglik(step.sampled_h, table.h, cfg.sigma)
+            scale = -cfg.lam * w * a / cfg.sigma
+            dG = None
+            if step.sampled_g is not None:
+                log_l += gaussian_loglik(step.sampled_g, table.g, cfg.sigma)
+                dG = scale * (step.sampled_g - table.g)
+            h_grads, g_grads = score_pairs_backward(
+                model, cache, scale * (step.sampled_h - table.h), dG)
+            add_grads(acc["h"], h_grads)
+            if g_grads is not None:
+                add_grads(acc["g"], g_grads)
+            value_loss += abs(r - v)
+            policy_loss += -cfg.lam * w * a * log_l
+            ir_sum += w
+            count += 1
+    grads = {name: None if g is None else [(gW / count, gb / count) for gW, gb in g]
+             for name, g in acc.items()}
+    return grads, (value_loss / count, policy_loss / count, ir_sum / count)
+
+
+def _rescue_batch(sizes, with_g=False, inference="lp"):
+    cfg = small_cfg()
+    model = init_scoring_model(2, 3, with_g=with_g, seed=31)
+    critic = init_critic(RescueMetaEnv.num_kinds, RescueMetaEnv.feature_dim, seed=32)
+    chunks = []
+    for k, (n, m) in enumerate(sizes):
+        env = RescueMetaEnv(RescueConfig(n, m, seed=0))
+        chunks += worker_rollout(env, model, inference, cfg,
+                                 np.random.default_rng(40 + k), num_chunks=2)
+    return model, critic, chunks, cfg
+
+
+BATCHES = {
+    "rescue-lp": lambda: _rescue_batch([(2, 4), (2, 4)]),
+    "quad-with-g": lambda: collect_batch(inference="quad", length=10, chunks=3,
+                                         seed=33),
+    "mixed-2x4-3x5": lambda: _rescue_batch([(2, 4), (3, 5)]),
+    "terminal-and-bootstrap": lambda: collect_batch(length=6, chunks=4, seed=34),
+}
+
+
+def _assert_grads_close(got, want):
+    assert (got["g"] is None) == (want["g"] is None)
+    for name in ("h", "g", "embed", "head"):
+        if want[name] is None:
+            continue
+        a, b = grads_to_vector(got[name]), grads_to_vector(want[name])
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), name
+
+
+@pytest.mark.parametrize("case", sorted(BATCHES))
+def test_batched_update_matches_per_step_loop(case):
+    model, critic, chunks, cfg = BATCHES[case]()
+    tails = {chunk.terminal_tail for chunk in chunks}
+    if case == "terminal-and-bootstrap":
+        assert tails == {True, False}
+    if case == "mixed-2x4-3x5":
+        assert {step.h.shape for chunk in chunks for step in chunk.steps} \
+            == {(2, 4), (3, 5)}
+    if case == "quad-with-g":
+        assert all(step.sampled_g is not None for chunk in chunks
+                   for step in chunk.steps)
+
+    want_targets = reference_targets(model, critic, chunks, cfg)
+    got_targets = freeze_targets(model, critic, chunks, cfg)
+    for got, want in zip(
+            (got_targets.returns, got_targets.advantages, got_targets.ratios),
+            (want_targets.returns, want_targets.advantages, want_targets.ratios)):
+        assert [len(x) for x in got] == [len(x) for x in want]
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-12, abs=1e-12)
+
+    # on-line targets (frozen=None) against the per-step loop
+    want_grads, (value_loss, policy_loss, mean_ir) = reference_grads(
+        model, critic, chunks, cfg, want_targets)
+    grads, diag = a2c_grads(model, critic, chunks, cfg)
+    _assert_grads_close(grads, want_grads)
+    assert diag.value_loss == pytest.approx(value_loss, rel=1e-12)
+    assert diag.policy_loss == pytest.approx(policy_loss, rel=1e-12)
+    assert diag.mean_ir == pytest.approx(mean_ir, rel=1e-12)
+    assert diag.steps == sum(len(chunk) for chunk in chunks)
+
+    # explicit targets, with ratios away from 1, are used as given
+    rng = np.random.default_rng(35)
+    frozen = FrozenTargets(want_targets.returns, want_targets.advantages,
+                           [list(rng.uniform(0.5, 1.5, len(ir)))
+                            for ir in want_targets.ratios])
+    want_grads, _ = reference_grads(model, critic, chunks, cfg, frozen)
+    grads, _ = a2c_grads(model, critic, chunks, cfg, frozen)
+    _assert_grads_close(grads, want_grads)
+
+
+def test_a2c_grads_rejects_mismatched_targets():
+    model, critic, batch, cfg = collect_batch()
+    frozen = freeze_targets(model, critic, batch, cfg)
+    short = FrozenTargets(frozen.returns[:1], frozen.advantages[:1],
+                          frozen.ratios[:1])
+    with pytest.raises(LearnError):
+        a2c_grads(model, critic, batch, cfg, short)
+
+
+class NanRewardEnv(FixedEnv):
+    """FixedEnv whose first episode pays a NaN reward on step `nan_at`."""
+
+    def __init__(self, length=10, nan_at=2):
+        super().__init__(length)
+        self.nan_at = nan_at
+        self.episodes = 0
+
+    def reset(self, seed=None):
+        self.episodes += 1
+        return super().reset(seed)
+
+    def step(self, assignment):
+        obs, reward, done = super().step(assignment)
+        if self.episodes == 1 and self.t == self.nan_at:
+            reward = float("nan")
+        return obs, reward, done
+
+
+def test_non_finite_update_is_skipped_and_recorded(tmp_path):
+    cfg = small_cfg(optimizer="adam")
+    worker, model = make_worker(NanRewardEnv(), cfg=cfg)
+    critic = init_critic(2, 3, seed=1)
+    batch = [worker.collect_chunk() for _ in range(cfg.batch_chunks)]
+    before = _pack(model, critic).tobytes()
+    diag = a2c_update(model, critic, batch, cfg,
+                      make_optimizer(cfg.optimizer, cfg.lr_policy),
+                      make_optimizer(cfg.optimizer, cfg.lr_value))
+    assert diag.skipped
+    assert not np.isfinite(diag.grad_norm)
+    assert _pack(model, critic).tobytes() == before
+
+    # in `train` the first update meets the NaN, the second does not
+    model = init_scoring_model(2, 3, with_g=False, seed=0)
+    critic = init_critic(2, 3, seed=1)
+    path = tmp_path / "metrics.csv"
+    train(model, critic, NanRewardEnv, "lp", cfg, total_updates=2,
+          metrics_path=path)
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["skipped"] for row in rows] == ["1", "0"]
+    assert np.isfinite(float(rows[1]["grad_norm"]))
+
+
+# ---------------------------------------------------------------------------
 # optimizers
 
 
@@ -472,7 +659,8 @@ def test_train_writes_metrics_csv(tmp_path):
     assert len(rows) == 3
     assert set(rows[0]) == {"wall_clock", "env_steps", "updates",
                             "eval_mean_return", "eval_mean_length",
-                            "value_loss", "policy_loss", "mean_ir"}
+                            "value_loss", "policy_loss", "mean_ir",
+                            "grad_norm", "skipped"}
     # evaluation ran on updates 2 (periodic) and 3 (final)
     assert rows[0]["eval_mean_return"] == ""
     assert rows[1]["eval_mean_return"] != ""
