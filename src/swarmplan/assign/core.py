@@ -231,12 +231,18 @@ def quad_relax_solve(
     cons: ConstraintSet,
     cfg: FwConfig | None = None,
     start: RelaxedAssignment | None = None,
+    stats: dict | None = None,
 ) -> RelaxedAssignment:
     """Frank-Wolfe ascent on the quadratic objective over the relaxed polytope.
 
     Terminates when the FW gap <grad, v - beta> drops below
     cfg.gap_tol * (1 + |objective|), or after cfg.max_iters iterations.
     Converges to a local maximum (the objective need not be concave).
+
+    A `stats` dict, when given, receives `iters` (linear subproblems
+    solved), `hit_cap` (stopped by the iteration cap), `pivots` (simplex
+    pivots of those subproblems) and `rel_gap` (FW gap over 1 + |objective|
+    at the returned point, which costs one more subproblem).
     """
     _check_dims(scores, cons)
     if scores.g is None:
@@ -252,7 +258,8 @@ def quad_relax_solve(
 
     g_sym = scores.g + scores.g.T
     lp = PolytopeLp(cons.mu, cons.u)  # warm-started across FW iterations
-    for _ in range(cfg.max_iters):
+    hit_cap = False
+    for iters in range(1, cfg.max_iters + 1):
         r = beta.sum(axis=0)
         grad = scores.h + (g_sym @ r)[None, :]
         vertex = _polytope_lp(grad, cons, lp)
@@ -264,7 +271,15 @@ def quad_relax_solve(
         if gamma == 0.0:
             break
         beta = beta + gamma * (vertex.beta - beta)
-    return RelaxedAssignment(np.clip(beta, 0.0, 1.0))
+    else:
+        hit_cap = True
+    result = RelaxedAssignment(np.clip(beta, 0.0, 1.0))
+    if stats is not None:
+        stats.update(iters=iters, hit_cap=hit_cap, pivots=lp.pivots)
+        grad = scores.h + (g_sym @ result.beta.sum(axis=0))[None, :]
+        gap = float(np.sum(grad * (lp.solve(grad) - result.beta)))
+        stats["rel_gap"] = gap / (1.0 + abs(objective_value(result, scores)))
+    return result
 
 
 def greedy_round(
@@ -282,25 +297,20 @@ def greedy_round(
     beta = relaxed.beta
     if beta.shape != (cons.n, cons.m):
         raise AssignError(f"relaxed shape {beta.shape} != ({cons.n}, {cons.m})")
-    n, m = cons.n, cons.m
     row_max = beta.max(axis=1)
-    order = sorted(range(n), key=lambda i: (-row_max[i], i))
-    load = np.zeros(m)
-    target = np.full(n, UNASSIGNED)
-    for i in order:
+    cap = cons.u + FEAS_EPS
+    load = np.zeros(cons.m)
+    target = np.full(cons.n, UNASSIGNED)
+    for i in np.argsort(-row_max, kind="stable"):
         if row_max[i] <= 0.0:
             continue
-        best = None
-        for j in range(m):
-            if load[j] + cons.mu[i, j] > cons.u[j] + FEAS_EPS:
-                continue
-            key = (beta[i, j], scores.h[i, j], -j)
-            if best is None or key > best[0]:
-                best = (key, j)
-        if best is not None:
-            j = best[1]
-            target[i] = j
-            load[j] += cons.mu[i, j]
+        fits = load + cons.mu[i] <= cap
+        if not fits.any():
+            continue
+        beta_fit = np.where(fits, beta[i], -np.inf)
+        j = int(np.argmax(np.where(beta_fit == beta_fit.max(), scores.h[i], -np.inf)))
+        target[i] = j
+        load[j] += cons.mu[i, j]
     return Assignment(target)
 
 
@@ -319,56 +329,49 @@ def polish_assignment(
     target = assign.target.copy()
     n, m = cons.n, cons.m
     h, g = scores.h, scores.g
+    cap = cons.u + FEAS_EPS
+    placed = np.flatnonzero(target != UNASSIGNED)
     load = np.zeros(m)
-    r = np.zeros(m)  # column sums of the hard assignment matrix
-    for i, j in enumerate(target):
-        if j != UNASSIGNED:
-            load[j] += cons.mu[i, j]
-            r[j] += 1.0
-    g_sym_r = (g + g.T) @ r if g is not None else None
+    np.add.at(load, target[placed], cons.mu[placed, target[placed]])
+    if g is not None:
+        g_sym = g + g.T
+        g_diag = np.diag(g)
+        # (g + g.T) @ r for the column sums r of the hard assignment matrix
+        g_sym_r = g_sym @ np.bincount(target[placed], minlength=m).astype(float)
+    deltas = np.empty(m + 1)
     for _ in range(max_passes):
         improved = False
         for i in range(n):
             old_j = target[i]
-            # delta of moving agent i from old_j to new_j, computed
-            # incrementally: linear part plus r' G r' - r G r with the
-            # two-entry change vector
-            # candidate order: tasks by index, then unassigned, so ties
-            # prefer keeping agents on tasks
-            deltas = np.empty(m + 1)
-            for idx, new_j in enumerate([*range(m), UNASSIGNED]):
-                if new_j == old_j:
-                    deltas[idx] = 0.0
-                    continue
-                if new_j != UNASSIGNED and load[new_j] + cons.mu[i, new_j] > cons.u[new_j] + FEAS_EPS:
-                    deltas[idx] = -np.inf
-                    continue
-                delta = 0.0
+            # delta of moving agent i from old_j to each task, then to
+            # unassigned: linear part plus r' G r' - r G r with the
+            # two-entry change vector, summed term by term in this order;
+            # ties prefer the lowest task, then keeping agents on tasks
+            leave = 0.0 if old_j == UNASSIGNED else 0.0 - h[i, old_j]
+            tasks = leave + h[i]
+            if g is not None:
                 if old_j != UNASSIGNED:
-                    delta -= h[i, old_j]
-                if new_j != UNASSIGNED:
-                    delta += h[i, new_j]
-                if g is not None:
-                    if old_j != UNASSIGNED:
-                        delta -= g_sym_r[old_j] - g[old_j, old_j]
-                    if new_j != UNASSIGNED:
-                        delta += g_sym_r[new_j] + g[new_j, new_j]
-                    if old_j != UNASSIGNED and new_j != UNASSIGNED:
-                        delta -= g[old_j, new_j] + g[new_j, old_j]
-                deltas[idx] = delta
+                    off = g_sym_r[old_j] - g[old_j, old_j]
+                    tasks = tasks - off
+                    leave = leave - off
+                tasks = tasks + (g_sym_r + g_diag)
+                if old_j != UNASSIGNED:
+                    tasks = tasks - g_sym[old_j]
+            deltas[:m] = np.where(load + cons.mu[i] > cap, -np.inf, tasks)
+            deltas[m] = leave
+            if old_j != UNASSIGNED:
+                deltas[old_j] = 0.0
             best_idx = int(np.argmax(deltas))
             best_j = UNASSIGNED if best_idx == m else best_idx
             if deltas[best_idx] > 1e-12 and best_j != old_j:
                 if old_j != UNASSIGNED:
                     load[old_j] -= cons.mu[i, old_j]
-                    r[old_j] -= 1.0
                     if g is not None:
-                        g_sym_r -= g[old_j, :] + g[:, old_j]
+                        g_sym_r -= g_sym[old_j]
                 if best_j != UNASSIGNED:
                     load[best_j] += cons.mu[i, best_j]
-                    r[best_j] += 1.0
                     if g is not None:
-                        g_sym_r += g[best_j, :] + g[:, best_j]
+                        g_sym_r += g_sym[best_j]
                 target[i] = best_j
                 improved = True
         if not improved:

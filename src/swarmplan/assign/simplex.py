@@ -5,8 +5,10 @@
 Row sums <= 1 imply beta <= 1, so only the n + m aggregate rows are
 materialized and the all-slack basis is feasible (no phase-1). Every
 structural column has at most two nonzeros (a 1 in its agent row and
-mu_ij in its task row), which keeps pricing at O(nm) and pivots at
-O(rows^2) regardless of the number of variables.
+mu_ij in its task row), which keeps pricing at O(nm) regardless of the
+number of variables. A pivot costs one O(rows^2) product for the duals;
+the rank-1 update of the basis inverse touches only the rows where the
+entering column is nonzero, which stays a small share of the rows.
 
 Pricing is Dantzig's rule, falling back to Bland's rule after a run of
 degenerate pivots to guarantee termination. The solver object keeps its
@@ -27,7 +29,8 @@ class PolytopeLp:
     """Reusable simplex state for one constraint set.
 
     Variable ids: structural beta_ij -> i*m + j; agent-row slack i ->
-    nm + i; capacity slack j -> nm + n + j.
+    nm + i; capacity slack j -> nm + n + j. `pivots` counts the pivots
+    of every solve so far.
     """
 
     def __init__(self, mu: np.ndarray, u: np.ndarray):
@@ -39,10 +42,9 @@ class PolytopeLp:
         self.total = self.nm + self.rows
         self.b = np.concatenate([np.ones(self.n), self.u])
         self.basis = np.arange(self.nm, self.total)
-        self.in_basis = np.zeros(self.total, dtype=bool)
-        self.in_basis[self.basis] = True
         self.B_inv = np.eye(self.rows)
         self.xB = self.b.copy()
+        self.pivots = 0
         self._pivots_since_refactor = 0
 
     def _column(self, var: int) -> np.ndarray:
@@ -54,13 +56,12 @@ class PolytopeLp:
 
     def _refactor(self):
         B = np.zeros((self.rows, self.rows))
-        for k, var in enumerate(self.basis):
-            if var < self.nm:
-                i, j = divmod(var, self.m)
-                B[i, k] = 1.0
-                B[self.n + j, k] += self.mu[i, j]
-            else:
-                B[var - self.nm, k] = 1.0
+        k = np.arange(self.rows)
+        structural = self.basis < self.nm
+        i, j = np.divmod(self.basis[structural], self.m)
+        B[i, k[structural]] = 1.0
+        B[self.n + j, k[structural]] = self.mu[i, j]
+        B[self.basis[~structural] - self.nm, k[~structural]] = 1.0
         self.B_inv = np.linalg.inv(B)
         self.xB = np.maximum(self.B_inv @ self.b, 0.0)
         self._pivots_since_refactor = 0
@@ -72,63 +73,51 @@ class PolytopeLp:
         SolverFailure if the pivot budget is exhausted.
         """
         weights = np.asarray(weights, dtype=float)
-        wflat = weights.ravel()
         if max_pivots is None:
             max_pivots = 100 * self.rows + 20 * max(self.n, self.m) ** 2 + 1000
 
         degenerate_run = 0
         use_bland = False
-        cB = np.zeros(self.rows)
-        ratios = np.empty(self.rows)
+        cost = np.concatenate([weights.ravel(), np.zeros(self.rows)])
+        cB = cost[self.basis]
+        # reduced costs: structural ids first, then slacks, as in `basis`
+        red = np.empty(self.total)
+        red_struct = red[: self.nm].reshape(self.n, self.m)
+        y_mu = np.empty((self.n, self.m))
         for pivot in range(max_pivots):
             if self._pivots_since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
 
-            structural_basis = self.basis < self.nm
-            basic_struct_ids = self.basis[structural_basis]
-            cB[:] = 0.0
-            cB[structural_basis] = wflat[basic_struct_ids]
             y = cB @ self.B_inv
-            y_row, y_cap = y[: self.n], y[self.n:]
             # pricing: structural columns have two nonzeros, slacks one
-            red_struct = (weights - y_row[:, None]
-                          - self.mu * y_cap[None, :]).ravel()
-            red_struct[basic_struct_ids] = 0.0
-            red_slack = -y
-            red_slack[self.basis[~structural_basis] - self.nm] = 0.0
+            np.subtract(weights, y[: self.n, None], out=red_struct)
+            np.multiply(self.mu, y[None, self.n:], out=y_mu)
+            np.subtract(red_struct, y_mu, out=red_struct)
+            np.negative(y, out=red[self.nm:])
+            red[self.basis] = 0.0
 
+            # ties go to the lowest id, so structural columns before slacks
             if use_bland:
-                candidates = np.flatnonzero(red_struct > _TOL)
-                if candidates.size:
-                    entering = int(candidates[0])
-                else:
-                    candidates = np.flatnonzero(red_slack > _TOL)
-                    if candidates.size == 0:
-                        break
-                    entering = self.nm + int(candidates[0])
+                candidates = np.flatnonzero(red > _TOL)
+                if candidates.size == 0:
+                    break
+                entering = int(candidates[0])
             else:
-                e_struct = int(np.argmax(red_struct))
-                e_slack = int(np.argmax(red_slack))
-                if red_struct[e_struct] >= red_slack[e_slack]:
-                    entering, best = e_struct, red_struct[e_struct]
-                else:
-                    entering, best = self.nm + e_slack, red_slack[e_slack]
-                if best <= _TOL:
+                entering = int(red.argmax())
+                if red[entering] <= _TOL:
                     break
 
             w = self._column(entering)
-            positive = w > _TOL
-            if not np.any(positive):
+            positive = np.flatnonzero(w > _TOL)
+            if positive.size == 0:
                 raise SolverFailure("unbounded direction on a bounded polytope")
-            ratios[:] = np.inf
-            np.divide(self.xB, w, out=ratios, where=positive)
+            ratios = self.xB[positive] / w[positive]
             theta = ratios.min()
-            tied = ratios <= theta + _TOL
-            if use_bland and np.count_nonzero(tied) > 1:
-                leave_candidates = np.flatnonzero(tied)
-                leaving = int(leave_candidates[np.argmin(self.basis[leave_candidates])])
+            tied = positive[ratios <= theta + _TOL]
+            if use_bland and tied.size > 1:
+                leaving = int(tied[np.argmin(self.basis[tied])])
             else:
-                leaving = int(np.argmax(np.where(tied, w, -np.inf)))
+                leaving = int(tied[np.argmax(w[tied])])
 
             if theta <= _TOL:
                 degenerate_run += 1
@@ -138,16 +127,18 @@ class PolytopeLp:
                 degenerate_run = 0
                 use_bland = False
 
-            self.in_basis[self.basis[leaving]] = False
-            self.in_basis[entering] = True
             self.basis[leaving] = entering
+            cB[leaving] = cost[entering]
             piv = w[leaving]
             self.B_inv[leaving, :] /= piv
-            w[leaving] = 0.0  # rank-1 update touches every other row
-            self.B_inv -= w[:, None] * self.B_inv[leaving, :]
+            w[leaving] = 0.0
+            # rank-1 update; rows where w is zero would not change
+            touched = w.nonzero()[0]
+            self.B_inv[touched] -= w[touched, None] * self.B_inv[leaving, :]
             self.xB -= theta * w
             self.xB[leaving] = theta
             np.maximum(self.xB, 0.0, out=self.xB)
+            self.pivots += 1
             self._pivots_since_refactor += 1
         else:
             raise SolverFailure(f"pivot budget {max_pivots} exhausted")

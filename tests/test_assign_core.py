@@ -26,6 +26,13 @@ from swarmplan.assign import (
     quad_relax_solve,
     round_quad,
 )
+from swarmplan.battle import (
+    build_battle_constraints,
+    extract_battle_features,
+    load_scenario,
+    spawn_battle,
+)
+from swarmplan.nets import init_scoring_model, score_pairs
 
 
 def random_instance(rng, n=None, m=None, with_g=False, integer_u=False):
@@ -266,6 +273,29 @@ class TestQuadRelax:
         for _ in range(20):
             scores, cons = random_instance(rng, with_g=True)
             assert quad_relax_solve(scores, cons).check_invariants(cons)
+
+    def test_stats_report_the_cap_at_80v82(self):
+        state = spawn_battle(load_scenario("m80v82", seed=0))
+        agents, tasks, extras = extract_battle_features(state)
+        model = init_scoring_model(agents.shape[1], tasks.shape[1],
+                                   pair_extra_dim=extras.shape[-1], with_g=True, seed=0)
+        scores = score_pairs(model, agents, tasks, pair_extras=extras)
+        cons = build_battle_constraints(state)
+        stats = {}
+        relaxed = quad_relax_solve(scores, cons, stats=stats)
+        assert stats["iters"] == 50 and stats["hit_cap"]
+        assert stats["pivots"] > stats["iters"]
+        assert 0.0 < stats["rel_gap"] < 1.0
+        np.testing.assert_array_equal(relaxed.beta, quad_relax_solve(scores, cons).beta)
+
+    def test_stats_report_convergence_before_the_cap(self):
+        scores = ScoreTable(np.ones((2, 2)), np.diag([1.0, 1.0]))
+        cons = ConstraintSet(np.ones((2, 2)), [2.0, 2.0])
+        stats = {}
+        quad_relax_solve(scores, cons, stats=stats)
+        assert stats["iters"] < 50 and not stats["hit_cap"]
+        assert stats["pivots"] >= 2
+        assert stats["rel_gap"] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestGreedyRound:

@@ -11,6 +11,9 @@ rounding must reproduce them exactly.
 Instances: 100 random ones (general mu, row-constant mu, half-integer
 scores that tie, tasks with zero capacity), two m80v82 spawn states and
 one m15v16 spawn state scored by the seed-0 random model with a g net.
+The digests do not depend on the BLAS thread count: the last test runs
+the criterion-9 decision once with one OpenBLAS thread and once with the
+default, each in its own process, and requires the same output.
 
 Regenerate the fixture (only for a deliberate behaviour change) with
 
@@ -18,11 +21,15 @@ Regenerate the fixture (only for a deliberate behaviour change) with
 """
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swarmplan
 from swarmplan.assign import (
     ConstraintSet,
     RelaxedAssignment,
@@ -115,6 +122,43 @@ def test_fixture_covers_every_case(golden):
 @pytest.mark.parametrize("key", list(CASES))
 def test_golden_digest(golden, key):
     assert instance_digest(*CASES[key]()) == golden[key]
+
+
+# The criterion-9 decision (m80v82 seed 0, seed-0 random model, quad),
+# printed as its targets and the sha256 of its relaxed beta.
+QUAD_DECISION = """
+import hashlib
+from swarmplan.assign import quad_relax_solve, round_quad
+from swarmplan.battle import build_battle_constraints, extract_battle_features, load_scenario, spawn_battle
+from swarmplan.nets import init_scoring_model, score_pairs
+state = spawn_battle(load_scenario("m80v82", seed=0))
+agents, tasks, extras = extract_battle_features(state)
+model = init_scoring_model(agents.shape[1], tasks.shape[1],
+                           pair_extra_dim=extras.shape[-1], with_g=True, seed=0)
+scores = score_pairs(model, agents, tasks, pair_extras=extras)
+cons = build_battle_constraints(state)
+relaxed = quad_relax_solve(scores, cons)
+print(hashlib.sha256(relaxed.beta.tobytes()).hexdigest())
+print(round_quad(relaxed, scores, cons).target.tolist())
+"""
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _quad_decision(**blas_env):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(blas_env)
+    src = str(Path(swarmplan.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", QUAD_DECISION], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_quad_decision_does_not_depend_on_blas_threads():
+    pinned = _quad_decision(OPENBLAS_NUM_THREADS="1")
+    assert pinned.count("\n") == 2
+    assert _quad_decision() == pinned
 
 
 if __name__ == "__main__":

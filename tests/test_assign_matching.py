@@ -21,7 +21,7 @@ from swarmplan.assign import (
     objective_value,
     unit_demand,
 )
-from swarmplan.assign import core, procedures
+from swarmplan.assign import core, procedures, simplex
 from swarmplan.assign.simplex import PolytopeLp
 from swarmplan.learn import RescueMetaEnv
 from swarmplan.nets import init_scoring_model, score_pairs
@@ -226,3 +226,30 @@ class TestPolytopeLp:
         assert float(np.sum(beta * weights)) == pytest.approx(
             objective_value(best, scores), abs=1e-12)
         np.testing.assert_allclose(beta, best.to_matrix(m), atol=1e-12)
+
+    def test_basis_inverse_stays_exact_across_a_refactor(self):
+        # Warm-started solves chained on one solver object, as Frank-Wolfe
+        # runs them, until the basis inverse has been refactored. The
+        # inverse carried by rank-1 updates must still invert the basis.
+        rng = np.random.default_rng(5)
+        n, m = 12, 10
+        cons = ConstraintSet(rng.uniform(0.2, 2.0, size=(n, m)), rng.uniform(0.5, 3.0, size=m))
+        lp = PolytopeLp(cons.mu, cons.u)
+        drifts, since_refactor = [], []
+        while lp.pivots < 2 * simplex._REFACTOR_EVERY:
+            beta = lp.solve(rng.normal(size=(n, m)))
+            assert RelaxedAssignment(beta).check_invariants(cons)
+            B = np.zeros((lp.rows, lp.rows))
+            for k, var in enumerate(lp.basis):
+                if var < lp.nm:
+                    i, j = divmod(int(var), m)
+                    B[i, k], B[n + j, k] = 1.0, cons.mu[i, j]
+                else:
+                    B[var - lp.nm, k] = 1.0
+            drifts.append(np.abs(lp.B_inv @ B - np.eye(lp.rows)).max())
+            since_refactor.append(lp._pivots_since_refactor)
+        refactored = int(np.argmax(np.diff(since_refactor) < 0)) + 1
+        assert refactored > 0, "no refactor happened"
+        assert since_refactor[refactored - 1] > simplex._REFACTOR_EVERY // 2
+        assert max(drifts[:refactored]) < 1e-9
+        assert max(drifts[refactored:]) < 1e-9
