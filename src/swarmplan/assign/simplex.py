@@ -80,7 +80,7 @@ class PolytopeLp:
         use_bland = False
         cost = np.concatenate([weights.ravel(), np.zeros(self.rows)])
         cB = cost[self.basis]
-        # reduced costs: structural ids first, then slacks, as in `basis`
+        # reduced cost of every variable id; basic ids are zeroed each pivot
         red = np.empty(self.total)
         red_struct = red[: self.nm].reshape(self.n, self.m)
         y_mu = np.empty((self.n, self.m))
