@@ -118,7 +118,7 @@ def _augment(cost, row_dual, col_dual, row4col, col4row, start):
         path[closer] = i
         open_dist = np.where(remaining, dist, np.inf)
         low = open_dist.min()
-        ties = np.flatnonzero(open_dist == low)
+        ties = (open_dist == low).nonzero()[0]
         free = ties[row4col[ties] < 0]
         j = int(free[0] if free.size else ties[0])
         remaining[j] = False
@@ -138,7 +138,7 @@ def _augment(cost, row_dual, col_dual, row4col, col4row, start):
             break
 
 
-def matching_assign(scores: ScoreTable, cons: ConstraintSet) -> Assignment:
+def matching_assign(scores, cons):
     """Exact LP optimum for unit-demand constraints (see `unit_demand`).
 
     Task j is repeated min(u_j, n) times and agent i gets a private
@@ -149,33 +149,73 @@ def matching_assign(scores: ScoreTable, cons: ConstraintSet) -> Assignment:
     rectangular form), warm started by row reduction: each agent takes its
     cheapest column unless an earlier agent holds it, and only the agents
     that conflict are augmented. The g table, if present, is ignored.
+
+    One ScoreTable and one ConstraintSet return an Assignment. A stack of
+    L lanes with equal (n, m), given as an (L, n, m) array of finite h
+    tables and a sequence of L ConstraintSets, returns an (L, n) array of
+    targets: the warm start runs once over the whole stack, and only the
+    lanes with a conflict build their cost matrix and augment from it. One
+    instance is the L = 1 case.
     """
-    _check_dims(scores, cons)
-    if not unit_demand(cons):
-        raise AssignError("matching_assign needs mu == 1 and whole-number u")
-    n = cons.n
-    task_of = np.concatenate((np.full(n, UNASSIGNED),
-                              np.repeat(np.arange(cons.m), np.minimum(cons.u, n).astype(int))))
+    if isinstance(scores, ScoreTable):
+        _check_dims(scores, cons)
+        return Assignment(matching_assign(scores.h[None], [cons])[0])
+    h = np.asarray(scores, dtype=float)
+    if h.ndim != 3 or h.shape[0] != len(cons):
+        raise AssignError(f"{len(cons)} lanes need h of shape (L, n, m), got {h.shape}")
+    for lane in cons:
+        if (lane.n, lane.m) != h.shape[1:]:
+            raise AssignError(f"score tables are {h.shape[1]}x{h.shape[2]} "
+                              f"but constraints are {lane.n}x{lane.m}")
+        if not unit_demand(lane):
+            raise AssignError("matching_assign needs mu == 1 and whole-number u")
+    return _match_lanes(h, np.array([lane.u for lane in cons]))
+
+
+def _match_lanes(h, u):
+    """`matching_assign` of finite (L, n, m) tables under unit-demand
+    capacities u (L, m), without input checks."""
+    open_h = np.where(u[:, None, :] >= 1.0, h, -np.inf)
+    value = open_h.max(axis=2)
+    # each agent's cheapest column: its best open task if that beats
+    # idling (ties to the lowest task), else its idle column
+    choice = np.where(value > 0, open_h.argmax(axis=2), UNASSIGNED)
+    for k, row in enumerate(choice.tolist()):
+        picked = [j for j in row if j != UNASSIGNED]
+        if len(set(picked)) < len(picked):  # two agents share a first choice
+            choice[k] = _augment_lane(h[k], u[k], row)
+    return choice
+
+
+def _augment_lane(h, u, choice):
+    """Finish one lane whose agents share a first choice (a task or
+    UNASSIGNED per agent), from the row reduction: each agent takes the
+    first copy of its choice, or its idle column, unless an earlier agent
+    holds it, and the others are augmented."""
+    n, m = h.shape
+    copies = np.minimum(u, n).astype(int)
+    task_of = np.concatenate((np.full(n, UNASSIGNED), np.repeat(np.arange(m), copies)))
     ncol = task_of.size
     cost = np.empty((n, ncol))
     cost[:, :n] = np.inf
     cost.ravel()[::ncol + 1] = 0.0  # the diagonal of the idle block
-    np.negative(scores.h[:, task_of[n:]], out=cost[:, n:])
+    np.negative(h[:, task_of[n:]], out=cost[:, n:])
 
-    first = cost.argmin(axis=1)
+    start = list(itertools.accumulate(copies.tolist(), initial=n))  # first copy of each task
+    first = [i if j < 0 else start[j] for i, j in enumerate(choice)]
     row_dual = cost[np.arange(n), first]
     col_dual = np.zeros(ncol)
     row4col = np.full(ncol, -1)
     col4row = np.full(n, -1)
     conflicts = []
-    for i, j in enumerate(first.tolist()):
+    for i, j in enumerate(first):
         if row4col[j] < 0:
             row4col[j], col4row[i] = i, j
         else:
             conflicts.append(i)
     for i in conflicts:
         _augment(cost, row_dual, col_dual, row4col, col4row, i)
-    return Assignment(task_of[col4row])
+    return task_of[col4row]
 
 
 def lp_relax_solve(scores: ScoreTable, cons: ConstraintSet) -> RelaxedAssignment:

@@ -1,7 +1,10 @@
 """Named inference procedures: score tables + constraints -> assignment."""
 from __future__ import annotations
 
+import numpy as np
+
 from .core import (
+    _match_lanes,
     amax_assign,
     greedy_round,
     lp_relax_solve,
@@ -34,6 +37,29 @@ INFERENCE_PROCEDURES = {
     "lp": infer_lp,
     "quad": infer_quad,
 }
+
+
+def infer_stack(name: str, h, g, cons) -> list:
+    """Procedure `name` on a stack of L lanes with equal (n, m).
+
+    h is (L, n, m) and g (L, m, m) or None, all finite; cons holds the L
+    ConstraintSets. Returns one Assignment per lane, the one the procedure
+    gives for that lane alone. The LP procedure solves its unit-demand
+    lanes with one stacked `matching_assign`, checking unit demand once.
+    """
+    procedure = get_procedure(name)
+    out = [None] * len(cons)
+    if procedure is infer_lp:
+        unit = [k for k, lane in enumerate(cons) if unit_demand(lane)]
+        if unit:
+            stack = h if len(unit) == len(cons) else h[unit]
+            targets = _match_lanes(stack, np.array([cons[k].u for k in unit]))
+            for k, target in zip(unit, targets):
+                out[k] = Assignment(target)
+    for k, lane in enumerate(cons):
+        if out[k] is None:
+            out[k] = procedure(ScoreTable(h[k], None if g is None else g[k]), lane)
+    return out
 
 
 def get_procedure(name: str):

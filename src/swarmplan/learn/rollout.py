@@ -2,10 +2,15 @@
 
 The learner sees every domain through the same lens: an observation is
 (agent features, task features, optional pair extras, constraints,
-critic entities). Workers snapshot the scoring model, roll the
-environment with correlated exploration noise, and emit fixed-length
-chunks that carry everything the updater needs, including the behavior
-log-likelihoods for importance weighting.
+critic entities). A collector owns one or more rollout lanes, each an
+environment with its own rng, noise windows and episode state. It
+snapshots the scoring model and steps its lanes in lockstep: every step
+scores the lanes of equal size with one pass of each net, and solves the
+unit-demand LP lanes with one stacked matching, while each lane draws its
+own correlated exploration noise and steps its own environment. Lanes
+emit chunks of up to N steps that carry everything the updater needs,
+including the log-likelihood of the sampled tables under the snapshot.
+A `RolloutWorker` is the one-lane collector.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..assign import Assignment, ConstraintSet, ScoreTable, get_procedure
+from ..assign import AssignError, Assignment, ConstraintSet, get_procedure, infer_stack
 from ..battle import (
     build_battle_constraints,
     extract_battle_features,
@@ -21,7 +26,7 @@ from ..battle import (
     spawn_battle,
     step_battle,
 )
-from ..nets import ScoringModel, score_pairs
+from ..nets import ScoringModel, score_pair_stack
 from ..rescue import RescueConfig, build_constraints, extract_features, spawn
 from ..rescue import step as rescue_step
 from .config import A2CConfig, LearnError
@@ -111,12 +116,19 @@ class BattleMetaEnv:
         return len(self.config.theirs)
 
 
+def _stacked_loglik(samples: np.ndarray, means: np.ndarray, variance: float) -> np.ndarray:
+    """Joint log-density of each lane of (L, ...) stacks of independent
+    N(mean, variance) entries."""
+    diff = samples - means
+    k = diff[0].size
+    return (-(diff ** 2).reshape(len(diff), -1).sum(axis=1) / (2.0 * variance)
+            - 0.5 * k * np.log(2.0 * np.pi * variance))
+
+
 def gaussian_loglik(sample: np.ndarray, mean: np.ndarray, variance: float) -> float:
     """Joint log-density of independent N(mean, variance) entries."""
-    diff = np.asarray(sample) - np.asarray(mean)
-    k = diff.size
-    return float(-(diff ** 2).sum() / (2.0 * variance)
-                 - 0.5 * k * np.log(2.0 * np.pi * variance))
+    return float(_stacked_loglik(np.asarray(sample, dtype=float)[None],
+                                 np.asarray(mean, dtype=float)[None], variance)[0])
 
 
 @dataclass
@@ -142,77 +154,136 @@ class Chunk:
         return len(self.steps)
 
 
-class RolloutWorker:
-    """Owns one environment and its exploration state; emits chunks.
+class RolloutLanes:
+    """Several environments ("lanes") stepped in lockstep; emits chunks.
 
-    Chunks never cross episode boundaries: a 10-step episode with N=4
-    yields chunks of 4, 4 and 2 steps.
+    Each lane keeps its environment, rng, noise windows and episode
+    across rounds. A round collects one chunk from each of the first
+    `count` lanes, in lane order, stepping together every lane still
+    inside its chunk. Chunks never cross episode boundaries: a 10-step
+    episode with N=4 yields chunks of 4, 4 and 2 steps, and a lane whose
+    chunk ended early waits for the rest of the round.
     """
 
-    def __init__(self, meta_env, inference: str, cfg: A2CConfig, rng,
+    def __init__(self, envs, inference: str, cfg: A2CConfig, rngs,
                  episode_seeds=None):
-        self.env = meta_env
-        self.infer = get_procedure(inference)
+        get_procedure(inference)  # reject an unknown name before any step
+        self.envs = list(envs)
+        self.inference = inference
         self.uses_g = inference == "quad"
         self.cfg = cfg
-        self.rng = rng
+        self.rngs = list(rngs)
+        if episode_seeds is None:
+            episode_seeds = [None] * len(self.envs)
+        self.episode_seeds = [None if seeds is None else iter(seeds)
+                              for seeds in episode_seeds]
         self.model: ScoringModel | None = None
-        self.episode_seeds = iter(episode_seeds) if episode_seeds is not None else None
-        self.h_windows = None
-        self.g_windows = None
-        self.obs = None
-        self.env_steps = 0
+        self.obs = [None] * len(self.envs)
+        self.h_windows = [None] * len(self.envs)
+        self.g_windows = [None] * len(self.envs)
 
     def set_model(self, model: ScoringModel):
         """Install an immutable parameter snapshot for upcoming steps."""
         self.model = model.copy()
 
-    def _next_seed(self):
-        if self.episode_seeds is None:
-            return int(self.rng.integers(2 ** 31 - 1))
-        return next(self.episode_seeds)
-
-    def _begin_episode(self):
-        self.obs = self.env.reset(seed=self._next_seed())
-        n, m = self.obs.agent_feats.shape[0], self.obs.task_feats.shape[0]
-        self.h_windows = NoiseWindows((n, m), self.cfg.p, self.cfg.noise_mode)
+    def _begin_episode(self, k: int):
+        seeds = self.episode_seeds[k]
+        seed = int(self.rngs[k].integers(2 ** 31 - 1)) if seeds is None else next(seeds)
+        self.obs[k] = obs = self.envs[k].reset(seed=seed)
+        n, m = obs.agent_feats.shape[0], obs.task_feats.shape[0]
+        self.h_windows[k] = NoiseWindows((n, m), self.cfg.p, self.cfg.noise_mode)
         if self.uses_g:
-            self.g_windows = NoiseWindows((m, m), self.cfg.p, self.cfg.noise_mode)
+            self.g_windows[k] = NoiseWindows((m, m), self.cfg.p, self.cfg.noise_mode)
 
-    def _one_step(self) -> StepRecord:
+    def _sample(self, lanes, windows, means) -> list:
+        return [windows[k].sample(mean, self.cfg.sigma, self.rngs[k])
+                for k, mean in zip(lanes, means)]
+
+    def _score_group(self, lanes) -> list:
+        """Score, perturb and assign lanes whose observations have equal
+        shapes; returns their (h, g, sampled h, sampled g, assignment,
+        log-likelihood) in lane order."""
+        obs = [self.obs[k] for k in lanes]
+        extras = None if obs[0].pair_extras is None else np.array(
+            [o.pair_extras for o in obs])
+        h, g = score_pair_stack(self.model, np.array([o.agent_feats for o in obs]),
+                                np.array([o.task_feats for o in obs]), extras)
+        if not np.isfinite(h).all():
+            raise AssignError("h contains non-finite values")
+        if g is not None and not np.isfinite(g).all():
+            raise AssignError("g contains non-finite values")
+        sigma = self.cfg.sigma
+        sampled_h = self._sample(lanes, self.h_windows, h)
+        stacked_h = np.array(sampled_h)
+        log_l = _stacked_loglik(stacked_h, h, sigma)
+        sampled_g = [None] * len(lanes)
+        stacked_g = None
+        if self.uses_g:
+            if g is None:
+                raise LearnError("quad inference needs a model with a g net")
+            sampled_g = self._sample(lanes, self.g_windows, g)
+            stacked_g = np.array(sampled_g)
+            log_l = log_l + _stacked_loglik(stacked_g, g, sigma)
+        assignments = infer_stack(self.inference, stacked_h, stacked_g,
+                                  [o.cons for o in obs])
+        return [(h[b], None if g is None else g[b], sampled_h[b], sampled_g[b],
+                 assignments[b], float(log_l[b])) for b in range(len(lanes))]
+
+    def _step(self, lanes) -> list:
+        """One lockstep step of `lanes`; returns their records in order."""
+        groups = {}
+        for k in lanes:
+            obs = self.obs[k]
+            groups.setdefault((obs.agent_feats.shape, obs.task_feats.shape), []).append(k)
+        scored = {}
+        for group in groups.values():
+            scored.update(zip(group, self._score_group(group)))
+        records = []
+        for k in lanes:
+            h, g, sampled_h, sampled_g, assignment, log_l = scored[k]
+            next_obs, reward, done = self.envs[k].step(assignment)
+            records.append(StepRecord(self.obs[k], h, g, sampled_h, sampled_g,
+                                      assignment, log_l, reward, done))
+            self.obs[k] = next_obs
+        return records
+
+    def collect_round(self, count: int | None = None) -> list:
+        """One chunk from each of the first `count` lanes (all by default)."""
         if self.model is None:
             raise LearnError("set_model() before collecting")
-        obs = self.obs
-        table = score_pairs(self.model, obs.agent_feats, obs.task_feats,
-                            pair_extras=obs.pair_extras)
-        sampled_h = self.h_windows.sample(table.h, self.cfg.sigma, self.rng)
-        sampled_g = None
-        log_l = gaussian_loglik(sampled_h, table.h, self.cfg.sigma)
-        if self.uses_g:
-            if table.g is None:
-                raise LearnError("quad inference needs a model with a g net")
-            sampled_g = self.g_windows.sample(table.g, self.cfg.sigma, self.rng)
-            log_l += gaussian_loglik(sampled_g, table.g, self.cfg.sigma)
-        assignment = self.infer(ScoreTable(sampled_h, sampled_g), obs.cons)
-        next_obs, reward, done = self.env.step(assignment)
-        record = StepRecord(obs, table.h, table.g, sampled_h, sampled_g,
-                            assignment, log_l, reward, done)
-        self.obs = next_obs
-        self.env_steps += 1
-        return record
+        lanes = range(len(self.envs) if count is None else count)
+        for k in lanes:
+            if self.obs[k] is None:
+                self._begin_episode(k)
+        steps = {k: [] for k in lanes}
+        active = list(lanes)
+        while active:
+            for k, record in zip(active, self._step(active)):
+                steps[k].append(record)
+            active = [k for k in active
+                      if not steps[k][-1].terminal and len(steps[k]) < self.cfg.n_steps]
+        chunks = []
+        for k in lanes:
+            if steps[k][-1].terminal:
+                self.obs[k] = None  # the next round starts a fresh episode
+                chunks.append(Chunk(steps[k], None, True))
+            else:
+                chunks.append(Chunk(steps[k], self.obs[k].entities, False))
+        return chunks
+
+
+class RolloutWorker(RolloutLanes):
+    """Owns one environment and its exploration state; emits chunks.
+
+    The one-lane case of `RolloutLanes`.
+    """
+
+    def __init__(self, meta_env, inference: str, cfg: A2CConfig, rng,
+                 episode_seeds=None):
+        super().__init__([meta_env], inference, cfg, [rng], [episode_seeds])
 
     def collect_chunk(self) -> Chunk:
-        if self.obs is None:
-            self._begin_episode()
-        steps = []
-        while len(steps) < self.cfg.n_steps:
-            record = self._one_step()
-            steps.append(record)
-            if record.terminal:
-                tail_entities = None
-                self.obs = None  # next collect starts a fresh episode
-                return Chunk(steps, tail_entities, True)
-        return Chunk(steps, self.obs.entities, False)
+        return self.collect_round()[0]
 
 
 def worker_rollout(meta_env, model, inference, cfg, rng, num_chunks=1,

@@ -1,15 +1,17 @@
 """Synchronous training loop.
 
-Workers are stepped serially in round-robin: every update, each worker
-gets the same parameter snapshot and contributes chunks until the batch
-is full, then the updater applies one gradient step. Evaluation keeps
+The `cfg.workers` rollout lanes share one parameter snapshot per update
+and are stepped in lockstep. Each round gives one chunk per lane, in
+lane order, until the batch holds `cfg.batch_chunks` chunks (the last
+round takes only as many lanes as the batch still needs); then the
+updater applies one gradient step. Each lane keeps its rng, seeded
+`seed + 7919 * (k + 1)`, and its episode across updates. Evaluation keeps
 exploration noise on, since the exploration distribution is the policy
 being optimized.
 """
 from __future__ import annotations
 
 import csv
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -17,10 +19,8 @@ import numpy as np
 
 from ..nets import CriticParams, ScoringModel
 from .config import A2CConfig, LearnError
-from .rollout import RolloutWorker
+from .rollout import RolloutLanes, RolloutWorker
 from .update import UpdateDiagnostics, a2c_update, make_optimizer
-
-THREADS_ENV = "SWARMPLAN_THREADS"
 
 METRIC_FIELDS = (
     "wall_clock",
@@ -34,17 +34,6 @@ METRIC_FIELDS = (
     "grad_norm",
     "skipped",
 )
-
-
-def effective_workers(requested: int) -> int:
-    """Worker count after the SWARMPLAN_THREADS cap."""
-    cap = os.environ.get(THREADS_ENV)
-    if cap is None:
-        return requested
-    cap = int(cap)
-    if cap < 1:
-        raise LearnError(f"{THREADS_ENV} must be >= 1")
-    return min(requested, cap)
 
 
 def play_episode(meta_env, model: ScoringModel, inference: str, cfg: A2CConfig,
@@ -115,12 +104,9 @@ def train(
     """
     if total_updates < 0:
         raise LearnError("total_updates must be >= 0")
-    num_workers = effective_workers(cfg.workers)
-    workers = [
-        RolloutWorker(env_factory(), inference, cfg,
-                      np.random.default_rng(seed + 7919 * (k + 1)))
-        for k in range(num_workers)
-    ]
+    lanes = RolloutLanes(
+        [env_factory() for _ in range(cfg.workers)], inference, cfg,
+        [np.random.default_rng(seed + 7919 * (k + 1)) for k in range(cfg.workers)])
     policy_opt = make_optimizer(cfg.optimizer, cfg.lr_policy)
     value_opt = make_optimizer(cfg.optimizer, cfg.lr_value)
     rows = []
@@ -128,13 +114,10 @@ def train(
     updates = 0
     start = time.perf_counter()
     for update in range(total_updates):
-        for worker in workers:
-            worker.set_model(model)
+        lanes.set_model(model)
         chunks = []
-        turn = 0
         while len(chunks) < cfg.batch_chunks:
-            chunks.append(workers[turn % num_workers].collect_chunk())
-            turn += 1
+            chunks += lanes.collect_round(min(cfg.workers, cfg.batch_chunks - len(chunks)))
         env_steps += sum(len(chunk) for chunk in chunks)
         diag = a2c_update(model, critic, chunks, cfg, policy_opt, value_opt)
         updates += 1

@@ -152,15 +152,46 @@ class _BatchPass:
     critic_cache: tuple
 
 
-def _pair_pass(net, blocks, samples, step_ids, num_steps: int, sigma: float):
-    """One forward of `net` over the stacked pair rows of several steps.
+def _runs(steps, key):
+    """Split `steps` into maximal runs of consecutive steps with equal key."""
+    runs = []
+    for step in steps:
+        if runs and key(runs[-1][0]) == key(step):
+            runs[-1].append(step)
+        else:
+            runs.append([step])
+    return runs
+
+
+def _h_rows(model, steps):
+    """h_net rows of `steps` in step order, one `_pair_inputs` call per run
+    of steps with equal (n, m)."""
+    blocks = []
+    for run in _runs(steps, lambda step: step.sampled_h.shape):
+        obs = [step.obs for step in run]
+        extras = None if obs[0].pair_extras is None else np.stack(
+            [o.pair_extras for o in obs])
+        blocks.append(_pair_inputs(model, np.stack([o.agent_feats for o in obs]),
+                                   np.stack([o.task_feats for o in obs]), extras)[0])
+    return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+
+
+def _g_rows(steps):
+    """g_net rows of `steps` in step order, one call per run of equal m."""
+    blocks = [_task_pair_inputs(np.stack([step.obs.task_feats for step in run]))
+              for run in _runs(steps, lambda step: step.sampled_g.shape)]
+    return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+
+
+def _pair_pass(net, X, samples, step_ids, num_steps: int, sigma: float):
+    """One forward of `net` over the stacked pair rows X of several steps.
 
     Returns the policy entry for `_BatchPass` and the per-step Gaussian
     log-likelihood of the sampled tables (0 for steps without rows).
     """
-    out, cache = mlp_forward_batch(net, np.vstack(blocks))
+    out, cache = mlp_forward_batch(net, X)
     diff = np.concatenate([np.ravel(sample) for sample in samples]) - out[:, 0]
-    seg = np.repeat(step_ids, [block.shape[0] for block in blocks])
+    seg = np.repeat(step_ids, [sample.size for sample in samples])
     sq = np.bincount(seg, weights=diff * diff, minlength=num_steps)
     k = np.bincount(seg, minlength=num_steps)
     log_l = -sq / (2.0 * sigma) - 0.5 * k * np.log(2.0 * np.pi * sigma)
@@ -171,9 +202,7 @@ def _batch_forward(model: ScoringModel, critic: CriticParams, chunks,
                    sigma: float) -> _BatchPass:
     steps = [step for chunk in chunks for step in chunk.steps]
     S = len(steps)
-    h_blocks = [_pair_inputs(model, step.obs.agent_feats, step.obs.task_feats,
-                             step.obs.pair_extras)[0] for step in steps]
-    h_part, log_l = _pair_pass(model.h_net, h_blocks,
+    h_part, log_l = _pair_pass(model.h_net, _h_rows(model, steps),
                                [step.sampled_h for step in steps],
                                np.arange(S), S, sigma)
     policy = [h_part]
@@ -181,10 +210,9 @@ def _batch_forward(model: ScoringModel, critic: CriticParams, chunks,
     if g_ids:
         if model.g_net is None:
             raise LearnError("rollout sampled g but the model has no g_net")
-        g_blocks = [_task_pair_inputs(model, steps[t].obs.task_feats)[0]
-                    for t in g_ids]
-        g_part, g_log_l = _pair_pass(model.g_net, g_blocks,
-                                     [steps[t].sampled_g for t in g_ids],
+        g_steps = [steps[t] for t in g_ids]
+        g_part, g_log_l = _pair_pass(model.g_net, _g_rows(g_steps),
+                                     [step.sampled_g for step in g_steps],
                                      np.array(g_ids), S, sigma)
         policy.append(g_part)
         log_l = log_l + g_log_l

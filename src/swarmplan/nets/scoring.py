@@ -57,29 +57,71 @@ def init_scoring_model(
     return ScoringModel(h_net, g_net, feature_dim_agent, feature_dim_task, pair_extra_dim)
 
 
+def _pair_rows(left, right, extras=None):
+    """Input rows [left_i, right_j, extras_ij] of every pair of a stack.
+
+    left is (B, n, a), right (B, m, b) and extras (B, n, m, e) or None.
+    Row (k * n + i) * m + j holds pair (i, j) of instance k.
+    """
+    B, n, a = left.shape
+    m, b = right.shape[1:]
+    e = 0 if extras is None else extras.shape[-1]
+    X = np.empty((B, n, m, a + b + e))
+    X[..., :a] = left[:, :, None, :]
+    X[..., a:a + b] = right[:, None, :, :]
+    if e:
+        X[..., a + b:] = extras
+    return X.reshape(B * n * m, a + b + e)
+
+
 def _pair_inputs(model, agent_feats, task_feats, pair_extras):
+    """h_net input rows of a stack of B instances with equal (n, m).
+
+    agent_feats is (B, n, da), task_feats (B, m, dt) and pair_extras
+    (B, n, m, de) or None. Returns the (B * n * m, d) rows and (B, n, m).
+    """
     A = np.asarray(agent_feats, dtype=float)
     T = np.asarray(task_feats, dtype=float)
-    if A.ndim != 2 or A.shape[1] != model.feature_dim_agent:
-        raise NetError(f"agent features shape {A.shape} != (n, {model.feature_dim_agent})")
-    if T.ndim != 2 or T.shape[1] != model.feature_dim_task:
-        raise NetError(f"task features shape {T.shape} != (m, {model.feature_dim_task})")
-    n, m = A.shape[0], T.shape[0]
-    parts = [np.repeat(A, m, axis=0), np.tile(T, (n, 1))]
+    if A.ndim != 3 or A.shape[2] != model.feature_dim_agent:
+        raise NetError(f"agent features shape {A.shape[1:]} != (n, {model.feature_dim_agent})")
+    if T.ndim != 3 or T.shape[2] != model.feature_dim_task or T.shape[0] != A.shape[0]:
+        raise NetError(f"task features shape {T.shape[1:]} != (m, {model.feature_dim_task})")
+    B, n, m = A.shape[0], A.shape[1], T.shape[1]
+    E = None
     if model.pair_extra_dim:
         E = np.asarray(pair_extras, dtype=float)
-        if E.shape != (n, m, model.pair_extra_dim):
-            raise NetError(f"pair extras shape {E.shape} != ({n}, {m}, {model.pair_extra_dim})")
-        parts.append(E.reshape(n * m, model.pair_extra_dim))
+        if E.shape != (B, n, m, model.pair_extra_dim):
+            raise NetError(f"pair extras shape {E.shape[1:]} != ({n}, {m}, {model.pair_extra_dim})")
     elif pair_extras is not None:
         raise NetError("model takes no pair extras")
-    return np.hstack(parts), n, m
+    return _pair_rows(A, T, E), (B, n, m)
 
 
-def _task_pair_inputs(model, task_feats):
+def _task_pair_inputs(task_feats):
+    """g_net input rows of a stack of task features (B, m, dt)."""
     T = np.asarray(task_feats, dtype=float)
-    m = T.shape[0]
-    return np.hstack([np.repeat(T, m, axis=0), np.tile(T, (m, 1))]), m
+    return _pair_rows(T, T)
+
+
+def score_pair_stack(model: ScoringModel, agent_feats, task_feats, pair_extras=None,
+                     with_cache: bool = False):
+    """h (B, n, m) and g (B, m, m), or None without a g_net, of a stack of
+    B instances with equal (n, m); each net runs once over all their rows.
+
+    Inputs carry a leading batch axis (see `_pair_inputs`). The tables
+    are not checked for finiteness; `ScoreTable` checks one instance.
+    with_cache=True also returns the caches for score_pairs_backward.
+    """
+    X_h, (B, n, m) = _pair_inputs(model, agent_feats, task_feats, pair_extras)
+    h_out, h_cache = mlp_forward_batch(model.h_net, X_h)
+    g = g_cache = None
+    if model.g_net is not None:
+        g_out, g_cache = mlp_forward_batch(model.g_net, _task_pair_inputs(task_feats))
+        g = g_out.reshape(B, m, m)
+    h = h_out.reshape(B, n, m)
+    if with_cache:
+        return h, g, (h_cache, g_cache)
+    return h, g
 
 
 def score_pairs(model: ScoringModel, agent_feats, task_feats, pair_extras=None,
@@ -89,18 +131,12 @@ def score_pairs(model: ScoringModel, agent_feats, task_feats, pair_extras=None,
     Returns a ScoreTable; with_cache=True also returns the activation
     caches needed by score_pairs_backward.
     """
-    X_h, n, m = _pair_inputs(model, agent_feats, task_feats, pair_extras)
-    h_out, h_cache = mlp_forward_batch(model.h_net, X_h)
-    h = h_out.reshape(n, m)
-    g = None
-    g_cache = None
-    if model.g_net is not None:
-        X_g, m2 = _task_pair_inputs(model, task_feats)
-        g_out, g_cache = mlp_forward_batch(model.g_net, X_g)
-        g = g_out.reshape(m2, m2)
-    table = ScoreTable(h, g)
+    extras = None if pair_extras is None else np.asarray(pair_extras)[None]
+    h, g, cache = score_pair_stack(model, np.asarray(agent_feats)[None],
+                                   np.asarray(task_feats)[None], extras, with_cache=True)
+    table = ScoreTable(h[0], None if g is None else g[0])
     if with_cache:
-        return table, (h_cache, g_cache, n, m)
+        return table, cache
     return table
 
 
@@ -109,11 +145,11 @@ def score_pairs_backward(model: ScoringModel, cache, dH: np.ndarray, dG=None):
 
     Returns (h_net grads, g_net grads or None), mirroring the layer lists.
     """
-    h_cache, g_cache, n, m = cache
-    h_grads, _ = mlp_backward_batch(model.h_net, h_cache, dH.reshape(n * m, 1))
+    h_cache, g_cache = cache
+    h_grads, _ = mlp_backward_batch(model.h_net, h_cache, np.reshape(dH, (-1, 1)))
     g_grads = None
     if dG is not None:
         if model.g_net is None or g_cache is None:
             raise NetError("dG given but the model has no g_net cache")
-        g_grads, _ = mlp_backward_batch(model.g_net, g_cache, np.asarray(dG).reshape(m * m, 1))
+        g_grads, _ = mlp_backward_batch(model.g_net, g_cache, np.reshape(dG, (-1, 1)))
     return h_grads, g_grads

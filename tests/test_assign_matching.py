@@ -145,6 +145,70 @@ class TestMatchingAssign:
             assert relaxed.check_invariants(cons)
 
 
+def reference_matching(scores, cons):
+    """One instance, with the row-reduction warm start as a loop over agents:
+    the reference for the stacked warm start of `matching_assign`."""
+    n = cons.n
+    task_of = np.concatenate((np.full(n, UNASSIGNED),
+                              np.repeat(np.arange(cons.m), np.minimum(cons.u, n).astype(int))))
+    ncol = task_of.size
+    cost = np.full((n, ncol), np.inf)
+    cost[:, :n][np.diag_indices(n)] = 0.0
+    cost[:, n:] = -scores.h[:, task_of[n:]]
+    first = cost.argmin(axis=1)
+    row_dual = cost[np.arange(n), first]
+    col_dual = np.zeros(ncol)
+    row4col = np.full(ncol, -1)
+    col4row = np.full(n, -1)
+    conflicts = []
+    for i, j in enumerate(first.tolist()):
+        if row4col[j] < 0:
+            row4col[j], col4row[i] = i, j
+        else:
+            conflicts.append(i)
+    for i in conflicts:
+        core._augment(cost, row_dual, col_dual, row4col, col4row, i)
+    return task_of[col4row]
+
+
+class TestStackedMatching:
+    def test_stack_equals_per_lane_reference(self):
+        rng = np.random.default_rng(5)
+        augmented = 0
+        for trial in range(300):
+            lanes = 1 if trial % 5 == 0 else int(rng.integers(2, 7))
+            n, m = int(rng.integers(1, 8)), int(rng.integers(1, 6))  # n > m often
+            if trial % 2:  # half-integer scores: exact ties between tasks and with idling
+                h = rng.integers(-2, 4, size=(lanes, n, m)) / 2.0
+            else:
+                h = rng.normal(size=(lanes, n, m))
+            u = rng.integers(0, 4, size=(lanes, m)).astype(float)  # 0, 1 and >= 2
+            cons = [ConstraintSet(np.ones((n, m)), u[k]) for k in range(lanes)]
+            stacked = matching_assign(h, cons)
+            assert stacked.shape == (lanes, n)
+            for k in range(lanes):
+                want = reference_matching(ScoreTable(h[k]), cons[k])
+                np.testing.assert_array_equal(stacked[k], want)
+                np.testing.assert_array_equal(
+                    matching_assign(ScoreTable(h[k]), cons[k]).target, want)
+                best = np.where(u[k] > 0, h[k], -np.inf).max(axis=1)
+                firsts = np.where(u[k] > 0, h[k], -np.inf).argmax(axis=1)[best > 0]
+                augmented += len(set(firsts.tolist())) < firsts.size
+        assert augmented > 100  # many lanes leave the warm start
+
+    def test_stack_rejects_bad_lanes(self):
+        h = np.ones((2, 2, 2))
+        good = ConstraintSet(np.ones((2, 2)), [1.0, 1.0])
+        with pytest.raises(AssignError):  # a lane that is not unit demand
+            matching_assign(h, [good, ConstraintSet(np.ones((2, 2)), [0.5, 1.0])])
+        with pytest.raises(AssignError):
+            matching_assign(h, [good, ConstraintSet(np.ones((2, 3)), [1.0, 1.0, 1.0])])
+        with pytest.raises(AssignError):
+            matching_assign(h, [good])
+        with pytest.raises(AssignError):
+            matching_assign(h[0], [good, good])
+
+
 class TestInferLpOnRescue:
     @pytest.mark.parametrize("n,m", [(2, 4), (8, 15)])
     def test_targets_equal_simplex_then_rounding(self, n, m):

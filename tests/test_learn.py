@@ -7,6 +7,7 @@ noise statistics are checked against the closed forms for a moving sum
 of p innovations.
 """
 import csv
+import importlib
 
 import numpy as np
 import pytest
@@ -22,12 +23,12 @@ from swarmplan.learn import (
     NoiseWindows,
     Observation,
     RescueMetaEnv,
+    RolloutLanes,
     RolloutWorker,
     SgdOptimizer,
     StepRecord,
     a2c_grads,
     a2c_update,
-    effective_workers,
     evaluate_policy,
     freeze_targets,
     frozen_objective,
@@ -246,6 +247,78 @@ def test_battle_meta_env_round_trip():
     assert obs.pair_extras.shape == (5, 5, 2)
     obs2, reward, done = env.step(Assignment(np.zeros(5, dtype=int)))
     assert np.isfinite(reward)
+
+
+def _chunk_fields(chunk):
+    return ([step.assignment.target.tolist() for step in chunk.steps],
+            [step.terminal for step in chunk.steps], chunk.terminal_tail)
+
+
+def _assert_same_chunks(got, want):
+    assert [_chunk_fields(c) for c in got] == [_chunk_fields(c) for c in want]
+    for a, b in zip(got, want):
+        for x, y in zip(a.steps, b.steps):
+            np.testing.assert_allclose(x.sampled_h, y.sampled_h, rtol=0, atol=1e-12)
+            if y.sampled_g is not None:
+                np.testing.assert_allclose(x.sampled_g, y.sampled_g, rtol=0, atol=1e-12)
+            assert x.log_l_old == pytest.approx(y.log_l_old, rel=1e-12)
+
+
+def test_lockstep_train_keeps_round_robin_chunk_order(monkeypatch):
+    """`train` with W lanes hands the updater the chunks that W one-lane
+    workers give when visited one after another, round-robin: a batch of 8
+    chunks from 3 lanes ends with a short round of 2, and lanes with
+    episodes of 5, 7 and 9 steps end their chunks at different steps."""
+    cfg = small_cfg(workers=3, batch_chunks=8)
+    lengths = iter([5, 7, 9, 5, 7, 9])
+    make = lambda: FixedEnv(length=next(lengths))
+    train_module = importlib.import_module("swarmplan.learn.train")
+    update = train_module.a2c_update
+    seen = []  # (parameter snapshot, batch) per update
+
+    def recording_update(model, critic, chunks, *args):
+        seen.append((model.copy(), chunks))
+        return update(model, critic, chunks, *args)
+
+    monkeypatch.setattr(train_module, "a2c_update", recording_update)
+    seed = 13
+    train(init_scoring_model(2, 3, with_g=False, seed=0), init_critic(2, 3, seed=1),
+          make, "lp", cfg, total_updates=3, seed=seed)
+    workers = [RolloutWorker(make(), "lp", cfg, np.random.default_rng(seed + 7919 * (k + 1)))
+               for k in range(cfg.workers)]
+    for snapshot, chunks in seen:
+        for worker in workers:
+            worker.set_model(snapshot)
+        _assert_same_chunks(chunks, [workers[t % cfg.workers].collect_chunk()
+                                     for t in range(cfg.batch_chunks)])
+    assert {len(chunk) for _, chunks in seen for chunk in chunks} == {1, 3, 4}
+    # no stored array is a view into a buffer that a later step reuses
+    arrays = [a for _, chunks in seen for chunk in chunks for step in chunk.steps
+              for a in (step.obs.agent_feats, step.obs.task_feats, step.h,
+                        step.sampled_h)]
+    for i, a in enumerate(arrays):
+        assert not any(np.may_share_memory(a, b) for b in arrays[i + 1:])
+
+
+def test_quad_lanes_on_battle_match_one_lane_workers():
+    from swarmplan.battle import load_scenario
+    cfg = small_cfg(sigma=0.4)
+    make = lambda: BattleMetaEnv(load_scenario("m5v5", seed=0))
+    obs = make().reset(seed=0)
+    model = init_scoring_model(obs.agent_feats.shape[1], obs.task_feats.shape[1],
+                               pair_extra_dim=obs.pair_extras.shape[-1], with_g=True,
+                               seed=3)
+    lanes = RolloutLanes([make() for _ in range(3)], "quad", cfg,
+                         [np.random.default_rng(60 + k) for k in range(3)])
+    workers = [RolloutWorker(make(), "quad", cfg, np.random.default_rng(60 + k))
+               for k in range(3)]
+    lanes.set_model(model)
+    for worker in workers:
+        worker.set_model(model)
+    for _ in range(2):
+        got = lanes.collect_round()
+        assert all(step.sampled_g is not None for chunk in got for step in chunk.steps)
+        _assert_same_chunks(got, [worker.collect_chunk() for worker in workers])
 
 
 # ---------------------------------------------------------------------------
@@ -682,16 +755,6 @@ def test_evaluate_policy_is_deterministic_given_seeds():
     a = evaluate_policy(make, model, "lp", cfg, episodes=3, seed_base=500)
     b = evaluate_policy(make, model, "lp", cfg, episodes=3, seed_base=500)
     assert a == b
-
-
-def test_effective_workers_respects_env_cap(monkeypatch):
-    monkeypatch.delenv("SWARMPLAN_THREADS", raising=False)
-    assert effective_workers(8) == 8
-    monkeypatch.setenv("SWARMPLAN_THREADS", "2")
-    assert effective_workers(8) == 2
-    monkeypatch.setenv("SWARMPLAN_THREADS", "0")
-    with pytest.raises(LearnError):
-        effective_workers(8)
 
 
 def test_training_improves_fixed_env_value_estimate():
