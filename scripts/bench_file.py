@@ -82,8 +82,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--baseline", type=Path, default=None,
                         help="another checkout to run in alternating pairs")
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS),
-                        choices=WORKLOADS)
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
@@ -96,7 +94,7 @@ def main(argv=None) -> int:
     out = {"label": args.label, "commit": commit, "seeds": args.seeds,
            "seconds": args.seconds, "sides": list(sides), "workloads": {}}
     started = time.time()
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         records = {name: [] for name in sides}
         for i, seed in enumerate(args.seeds):
             order = list(sides) if i % 2 == 0 else list(reversed(sides))
