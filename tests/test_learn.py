@@ -300,25 +300,40 @@ def test_lockstep_train_keeps_round_robin_chunk_order(monkeypatch):
         assert not any(np.may_share_memory(a, b) for b in arrays[i + 1:])
 
 
+def _lanes_match_workers(makes, inference, model, rounds=2):
+    """RolloutLanes over the envs made by `makes` give, round by round, the
+    chunks of one-lane workers on the same envs and rngs."""
+    cfg = small_cfg(sigma=0.4)
+    lanes = RolloutLanes([make() for make in makes], inference, cfg,
+                         [np.random.default_rng(60 + k) for k in range(len(makes))])
+    workers = [RolloutWorker(make(), inference, cfg, np.random.default_rng(60 + k))
+               for k, make in enumerate(makes)]
+    lanes.set_model(model)
+    for worker in workers:
+        worker.set_model(model)
+    for _ in range(rounds):
+        got = lanes.collect_round()
+        _assert_same_chunks(got, [worker.collect_chunk() for worker in workers])
+    return got
+
+
 def test_quad_lanes_on_battle_match_one_lane_workers():
     from swarmplan.battle import load_scenario
-    cfg = small_cfg(sigma=0.4)
     make = lambda: BattleMetaEnv(load_scenario("m5v5", seed=0))
     obs = make().reset(seed=0)
     model = init_scoring_model(obs.agent_feats.shape[1], obs.task_feats.shape[1],
                                pair_extra_dim=obs.pair_extras.shape[-1], with_g=True,
                                seed=3)
-    lanes = RolloutLanes([make() for _ in range(3)], "quad", cfg,
-                         [np.random.default_rng(60 + k) for k in range(3)])
-    workers = [RolloutWorker(make(), "quad", cfg, np.random.default_rng(60 + k))
-               for k in range(3)]
-    lanes.set_model(model)
-    for worker in workers:
-        worker.set_model(model)
-    for _ in range(2):
-        got = lanes.collect_round()
-        assert all(step.sampled_g is not None for chunk in got for step in chunk.steps)
-        _assert_same_chunks(got, [worker.collect_chunk() for worker in workers])
+    got = _lanes_match_workers([make] * 3, "quad", model)
+    assert all(step.sampled_g is not None for chunk in got for step in chunk.steps)
+
+
+def test_lanes_of_different_sizes_match_one_lane_workers():
+    """Lanes of unequal (n, m) are scored and matched in separate stacks."""
+    sizes = [(2, 4), (3, 5), (2, 4), (3, 5)]
+    makes = [lambda n=n, m=m: RescueMetaEnv(RescueConfig(n, m, seed=0)) for n, m in sizes]
+    got = _lanes_match_workers(makes, "lp", init_scoring_model(2, 3, with_g=False, seed=3))
+    assert [chunk.steps[0].h.shape for chunk in got] == sizes
 
 
 # ---------------------------------------------------------------------------
