@@ -227,7 +227,8 @@ def lp_relax_solve(scores: ScoreTable, cons: ConstraintSet) -> RelaxedAssignment
     """
     _check_dims(scores, cons)
     if unit_demand(cons):
-        return RelaxedAssignment(matching_assign(scores, cons).to_matrix(cons.m))
+        target = _match_lanes(scores.h[None], cons.u[None])[0]
+        return RelaxedAssignment(Assignment(target).to_matrix(cons.m))
     return _polytope_lp(scores.h, cons)
 
 

@@ -4,11 +4,11 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    _check_dims,
     _match_lanes,
     amax_assign,
     greedy_round,
     lp_relax_solve,
-    matching_assign,
     quad_relax_solve,
     round_quad,
     unit_demand,
@@ -22,7 +22,8 @@ def infer_amax(scores: ScoreTable, cons: ConstraintSet) -> Assignment:
 
 def infer_lp(scores: ScoreTable, cons: ConstraintSet) -> Assignment:
     if unit_demand(cons):  # the LP optimum is already a hard assignment
-        return matching_assign(scores, cons)
+        _check_dims(scores, cons)
+        return Assignment(_match_lanes(scores.h[None], cons.u[None])[0])
     return greedy_round(lp_relax_solve(scores, cons), scores, cons)
 
 

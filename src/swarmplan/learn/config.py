@@ -1,7 +1,7 @@
 """Hyperparameters for the actor-critic learner."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .noise import NOISE_MODES
 

@@ -8,13 +8,15 @@ snapshots the scoring model and steps its lanes in lockstep: every step
 scores the lanes of equal size with one pass of each net, and solves the
 unit-demand LP lanes with one stacked matching, while each lane draws its
 own correlated exploration noise and steps its own environment. Lanes
-emit chunks of up to N steps that carry everything the updater needs,
-including the log-likelihood of the sampled tables under the snapshot.
+emit chunks of up to N steps that carry everything the updater needs:
+the observation, the sampled score tables, the assignment, the reward
+and the terminal flag. The update rescores the sampled tables under the
+same parameters, so chunks carry no log-likelihood of their own.
 A `RolloutWorker` is the one-lane collector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,9 +60,7 @@ class RescueMetaEnv:
         return Observation(agents, tasks, None, build_constraints(self.state), entities)
 
     def reset(self, seed=None) -> Observation:
-        cfg = self.config if seed is None else RescueConfig(
-            self.config.n, self.config.m, seed, self.config.max_steps,
-            self.config.grid_size)
+        cfg = self.config if seed is None else replace(self.config, seed=seed)
         self.state = spawn(cfg)
         return self._observe()
 
@@ -97,7 +97,6 @@ class BattleMetaEnv:
     def reset(self, seed=None) -> Observation:
         cfg = self.config
         if seed is not None:
-            from dataclasses import replace
             cfg = replace(cfg, seed=seed)
             self.config = cfg
         self.state = spawn_battle(cfg)
@@ -116,30 +115,19 @@ class BattleMetaEnv:
         return len(self.config.theirs)
 
 
-def _stacked_loglik(samples: np.ndarray, means: np.ndarray, variance: float) -> np.ndarray:
-    """Joint log-density of each lane of (L, ...) stacks of independent
-    N(mean, variance) entries."""
-    diff = samples - means
-    k = diff[0].size
-    return (-(diff ** 2).reshape(len(diff), -1).sum(axis=1) / (2.0 * variance)
-            - 0.5 * k * np.log(2.0 * np.pi * variance))
-
-
 def gaussian_loglik(sample: np.ndarray, mean: np.ndarray, variance: float) -> float:
     """Joint log-density of independent N(mean, variance) entries."""
-    return float(_stacked_loglik(np.asarray(sample, dtype=float)[None],
-                                 np.asarray(mean, dtype=float)[None], variance)[0])
+    diff = np.asarray(sample, dtype=float) - np.asarray(mean, dtype=float)
+    return float(-np.sum(diff ** 2) / (2.0 * variance)
+                 - 0.5 * diff.size * np.log(2.0 * np.pi * variance))
 
 
 @dataclass
 class StepRecord:
     obs: Observation
-    h: np.ndarray
-    g: np.ndarray | None
     sampled_h: np.ndarray
     sampled_g: np.ndarray | None
     assignment: Assignment
-    log_l_old: float
     reward: float
     terminal: bool
 
@@ -201,8 +189,8 @@ class RolloutLanes:
 
     def _score_group(self, lanes) -> list:
         """Score, perturb and assign lanes whose observations have equal
-        shapes; returns their (h, g, sampled h, sampled g, assignment,
-        log-likelihood) in lane order."""
+        shapes; returns their (sampled h, sampled g, assignment) in lane
+        order."""
         obs = [self.obs[k] for k in lanes]
         extras = None if obs[0].pair_extras is None else np.array(
             [o.pair_extras for o in obs])
@@ -212,10 +200,7 @@ class RolloutLanes:
             raise AssignError("h contains non-finite values")
         if g is not None and not np.isfinite(g).all():
             raise AssignError("g contains non-finite values")
-        sigma = self.cfg.sigma
         sampled_h = self._sample(lanes, self.h_windows, h)
-        stacked_h = np.array(sampled_h)
-        log_l = _stacked_loglik(stacked_h, h, sigma)
         sampled_g = [None] * len(lanes)
         stacked_g = None
         if self.uses_g:
@@ -223,11 +208,9 @@ class RolloutLanes:
                 raise LearnError("quad inference needs a model with a g net")
             sampled_g = self._sample(lanes, self.g_windows, g)
             stacked_g = np.array(sampled_g)
-            log_l = log_l + _stacked_loglik(stacked_g, g, sigma)
-        assignments = infer_stack(self.inference, stacked_h, stacked_g,
+        assignments = infer_stack(self.inference, np.array(sampled_h), stacked_g,
                                   [o.cons for o in obs])
-        return [(h[b], None if g is None else g[b], sampled_h[b], sampled_g[b],
-                 assignments[b], float(log_l[b])) for b in range(len(lanes))]
+        return list(zip(sampled_h, sampled_g, assignments))
 
     def _step(self, lanes) -> list:
         """One lockstep step of `lanes`; returns their records in order."""
@@ -240,10 +223,10 @@ class RolloutLanes:
             scored.update(zip(group, self._score_group(group)))
         records = []
         for k in lanes:
-            h, g, sampled_h, sampled_g, assignment, log_l = scored[k]
+            sampled_h, sampled_g, assignment = scored[k]
             next_obs, reward, done = self.envs[k].step(assignment)
-            records.append(StepRecord(self.obs[k], h, g, sampled_h, sampled_g,
-                                      assignment, log_l, reward, done))
+            records.append(StepRecord(self.obs[k], sampled_h, sampled_g,
+                                      assignment, reward, done))
             self.obs[k] = next_obs
         return records
 

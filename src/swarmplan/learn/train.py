@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..nets import CriticParams, ScoringModel
 from .config import A2CConfig, LearnError
 from .rollout import RolloutLanes, RolloutWorker
-from .update import UpdateDiagnostics, a2c_update, make_optimizer
+from .update import a2c_update, make_optimizer
 
 METRIC_FIELDS = (
     "wall_clock",
@@ -30,7 +30,6 @@ METRIC_FIELDS = (
     "eval_mean_length",
     "value_loss",
     "policy_loss",
-    "mean_ir",
     "grad_norm",
     "skipped",
 )
@@ -129,7 +128,6 @@ def train(
             "eval_mean_length": "",
             "value_loss": diag.value_loss,
             "policy_loss": diag.policy_loss,
-            "mean_ir": diag.mean_ir,
             "grad_norm": diag.grad_norm,
             "skipped": int(diag.skipped),
         }

@@ -2,15 +2,16 @@
 
 The loss descended per batch of chunks is
 
-    mean_t |R_t - V_t|  -  lam * mean_t ir_t * A_t * log l_t(new)
+    mean_t |R_t - V_t|  -  lam * mean_t A_t * log l_t
 
 where R_t is the n-step return bootstrapped with the critic, the
-advantage A_t = R_t - V_t and the importance ratio
-ir_t = exp(log l_new - log l_old) are treated as constants (detached),
-and log l_t is the Gaussian log-likelihood of the sampled score tables
-under the current networks. Freezing R, A and ir at the evaluation point
-makes the analytic gradient exactly the gradient of `frozen_objective`,
-which is what the finite-difference tests check.
+advantage A_t = R_t - V_t is treated as a constant (detached), and
+log l_t is the Gaussian log-likelihood of the sampled score tables under
+the current networks. The rollout and the update use the same
+parameters, so the learner is on-policy and needs no importance ratio.
+Freezing R and A at the evaluation point makes the analytic gradient
+exactly the gradient of `frozen_objective`, which is what the
+finite-difference tests check.
 
 An update is one batched pass over the whole batch: every step's
 agent-task pair rows go through h_net together (task-task rows through
@@ -24,7 +25,7 @@ loop: it is the independent reference for the gradient checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +44,6 @@ from ..nets import (
 from ..nets.scoring import _pair_inputs, _task_pair_inputs
 from .config import A2CConfig, LearnError, OPTIMIZERS
 from .rollout import Chunk, gaussian_loglik
-
-LOG_RATIO_CLIP = 20.0  # clamp log l_new - log l_old before exponentiating
 
 
 def _check_bootstrap(chunk: Chunk):
@@ -126,7 +125,6 @@ class FrozenTargets:
 
     returns: list
     advantages: list
-    ratios: list
 
 
 def _step_loglik(model: ScoringModel, step, sigma: float) -> float:
@@ -227,10 +225,7 @@ def _batch_forward(model: ScoringModel, critic: CriticParams, chunks,
 def _targets(batch: _BatchPass, chunks, cfg: A2CConfig) -> FrozenTargets:
     values = batch.values.tolist()
     tails = iter(values[len(batch.steps):])
-    log_l_old = np.array([step.log_l_old for step in batch.steps])
-    delta = np.clip(batch.log_l - log_l_old, -LOG_RATIO_CLIP, LOG_RATIO_CLIP)
-    ratios = np.exp(delta).tolist()
-    returns, advantages, irs = [], [], []
+    returns, advantages = [], []
     start = 0
     for chunk in chunks:
         stop = start + len(chunk.steps)
@@ -238,28 +233,26 @@ def _targets(batch: _BatchPass, chunks, cfg: A2CConfig) -> FrozenTargets:
         R = _discounted_returns(chunk, cfg.gamma, tail)
         returns.append(R)
         advantages.append([r - v for r, v in zip(R, values[start:stop])])
-        irs.append(ratios[start:stop])
         start = stop
-    return FrozenTargets(returns, advantages, irs)
+    return FrozenTargets(returns, advantages)
 
 
 def freeze_targets(model: ScoringModel, critic: CriticParams, chunks,
                    cfg: A2CConfig) -> FrozenTargets:
-    """Evaluate R, A and ir at the current parameters and detach them."""
+    """Evaluate R and A at the current parameters and detach them."""
     return _targets(_batch_forward(model, critic, chunks, cfg.sigma), chunks, cfg)
 
 
 def frozen_objective(model: ScoringModel, critic: CriticParams, chunks,
                      cfg: A2CConfig, frozen: FrozenTargets) -> float:
-    """The descended loss with R, A, ir held at the frozen values."""
+    """The descended loss with R and A held at the frozen values."""
     total = 0.0
     count = 0
-    for chunk, R, A, ir in zip(chunks, frozen.returns, frozen.advantages,
-                               frozen.ratios):
-        for step, r, a, w in zip(chunk.steps, R, A, ir):
+    for chunk, R, A in zip(chunks, frozen.returns, frozen.advantages):
+        for step, r, a in zip(chunk.steps, R, A):
             v = critic_value(critic, step.obs.entities)
             log_l = _step_loglik(model, step, cfg.sigma)
-            total += abs(r - v) - cfg.lam * w * a * log_l
+            total += abs(r - v) - cfg.lam * a * log_l
             count += 1
     return total / count
 
@@ -268,7 +261,6 @@ def frozen_objective(model: ScoringModel, critic: CriticParams, chunks,
 class UpdateDiagnostics:
     value_loss: float
     policy_loss: float
-    mean_ir: float
     grad_norm: float
     steps: int
     skipped: bool = False
@@ -289,16 +281,16 @@ def a2c_grads(model: ScoringModel, critic: CriticParams, chunks,
     if frozen is None:
         frozen = _targets(batch, chunks, cfg)
     S = len(batch.steps)
-    R, A, W = (np.array([x for per_chunk in lists for x in per_chunk], dtype=float)
-               for lists in (frozen.returns, frozen.advantages, frozen.ratios))
-    if not R.size == A.size == W.size == S:
+    R, A = (np.array([x for per_chunk in lists for x in per_chunk], dtype=float)
+            for lists in (frozen.returns, frozen.advantages))
+    if not R.size == A.size == S:
         raise LearnError("frozen targets do not match the batch")
     V = batch.values[:S]
     value_up = np.zeros_like(batch.values)  # bootstrap states get no gradient
     value_up[:S] = -np.sign(R - V) / S
     embed_grads, head_grads = critic_values_backward(critic, batch.critic_cache,
                                                      value_up)
-    scale = -cfg.lam * W * A / (cfg.sigma * S)
+    scale = -cfg.lam * A / (cfg.sigma * S)
     policy = [mlp_backward_batch(net, cache, (scale[seg] * diff)[:, None])[0]
               for net, cache, diff, seg in batch.policy]
     g_grads = policy[1] if len(policy) > 1 else (
@@ -308,8 +300,7 @@ def a2c_grads(model: ScoringModel, critic: CriticParams, chunks,
                   for acc in grads.values() if acc is not None)
     diag = UpdateDiagnostics(
         value_loss=float(np.mean(np.abs(R - V))),
-        policy_loss=float(np.mean(-cfg.lam * W * A * batch.log_l)),
-        mean_ir=float(np.mean(W)),
+        policy_loss=float(np.mean(-cfg.lam * A * batch.log_l)),
         grad_norm=float(np.sqrt(norm_sq)),
         steps=S,
     )

@@ -1,19 +1,21 @@
 """Tests for the correlated-noise A2C learner.
 
 The analytic update gradient is checked against finite differences of
-the frozen objective (returns, advantages and importance ratios held at
-the evaluation point), and the batched update against a per-step loop;
-noise statistics are checked against the closed forms for a moving sum
-of p innovations.
+the frozen objective (returns and advantages held at the evaluation
+point), and the batched update against a per-step loop; noise statistics
+are checked against the closed forms for a moving sum of p innovations.
 """
 import csv
 import importlib
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from swarmplan.assign import Assignment, ConstraintSet, ScoreTable, get_procedure
 from swarmplan.learn import (
+    METRIC_FIELDS,
     A2CConfig,
     AdamOptimizer,
     BattleMetaEnv,
@@ -201,15 +203,6 @@ def test_rollout_assignments_replay_from_sampled_tables():
             assert np.array_equal(redo.target, step.assignment.target)
 
 
-def test_rollout_log_likelihood_matches_sampled_tables():
-    worker, model = make_worker(FixedEnv(length=5), seed=3)
-    cfg = worker.cfg
-    chunk = worker.collect_chunk()
-    for step in chunk.steps:
-        assert step.log_l_old == pytest.approx(
-            gaussian_loglik(step.sampled_h, step.h, cfg.sigma))
-
-
 def test_rollout_quad_samples_g_tables():
     worker, model = make_worker(FixedEnv(length=4), inference="quad", seed=5)
     chunk = worker.collect_chunk()
@@ -232,6 +225,7 @@ def test_gaussian_loglik_matches_closed_form():
 def test_rescue_meta_env_round_trip():
     env = RescueMetaEnv(RescueConfig(2, 3, seed=0))
     obs = env.reset(seed=42)
+    assert env.config.seed == 0  # the episode seed does not replace the config's
     assert obs.agent_feats.shape == (2, 2) and obs.task_feats.shape == (3, 3)
     assert len(obs.entities) == 5
     obs2, reward, done = env.step(Assignment(np.array([0, 1])))
@@ -261,7 +255,6 @@ def _assert_same_chunks(got, want):
             np.testing.assert_allclose(x.sampled_h, y.sampled_h, rtol=0, atol=1e-12)
             if y.sampled_g is not None:
                 np.testing.assert_allclose(x.sampled_g, y.sampled_g, rtol=0, atol=1e-12)
-            assert x.log_l_old == pytest.approx(y.log_l_old, rel=1e-12)
 
 
 def test_lockstep_train_keeps_round_robin_chunk_order(monkeypatch):
@@ -294,8 +287,7 @@ def test_lockstep_train_keeps_round_robin_chunk_order(monkeypatch):
     assert {len(chunk) for _, chunks in seen for chunk in chunks} == {1, 3, 4}
     # no stored array is a view into a buffer that a later step reuses
     arrays = [a for _, chunks in seen for chunk in chunks for step in chunk.steps
-              for a in (step.obs.agent_feats, step.obs.task_feats, step.h,
-                        step.sampled_h)]
+              for a in (step.obs.agent_feats, step.obs.task_feats, step.sampled_h)]
     for i, a in enumerate(arrays):
         assert not any(np.may_share_memory(a, b) for b in arrays[i + 1:])
 
@@ -333,7 +325,7 @@ def test_lanes_of_different_sizes_match_one_lane_workers():
     sizes = [(2, 4), (3, 5), (2, 4), (3, 5)]
     makes = [lambda n=n, m=m: RescueMetaEnv(RescueConfig(n, m, seed=0)) for n, m in sizes]
     got = _lanes_match_workers(makes, "lp", init_scoring_model(2, 3, with_g=False, seed=3))
-    assert [chunk.steps[0].h.shape for chunk in got] == sizes
+    assert [chunk.steps[0].sampled_h.shape for chunk in got] == sizes
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +350,7 @@ def _stub_chunk(rewards, terminal_tail, entities):
                           ConstraintSet(np.ones((1, 1)), np.ones(1)),
                           entities)
         steps.append(StepRecord(obs, np.zeros((1, 1)), None,
-                                np.zeros((1, 1)), None,
-                                Assignment(np.array([0])), 0.0, r,
+                                Assignment(np.array([0])), r,
                                 terminal_tail and t == len(rewards) - 1))
     return Chunk(steps, None if terminal_tail else entities, terminal_tail)
 
@@ -397,19 +388,11 @@ def collect_batch(inference="lp", length=6, chunks=2, seed=0, cfg=None):
     return model, critic, batch, cfg
 
 
-def test_on_policy_importance_ratios_are_one():
-    model, critic, batch, cfg = collect_batch()
-    frozen = freeze_targets(model, critic, batch, cfg)
-    for chunk_ratios in frozen.ratios:
-        assert chunk_ratios == pytest.approx([1.0] * len(chunk_ratios), abs=1e-9)
-
-
 def test_zero_advantage_gives_zero_policy_gradient():
     model, critic, batch, cfg = collect_batch()
     frozen = freeze_targets(model, critic, batch, cfg)
     frozen = FrozenTargets(frozen.returns,
-                           [[0.0] * len(a) for a in frozen.advantages],
-                           frozen.ratios)
+                           [[0.0] * len(a) for a in frozen.advantages])
     grads, _ = a2c_grads(model, critic, batch, cfg, frozen)
     assert np.all(grads_to_vector(grads["h"]) == 0.0)
     # the critic still learns: value gradients are not all zero
@@ -488,7 +471,6 @@ def test_a2c_update_moves_parameters_and_reports_finite_diagnostics():
                       make_optimizer("sgd", cfg.lr_value))
     assert not diag.skipped
     assert np.isfinite(diag.value_loss) and np.isfinite(diag.policy_loss)
-    assert diag.mean_ir == pytest.approx(1.0, abs=1e-9)
     assert not np.array_equal(before, _pack(model, critic))
 
 
@@ -507,23 +489,14 @@ def test_update_descends_frozen_objective():
 
 
 def reference_targets(model, critic, chunks, cfg):
-    """R, A and ir step by step: one score_pairs and one critic_value each."""
-    returns, advantages, ratios = [], [], []
+    """R and A step by step: one critic_value per step."""
+    returns, advantages = [], []
     for chunk in chunks:
         R = nstep_returns(chunk, cfg.gamma, critic)
-        A, ir = [], []
-        for r, step in zip(R, chunk.steps):
-            A.append(r - critic_value(critic, step.obs.entities))
-            table = score_pairs(model, step.obs.agent_feats, step.obs.task_feats,
-                                pair_extras=step.obs.pair_extras)
-            log_l = gaussian_loglik(step.sampled_h, table.h, cfg.sigma)
-            if step.sampled_g is not None:
-                log_l += gaussian_loglik(step.sampled_g, table.g, cfg.sigma)
-            ir.append(float(np.exp(np.clip(log_l - step.log_l_old, -20.0, 20.0))))
         returns.append(R)
-        advantages.append(A)
-        ratios.append(ir)
-    return FrozenTargets(returns, advantages, ratios)
+        advantages.append([r - critic_value(critic, step.obs.entities)
+                           for r, step in zip(R, chunk.steps)])
+    return FrozenTargets(returns, advantages)
 
 
 def reference_grads(model, critic, chunks, cfg, frozen):
@@ -532,11 +505,10 @@ def reference_grads(model, critic, chunks, cfg, frozen):
            "g": zero_grads(model.g_net) if model.g_net is not None else None,
            "embed": zero_grads(critic.embed_net),
            "head": zero_grads(critic.head_net)}
-    value_loss = policy_loss = ir_sum = 0.0
+    value_loss = policy_loss = 0.0
     count = 0
-    for chunk, R, A, ir in zip(chunks, frozen.returns, frozen.advantages,
-                               frozen.ratios):
-        for step, r, a, w in zip(chunk.steps, R, A, ir):
+    for chunk, R, A in zip(chunks, frozen.returns, frozen.advantages):
+        for step, r, a in zip(chunk.steps, R, A):
             v, v_cache = critic_value(critic, step.obs.entities, with_cache=True)
             eg, hg = critic_backward(critic, v_cache, upstream=-np.sign(r - v))
             add_grads(acc["embed"], eg)
@@ -546,7 +518,7 @@ def reference_grads(model, critic, chunks, cfg, frozen):
                                        pair_extras=step.obs.pair_extras,
                                        with_cache=True)
             log_l = gaussian_loglik(step.sampled_h, table.h, cfg.sigma)
-            scale = -cfg.lam * w * a / cfg.sigma
+            scale = -cfg.lam * a / cfg.sigma
             dG = None
             if step.sampled_g is not None:
                 log_l += gaussian_loglik(step.sampled_g, table.g, cfg.sigma)
@@ -557,12 +529,11 @@ def reference_grads(model, critic, chunks, cfg, frozen):
             if g_grads is not None:
                 add_grads(acc["g"], g_grads)
             value_loss += abs(r - v)
-            policy_loss += -cfg.lam * w * a * log_l
-            ir_sum += w
+            policy_loss += -cfg.lam * a * log_l
             count += 1
     grads = {name: None if g is None else [(gW / count, gb / count) for gW, gb in g]
              for name, g in acc.items()}
-    return grads, (value_loss / count, policy_loss / count, ir_sum / count)
+    return grads, (value_loss / count, policy_loss / count)
 
 
 def _rescue_batch(sizes, with_g=False, inference="lp"):
@@ -602,7 +573,7 @@ def test_batched_update_matches_per_step_loop(case):
     if case == "terminal-and-bootstrap":
         assert tails == {True, False}
     if case == "mixed-2x4-3x5":
-        assert {step.h.shape for chunk in chunks for step in chunk.steps} \
+        assert {step.sampled_h.shape for chunk in chunks for step in chunk.steps} \
             == {(2, 4), (3, 5)}
     if case == "quad-with-g":
         assert all(step.sampled_g is not None for chunk in chunks
@@ -611,27 +582,27 @@ def test_batched_update_matches_per_step_loop(case):
     want_targets = reference_targets(model, critic, chunks, cfg)
     got_targets = freeze_targets(model, critic, chunks, cfg)
     for got, want in zip(
-            (got_targets.returns, got_targets.advantages, got_targets.ratios),
-            (want_targets.returns, want_targets.advantages, want_targets.ratios)):
+            (got_targets.returns, got_targets.advantages),
+            (want_targets.returns, want_targets.advantages)):
         assert [len(x) for x in got] == [len(x) for x in want]
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-12, abs=1e-12)
 
     # on-line targets (frozen=None) against the per-step loop
-    want_grads, (value_loss, policy_loss, mean_ir) = reference_grads(
+    want_grads, (value_loss, policy_loss) = reference_grads(
         model, critic, chunks, cfg, want_targets)
     grads, diag = a2c_grads(model, critic, chunks, cfg)
     _assert_grads_close(grads, want_grads)
     assert diag.value_loss == pytest.approx(value_loss, rel=1e-12)
     assert diag.policy_loss == pytest.approx(policy_loss, rel=1e-12)
-    assert diag.mean_ir == pytest.approx(mean_ir, rel=1e-12)
     assert diag.steps == sum(len(chunk) for chunk in chunks)
 
-    # explicit targets, with ratios away from 1, are used as given
+    # explicit targets, with advantages away from the on-line ones, are
+    # used as given
     rng = np.random.default_rng(35)
-    frozen = FrozenTargets(want_targets.returns, want_targets.advantages,
-                           [list(rng.uniform(0.5, 1.5, len(ir)))
-                            for ir in want_targets.ratios])
+    frozen = FrozenTargets(want_targets.returns,
+                           [list(np.multiply(A, rng.uniform(0.5, 1.5, len(A))))
+                            for A in want_targets.advantages])
     want_grads, _ = reference_grads(model, critic, chunks, cfg, frozen)
     grads, _ = a2c_grads(model, critic, chunks, cfg, frozen)
     _assert_grads_close(grads, want_grads)
@@ -640,8 +611,7 @@ def test_batched_update_matches_per_step_loop(case):
 def test_a2c_grads_rejects_mismatched_targets():
     model, critic, batch, cfg = collect_batch()
     frozen = freeze_targets(model, critic, batch, cfg)
-    short = FrozenTargets(frozen.returns[:1], frozen.advantages[:1],
-                          frozen.ratios[:1])
+    short = FrozenTargets(frozen.returns[:1], frozen.advantages[:1])
     with pytest.raises(LearnError):
         a2c_grads(model, critic, batch, cfg, short)
 
@@ -747,13 +717,21 @@ def test_train_writes_metrics_csv(tmp_path):
     assert len(rows) == 3
     assert set(rows[0]) == {"wall_clock", "env_steps", "updates",
                             "eval_mean_return", "eval_mean_length",
-                            "value_loss", "policy_loss", "mean_ir",
-                            "grad_norm", "skipped"}
+                            "value_loss", "policy_loss", "grad_norm",
+                            "skipped"}
     # evaluation ran on updates 2 (periodic) and 3 (final)
     assert rows[0]["eval_mean_return"] == ""
     assert rows[1]["eval_mean_return"] != ""
     assert rows[2]["eval_mean_return"] != ""
     assert float(rows[2]["env_steps"]) > float(rows[0]["env_steps"])
+
+
+def test_readme_lists_the_metric_columns_in_order():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    sentence = re.search(r"The metrics CSV has one row per update.*?\.\s", readme,
+                         re.S)
+    assert sentence is not None
+    assert tuple(re.findall(r"`(\w+)`", sentence.group())) == METRIC_FIELDS
 
 
 def test_play_episode_counts_fixed_env():
