@@ -271,12 +271,11 @@ def quad_relax_solve(
     scores: ScoreTable,
     cons: ConstraintSet,
     cfg: FwConfig | None = None,
-    start: RelaxedAssignment | None = None,
     stats: dict | None = None,
 ) -> RelaxedAssignment:
     """Frank-Wolfe ascent on the quadratic objective over the relaxed polytope.
 
-    Terminates when the FW gap <grad, v - beta> drops below
+    Starts from beta = 0. Terminates when the FW gap <grad, v - beta> drops below
     cfg.gap_tol * (1 + |objective|), or after cfg.max_iters iterations.
     Converges to a local maximum (the objective need not be concave).
 
@@ -290,13 +289,7 @@ def quad_relax_solve(
         raise AssignError("quad_relax_solve requires a task-task score table g")
     if cfg is None:
         cfg = FwConfig()
-    if start is None:
-        beta = np.zeros((scores.n, scores.m))
-    else:
-        beta = start.beta.copy()
-        if not RelaxedAssignment(beta).check_invariants(cons):
-            raise AssignError("start point is infeasible")
-
+    beta = np.zeros((scores.n, scores.m))
     g_sym = scores.g + scores.g.T
     lp = PolytopeLp(cons.mu, cons.u)  # warm-started across FW iterations
     hit_cap = False

@@ -22,6 +22,7 @@ from ..learn import A2CConfig
 from ..nets import load_models
 from .config import HarnessError, load_experiment, load_sweep, parse_rescue_size
 from .evaluate import (
+    BATTLE_EVAL_SEED_BASE,
     RESCUE_EVAL_SEEDS,
     evaluate,
     evaluate_battle_heuristic,
@@ -77,16 +78,15 @@ def cmd_oracle(args):
 
 
 def cmd_battle_bench(args):
+    seeds = range(args.seed_base, args.seed_base + args.episodes)
     if args.policy == "checkpoint":
         if args.checkpoint is None:
             raise HarnessError("--policy checkpoint requires --checkpoint")
         model, _, _ = load_models(args.checkpoint)
         summary = evaluate_battle_model(model, args.inference, A2CConfig(),
-                                        args.scenario, args.episodes,
-                                        args.seed_base)
+                                        args.scenario, seeds)
     else:
-        summary = evaluate_battle_heuristic(args.policy, args.scenario,
-                                            args.episodes, args.seed_base)
+        summary = evaluate_battle_heuristic(args.policy, args.scenario, seeds)
     _emit({"scenario": args.scenario, "policy": args.policy,
            **summary.to_dict()})
 
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--inference", choices=("amax", "lp", "quad"), default="lp")
     p.add_argument("--episodes", type=int, default=100)
-    p.add_argument("--seed-base", type=int, default=5000)
+    p.add_argument("--seed-base", type=int, default=BATTLE_EVAL_SEED_BASE)
     p.set_defaults(fn=cmd_battle_bench)
     return parser
 

@@ -12,8 +12,8 @@ Schema (version 1)::
         "output_dir": "runs/...",
         "total_updates": int, "seed": int, "eval_every": int}}
 
-Sweep files carry the same envelope with a "sweep" object instead of
-(or alongside) "experiment".
+Sweep files carry the same envelope with a "sweep" object alongside
+"experiment". A key that names no field is rejected with a HarnessError.
 """
 from __future__ import annotations
 
@@ -33,6 +33,13 @@ _RESCUE_SIZE = re.compile(r"^(\d+)x(\d+)$")
 
 class HarnessError(ValueError):
     pass
+
+
+def _check_keys(cls, data: dict, what: str):
+    """Reject keys a config file carries that `cls` has no field for."""
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise HarnessError(f"unknown {what} keys: {', '.join(unknown)}")
 
 
 def parse_rescue_size(scenario: str):
@@ -80,7 +87,9 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
         a2c = data.pop("a2c", {})
+        _check_keys(cls, data, "experiment")
         if isinstance(a2c, dict):
+            _check_keys(A2CConfig, a2c, "a2c")
             a2c = A2CConfig(**a2c)
         return cls(a2c=a2c, **data)
 
@@ -130,10 +139,6 @@ class SweepSpec:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        return cls(**data)
-
-    @classmethod
     def for_environment(cls, environment: str, **kw) -> "SweepSpec":
         """Documented defaults: sigma high is 2 for rescue, 3 for battle."""
         kw.setdefault("sigma_high", 3.0 if environment == "battle" else 2.0)
@@ -168,4 +173,6 @@ def load_sweep(path):
     data = _load_envelope(path)
     if "sweep" not in data or "experiment" not in data:
         raise HarnessError("sweep file needs 'sweep' and 'experiment' objects")
-    return SweepSpec.from_dict(data["sweep"]), ExperimentConfig.from_dict(data["experiment"])
+    base = ExperimentConfig.from_dict(data["experiment"])
+    _check_keys(SweepSpec, data["sweep"], "sweep")
+    return SweepSpec.for_environment(base.environment, **data["sweep"]), base

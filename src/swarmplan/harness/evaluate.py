@@ -98,17 +98,16 @@ def evaluate_rescue_model(model: ScoringModel, inference: str, a2c: A2CConfig,
                       {"mean_return": float(np.mean(returns))})
 
 
-def evaluate_battle_heuristic(kind: str, scenario: str, episodes: int = 100,
-                              seed_base: int = BATTLE_EVAL_SEED_BASE) -> EvalSummary:
+def evaluate_battle_heuristic(kind: str, scenario: str, seeds) -> EvalSummary:
+    """Scripted-heuristic returns, one battle per seed."""
     if kind not in HEURISTICS:
         raise HarnessError(f"kind must be one of {HEURISTICS}")
     returns = []
     wins = 0
     failures = 0
-    for k in range(episodes):
-        config = load_scenario(scenario, seed=seed_base + k)
-        state = spawn_battle(config)
-        policy = heuristic_policy(kind, rng=np.random.default_rng(seed_base + k))
+    for seed in seeds:
+        state = spawn_battle(load_scenario(scenario, seed=seed))
+        policy = heuristic_policy(kind, rng=np.random.default_rng(seed))
         total = 0.0
         done = False
         while not done:
@@ -118,24 +117,24 @@ def evaluate_battle_heuristic(kind: str, scenario: str, episodes: int = 100,
         wins += state.outcome == "win"
         failures += state.outcome == "draw"
     return _summarize(returns, failures, "return",
-                      {"win_rate": wins / episodes})
+                      {"win_rate": wins / len(returns)})
 
 
 def evaluate_battle_model(model: ScoringModel, inference: str, a2c: A2CConfig,
-                          scenario: str, episodes: int = 100,
-                          seed_base: int = BATTLE_EVAL_SEED_BASE) -> EvalSummary:
-    rng = np.random.default_rng(seed_base)
+                          scenario: str, seeds) -> EvalSummary:
+    """Learned-policy returns with exploration noise on, one battle per seed."""
+    rng = np.random.default_rng(seeds[0])
     returns = []
     wins = 0
     failures = 0
-    for k in range(episodes):
-        env = BattleMetaEnv(load_scenario(scenario, seed=seed_base + k))
-        ret, _ = play_episode(env, model, inference, a2c, rng, seed=seed_base + k)
+    for seed in seeds:
+        env = BattleMetaEnv(load_scenario(scenario, seed=seed))
+        ret, _ = play_episode(env, model, inference, a2c, rng, seed=seed)
         returns.append(ret)
         wins += env.state.outcome == "win"
         failures += env.state.outcome == "draw"
     return _summarize(returns, failures, "return",
-                      {"win_rate": wins / episodes})
+                      {"win_rate": wins / len(returns)})
 
 
 def evaluate(policy, environment: str, scenario: str, eval_seeds,
@@ -154,14 +153,10 @@ def evaluate(policy, environment: str, scenario: str, eval_seeds,
         _check_model(policy, RescueMetaEnv(RescueConfig(n, m, seed=0)), inference)
         return evaluate_rescue_model(policy, inference, a2c, n, m, eval_seeds)
     if environment == "battle":
-        episodes = len(tuple(eval_seeds))
-        base = min(eval_seeds)
         if isinstance(policy, str):
-            return evaluate_battle_heuristic(policy, scenario, episodes, base)
-        _check_model(policy, BattleMetaEnv(load_scenario(scenario, seed=base)),
-                     inference)
-        return evaluate_battle_model(policy, inference, a2c, scenario,
-                                     episodes, base)
+            return evaluate_battle_heuristic(policy, scenario, eval_seeds)
+        _check_model(policy, BattleMetaEnv(load_scenario(scenario)), inference)
+        return evaluate_battle_model(policy, inference, a2c, scenario, eval_seeds)
     raise HarnessError(f"unknown environment {environment!r}")
 
 

@@ -43,8 +43,7 @@ def generalization_sweep(policy, environment: str, test_scenarios, eval_seeds,
             n, m = parse_rescue_size(scenario)
             baseline = evaluate_rescue_reference("closest", n, m, eval_seeds)
         else:
-            baseline = evaluate_battle_heuristic(
-                "c", scenario, len(tuple(eval_seeds)), min(eval_seeds))
+            baseline = evaluate_battle_heuristic("c", scenario, eval_seeds)
         summary = evaluate(policy, environment, scenario, eval_seeds,
                            inference, a2c)
         rows.append({

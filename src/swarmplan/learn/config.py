@@ -3,8 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .noise import NOISE_MODES
-
 OPTIMIZERS = ("sgd", "adam")
 
 
@@ -22,7 +20,6 @@ class A2CConfig:
     lr_policy: float = 1e-3
     lr_value: float = 1e-3
     optimizer: str = "sgd"
-    noise_mode: str = "innovation"
     workers: int = 8
     batch_chunks: int = 16       # chunks per update
 
@@ -37,7 +34,5 @@ class A2CConfig:
             raise LearnError("n_steps must be >= 2")
         if self.optimizer not in OPTIMIZERS:
             raise LearnError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.noise_mode not in NOISE_MODES:
-            raise LearnError(f"noise_mode must be one of {NOISE_MODES}")
         if self.workers < 1 or self.batch_chunks < 1:
             raise LearnError("workers and batch_chunks must be >= 1")

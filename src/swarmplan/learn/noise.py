@@ -12,20 +12,15 @@ from collections import deque
 
 import numpy as np
 
-NOISE_MODES = ("innovation",)
-
 
 class NoiseWindows:
     """Sliding window of the last p noise innovations for one score table."""
 
-    def __init__(self, shape, p: int, mode: str = "innovation"):
+    def __init__(self, shape, p: int):
         if p < 1:
             raise ValueError("window length p must be >= 1")
-        if mode not in NOISE_MODES:
-            raise ValueError(f"mode must be one of {NOISE_MODES}")
         self.shape = tuple(shape)
         self.p = p
-        self.mode = mode
         self.queue = deque(maxlen=p)
         self.reset()
 

@@ -95,10 +95,7 @@ class BattleMetaEnv:
                            build_battle_constraints(self.state), entities)
 
     def reset(self, seed=None) -> Observation:
-        cfg = self.config
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-            self.config = cfg
+        cfg = self.config if seed is None else replace(self.config, seed=seed)
         self.state = spawn_battle(cfg)
         return self._observe()
 
@@ -179,9 +176,9 @@ class RolloutLanes:
         seed = int(self.rngs[k].integers(2 ** 31 - 1)) if seeds is None else next(seeds)
         self.obs[k] = obs = self.envs[k].reset(seed=seed)
         n, m = obs.agent_feats.shape[0], obs.task_feats.shape[0]
-        self.h_windows[k] = NoiseWindows((n, m), self.cfg.p, self.cfg.noise_mode)
+        self.h_windows[k] = NoiseWindows((n, m), self.cfg.p)
         if self.uses_g:
-            self.g_windows[k] = NoiseWindows((m, m), self.cfg.p, self.cfg.noise_mode)
+            self.g_windows[k] = NoiseWindows((m, m), self.cfg.p)
 
     def _sample(self, lanes, windows, means) -> list:
         return [windows[k].sample(mean, self.cfg.sigma, self.rngs[k])

@@ -8,8 +8,7 @@ step, so episode return only encodes episode length.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -134,54 +133,18 @@ def extract_features(state: GridState):
     return agents, tasks
 
 
-@dataclass
-class RescueEnv:
-    """Mutable episode wrapper around the pure state-transition functions."""
-
-    config: RescueConfig
-    state: GridState = field(default=None, repr=False)
-
-    def reset(self, seed=None) -> GridState:
-        if seed is not None:
-            self.config = replace(self.config, seed=seed)
-        self.state = spawn(self.config)
-        return self.state
-
-    def step(self, assignment: Assignment):
-        if self.state is None:
-            raise RescueError("call reset() before step()")
-        self.state, reward, done = step(self.state, assignment, self.config.max_steps)
-        capped = done and not self.state.all_picked
-        return self.state, reward, done, {"capped": capped}
-
-
-def run_episode(config: RescueConfig, policy, seed=None, trace_path=None):
+def run_episode(config: RescueConfig, policy, seed=None):
     """Roll one episode; policy: GridState -> Assignment.
 
-    Returns (steps, total_reward, capped). With trace_path, writes one
-    JSON record per step.
+    Returns (steps, total_reward, capped), where capped means the step
+    cap ended the episode with a victim still open.
     """
-    env = RescueEnv(config)
-    state = env.reset(seed)
+    if seed is not None:
+        config = replace(config, seed=seed)
+    state = spawn(config)
     total = 0.0
-    records = []
     done = False
-    info = {"capped": False}
     while not done:
-        assignment = policy(state)
-        prev = state
-        state, reward, done, info = env.step(assignment)
+        state, reward, done = step(state, policy(state), config.max_steps)
         total += reward
-        if trace_path is not None:
-            records.append({
-                "step": prev.step_count,
-                "ambulances": list(prev.ambulances),
-                "victims": [[x, y, bool(p)] for x, y, p in prev.victims],
-                "assignment": [int(t) for t in assignment.target],
-                "reward": reward,
-            })
-    if trace_path is not None:
-        with open(trace_path, "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
-    return state.step_count, total, info["capped"]
+    return state.step_count, total, not state.all_picked

@@ -288,7 +288,7 @@ def test_criterion_7_noise_autocovariance(p):
     width = 10
     steps = 100_000  # 10^6 samples total across the window width
     rng = np.random.default_rng(17)
-    win = NoiseWindows((width,), p, "innovation")
+    win = NoiseWindows((width,), p)
     xs = np.empty((steps, width))
     zero = np.zeros(width)
     for t in range(steps):

@@ -15,12 +15,10 @@ from swarmplan.assign import (
     ScoreTable,
     amax_assign,
     brute_force_assign,
-    dump_instance,
     feasible,
     fw_line_search,
     fw_linear_oracle,
     greedy_round,
-    load_instance,
     lp_relax_solve,
     objective_value,
     quad_relax_solve,
@@ -336,20 +334,6 @@ class TestDeterminism:
         r1 = greedy_round(a1, scores, cons)
         r2 = greedy_round(a2, scores, cons)
         np.testing.assert_array_equal(r1.target, r2.target)
-
-
-class TestDumpFormat:
-    def test_round_trip(self):
-        rng = np.random.default_rng(13)
-        scores, cons = random_instance(rng, with_g=True)
-        relaxed = lp_relax_solve(scores, cons)
-        text = dump_instance(scores, cons, relaxed)
-        s2, c2, r2 = load_instance(text)
-        np.testing.assert_array_equal(s2.h, scores.h)
-        np.testing.assert_array_equal(s2.g, scores.g)
-        np.testing.assert_array_equal(c2.mu, cons.mu)
-        np.testing.assert_array_equal(c2.u, cons.u)
-        np.testing.assert_array_equal(r2.beta, relaxed.beta)
 
 
 @given(

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from swarmplan.battle import load_scenario
 from swarmplan.harness import (
     RESCUE_EVAL_SEEDS,
     EvalSummary,
@@ -16,6 +17,7 @@ from swarmplan.harness import (
     hyperparameter_search,
     improvement,
     load_experiment,
+    load_sweep,
     oracle_report,
     parse_rescue_size,
     run_experiment,
@@ -23,7 +25,7 @@ from swarmplan.harness import (
     save_experiment,
 )
 from swarmplan.harness.cli import main
-from swarmplan.learn import A2CConfig
+from swarmplan.learn import A2CConfig, BattleMetaEnv
 from swarmplan.nets import init_critic, init_scoring_model, save_models
 
 SMALL_SEEDS = tuple(range(2000, 2010))
@@ -76,6 +78,38 @@ def test_experiment_rejects_wrong_schema_version(tmp_path):
     path.write_text(json.dumps({"version": 99, "experiment": {}}))
     with pytest.raises(HarnessError):
         load_experiment(path)
+
+
+def test_config_files_with_unknown_keys_fail_cleanly(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    save_experiment(path, small_experiment(output_dir=str(tmp_path / "run")))
+    doc = json.loads(path.read_text())
+    doc["experiment"]["a2c"]["noise_mode"] = "innovation"  # written before it was removed
+    path.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(path)]) == 2
+    assert "noise_mode" in capsys.readouterr().err
+    doc["experiment"]["a2c"].pop("noise_mode")
+    doc["experiment"]["eval_seed"] = [1]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(HarnessError, match="eval_seed"):
+        load_experiment(path)
+    doc["experiment"].pop("eval_seed")
+    doc["sweep"] = {"sample": 2}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(HarnessError, match="sample"):
+        load_sweep(path)
+
+
+def test_sweep_file_takes_the_environment_sigma_default(tmp_path):
+    path = tmp_path / "sweep.json"
+    for environment, scenario, sigma_high in (("rescue", "2x4", 2.0),
+                                              ("battle", "m5v5", 3.0)):
+        experiment = small_experiment(environment=environment, scenario=scenario)
+        path.write_text(json.dumps({"version": 1, "sweep": {"samples": 2},
+                                    "experiment": experiment.to_dict()}))
+        spec, base = load_sweep(path)
+        assert (spec.samples, spec.sigma_high) == (2, sigma_high)
+        assert base == experiment
 
 
 def test_sweep_spec_validation_and_environment_defaults():
@@ -176,6 +210,25 @@ def test_improvement_formula_and_baseline_row():
     assert improvement(10.0, 10.0) == 0.0
     with pytest.raises(HarnessError):
         improvement(0.0, 1.0)
+
+
+def test_battle_evaluation_plays_the_given_seeds():
+    env = BattleMetaEnv(load_scenario("m5v5"))
+    obs = env.reset(seed=0)
+    model = init_scoring_model(obs.agent_feats.shape[1], obs.task_feats.shape[1],
+                               pair_extra_dim=obs.pair_extras.shape[-1],
+                               with_g=False, seed=0)
+    for policy in ("c", model):
+        spread = evaluate(policy, "battle", "m5v5", [5000, 5007]).to_dict()
+        assert spread != evaluate(policy, "battle", "m5v5", [5000, 5001]).to_dict()
+    # Pinned summaries of the contiguous seed range 5003-5005.
+    seeds = range(5003, 5006)
+    heuristic = evaluate("c", "battle", "m5v5", seeds)
+    assert heuristic.mean == pytest.approx(-0.11 / 3, abs=1e-12)
+    assert heuristic.extra["win_rate"] == pytest.approx(2 / 3)
+    learned = evaluate(model, "battle", "m5v5", seeds)
+    assert learned.mean == pytest.approx(-0.34, abs=1e-12)
+    assert learned.extra["win_rate"] == 0.0
 
 
 def test_generalization_sweep_baseline_rows_have_zero_delta(tmp_path):

@@ -68,7 +68,7 @@ from swarmplan.rescue import RescueConfig
 def test_innovation_noise_stationary_variance_and_autocov(p):
     sigma = 0.7
     rng = np.random.default_rng(0)
-    win = NoiseWindows((1,), p, "innovation")
+    win = NoiseWindows((1,), p)
     steps = 200_000
     xs = np.empty(steps)
     for t in range(steps):
@@ -87,7 +87,7 @@ def test_innovation_noise_stationary_variance_and_autocov(p):
 
 def test_noise_reset_clears_window():
     rng = np.random.default_rng(1)
-    win = NoiseWindows((2, 2), 3, "innovation")
+    win = NoiseWindows((2, 2), 3)
     for _ in range(5):
         win.sample(np.zeros((2, 2)), 1.0, rng)
     win.reset()
@@ -96,7 +96,7 @@ def test_noise_reset_clears_window():
 
 def test_noise_sigma_zero_returns_means_exactly():
     rng = np.random.default_rng(2)
-    win = NoiseWindows((3,), 4, "innovation")
+    win = NoiseWindows((3,), 4)
     means = np.array([1.0, -2.0, 0.5])
     for _ in range(10):
         assert np.array_equal(win.sample(means, 0.0, rng), means)
@@ -105,11 +105,6 @@ def test_noise_sigma_zero_returns_means_exactly():
 def test_noise_rejects_bad_args():
     with pytest.raises(ValueError):
         NoiseWindows((1,), 0)
-    for mode in ("bogus", "residual"):
-        with pytest.raises(ValueError):
-            NoiseWindows((1,), 2, mode)
-        with pytest.raises(LearnError):
-            A2CConfig(noise_mode=mode)
     win = NoiseWindows((2,), 2)
     with pytest.raises(ValueError):
         win.sample(np.zeros(3), 1.0, np.random.default_rng(0))
@@ -241,6 +236,7 @@ def test_battle_meta_env_round_trip():
     assert obs.pair_extras.shape == (5, 5, 2)
     obs2, reward, done = env.step(Assignment(np.zeros(5, dtype=int)))
     assert np.isfinite(reward)
+    assert env.config.seed == 0
 
 
 def _chunk_fields(chunk):

@@ -4,7 +4,6 @@ The routing oracles are checked against brute-force enumeration over
 permutations and partitions on small instances.
 """
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from swarmplan.assign import Assignment, UNASSIGNED
 from swarmplan.rescue import (
     GridState,
     RescueConfig,
-    RescueEnv,
     RescueError,
     build_constraints,
     chebyshev,
@@ -143,15 +141,15 @@ class TestStep:
         assert nxt.ambulances == [(3, 3)]
 
     def test_max_steps_cap(self):
-        cfg = RescueConfig(1, 1, seed=0, max_steps=3)
-        env = RescueEnv(cfg)
-        env.state = make_state([(0, 0)], [(15, 15)])
+        st = make_state([(0, 0)], [(15, 15)])
         done = False
-        info = {}
         while not done:
-            _, _, done, info = env.step(Assignment(np.array([UNASSIGNED])))
-        assert env.state.step_count == 3
-        assert info["capped"]
+            st, _, done = step(st, Assignment(np.array([UNASSIGNED])), max_steps=3)
+        assert st.step_count == 3
+        assert not st.all_picked
+        idle = lambda state: Assignment(np.array([UNASSIGNED]))
+        steps, total, capped = run_episode(RescueConfig(1, 1, seed=0, max_steps=3), idle)
+        assert (steps, capped) == (3, True) and total == pytest.approx(-0.03)
 
     def test_picked_flags_monotone(self):
         st = spawn(RescueConfig(2, 4, seed=3))
@@ -196,15 +194,6 @@ class TestEpisodes:
         for s in range(2000):
             _, _, capped = run_episode(RescueConfig(2, 4, seed=s), closest_baseline)
             assert not capped
-
-    def test_trace_export(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        steps, _, _ = run_episode(RescueConfig(2, 4, seed=9), closest_baseline,
-                                  trace_path=path)
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(records) == steps
-        assert records[0]["step"] == 0
-        assert set(records[0]) == {"step", "ambulances", "victims", "assignment", "reward"}
 
 
 class TestClosestBaseline:
