@@ -1,5 +1,7 @@
 """The exact matching path for unit-demand constraints, and direct tests of
-the simplex engine that every other polytope still runs."""
+the two LP engines behind every other polytope: the network simplex for
+row-constant mu and the revised simplex for general mu."""
+import itertools
 import sys
 
 import numpy as np
@@ -22,6 +24,7 @@ from swarmplan.assign import (
     unit_demand,
 )
 from swarmplan.assign import core, procedures, simplex
+from swarmplan.assign.network import TransportLp
 from swarmplan.assign.simplex import PolytopeLp
 from swarmplan.learn import RescueMetaEnv
 from swarmplan.nets import init_scoring_model, score_pairs
@@ -254,6 +257,33 @@ def _switches_to_bland(lp, weights):
     return beta, bool(seen)
 
 
+# Both LP engines on one constraint set; TransportLp needs row-constant mu.
+SOLVERS = {
+    "PolytopeLp": lambda cons: PolytopeLp(cons.mu, cons.u),
+    "TransportLp": lambda cons: TransportLp(cons.mu[:, 0], cons.u),
+}
+
+
+def row_constant_instance(rng):
+    """Row-constant constraints with fractional d and u, some agents with
+    d = 0 and some tasks with u = 0. Half the instances round d and u to
+    halves, so that flows tie and pivots are primal degenerate."""
+    n, m = (int(x) for x in rng.integers(1, 9, size=2))
+    d = rng.uniform(0.2, 2.0, size=n)
+    d[rng.random(n) < 0.2] = 0.0
+    u = rng.uniform(0.0, 3.0, size=m)
+    u[rng.random(m) < 0.25] = 0.0
+    if rng.random() < 0.5:
+        d, u = np.round(2 * d) / 2, np.round(2 * u) / 2
+    return ConstraintSet(np.tile(d[:, None], (1, m)), u)
+
+
+def random_weights(rng, shape, tied):
+    if tied:  # half-integers: many optima and degenerate pivots
+        return rng.integers(-2, 4, size=shape) / 2.0
+    return rng.normal(size=shape)
+
+
 class TestPolytopeLp:
     def test_objective_equals_matching(self):
         rng = np.random.default_rng(4)
@@ -264,32 +294,86 @@ class TestPolytopeLp:
             assert float(np.sum(beta * scores.h)) == pytest.approx(
                 objective_value(matching_assign(scores, cons), scores), abs=1e-9)
 
-    def test_pivot_budget_raises(self):
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_pivot_budget_raises(self, solver):
         # both agents must enter the basis: at least two pivots
         cons = ConstraintSet(np.ones((2, 2)), [1.0, 1.0])
         with pytest.raises(SolverFailure):
-            PolytopeLp(cons.mu, cons.u).solve(np.eye(2), max_pivots=1)
-        beta = PolytopeLp(cons.mu, cons.u).solve(np.eye(2), max_pivots=3)
+            SOLVERS[solver](cons).solve(np.eye(2), max_pivots=1)
+        beta = SOLVERS[solver](cons).solve(np.eye(2), max_pivots=3)
         np.testing.assert_allclose(beta, np.eye(2), atol=1e-12)
 
-    def test_degenerate_run_switches_to_bland_and_stays_optimal(self):
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_degenerate_run_stays_optimal(self, solver):
         # Tasks 0-4 have capacity 0, so every pivot into them is degenerate.
         # Agent k has mu = 3**(4-k) and score (k+1) * mu: the score/mu ratio
         # rises as mu falls, so Dantzig's rule walks each such task through
         # all 5 agents, 25 degenerate pivots against a switch at rows + 10
         # = 21. Task 5 holds the optimum, scaled down so it enters last.
+        # The simplex gets there on Bland's rule; the network simplex's
+        # strongly feasible trees need none.
         n, m = 5, 6
         mu = np.tile((3.0 ** np.arange(n - 1, -1, -1))[:, None], (1, m))
         weights = mu * np.arange(1, n + 1)[:, None]
         weights[:, -1] *= 0.01
         cons = ConstraintSet(mu, np.r_[np.zeros(m - 1), 1.0])
-        beta, used_bland = _switches_to_bland(PolytopeLp(cons.mu, cons.u), weights)
-        assert used_bland
+        lp = SOLVERS[solver](cons)
+        if solver == "PolytopeLp":
+            beta, used_bland = _switches_to_bland(lp, weights)
+            assert used_bland
+        else:
+            beta = lp.solve(weights)
         scores = ScoreTable(weights)
         best = brute_force_assign(scores, cons)
         assert float(np.sum(beta * weights)) == pytest.approx(
             objective_value(best, scores), abs=1e-12)
         np.testing.assert_allclose(beta, best.to_matrix(m), atol=1e-12)
+
+    def test_tree_objective_equals_simplex_cold_and_warm(self):
+        # Each instance: one cold solve, then five warm-started solves with
+        # new weights on the same two solver objects.
+        rng = np.random.default_rng(7)
+        for trial in range(200):
+            cons = row_constant_instance(rng)
+            tree, simplex_lp = SOLVERS["TransportLp"](cons), SOLVERS["PolytopeLp"](cons)
+            for _ in range(6):
+                weights = random_weights(rng, (cons.n, cons.m), tied=trial % 2 == 1)
+                beta = tree.solve(weights)
+                assert RelaxedAssignment(beta).check_invariants(cons)
+                assert float(np.sum(beta * weights)) == pytest.approx(
+                    float(np.sum(simplex_lp.solve(weights) * weights)), abs=1e-9)
+
+    def test_tree_stays_strongly_feasible_at_every_pivot(self):
+        # Agent arcs point toward the root, so a strongly feasible tree
+        # keeps flow on each of them. A budget of k pivots stops a solve
+        # after its k-th pivot and leaves that tree behind.
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            cons = row_constant_instance(rng)
+            weights = random_weights(rng, (cons.n, cons.m), tied=True)
+            for budget in itertools.count(1):
+                tree = SOLVERS["TransportLp"](cons)
+                try:
+                    tree.solve(weights, max_pivots=budget)
+                except SolverFailure:
+                    assert all(f > 0.0 for f in tree.flow[:tree.na])
+                else:
+                    break
+
+    def test_tree_objective_equals_highs(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            cons = row_constant_instance(rng)
+            n, m = cons.n, cons.m
+            weights = rng.normal(size=(n, m))
+            rows = np.vstack([np.kron(np.eye(n), np.ones((1, m))),
+                              np.kron(cons.mu[:, :1].T, np.eye(m))])
+            highs = linprog(-weights.ravel(), A_ub=rows, b_ub=np.r_[np.ones(n), cons.u],
+                            bounds=(0, None), method="highs")
+            assert highs.status == 0
+            beta = SOLVERS["TransportLp"](cons).solve(weights)
+            assert float(np.sum(beta * weights)) == pytest.approx(-highs.fun, abs=1e-7)
 
     def test_basis_inverse_stays_exact_across_a_refactor(self):
         # Warm-started solves chained on one solver object, as Frank-Wolfe
