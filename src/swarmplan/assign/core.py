@@ -1,11 +1,18 @@
 """Inference procedures: argmax, LP relaxation, Frank-Wolfe QP, rounding,
 and the exhaustive oracle.
 
-The LP relaxation has two solvers, chosen by the constraints alone. With
-unit demand (every mu 1, every u a whole number) the polytope is totally
-unimodular, and an exact shortest-augmenting-path matching returns its
-integral optimum directly. Every other polytope, and every Frank-Wolfe
-linear subproblem, runs the revised simplex in `simplex.py`.
+The LP relaxation has three solvers, chosen by the constraints alone:
+  * unit demand (every mu 1, every u a whole number): the polytope is
+    totally unimodular, and an exact shortest-augmenting-path matching
+    returns its integral optimum directly;
+  * row-constant mu (mu_ij = d_i, every battle polytope): x = d * beta
+    makes it a transportation problem, which the network simplex in
+    `network.py` solves on a spanning-tree basis, with no basis inverse;
+  * any other mu: the revised simplex in `simplex.py`.
+One-shot LPs (`lp_relax_solve`, `fw_linear_oracle`) take the first that
+applies. Frank-Wolfe keeps one solver object across its iterations, so
+it takes the network simplex for unit demand too: the matching cannot be
+warm-started.
 
 Conventions shared by every operation:
   * tie-breaks are deterministic (lowest index / highest score) so repeated
@@ -19,6 +26,7 @@ import itertools
 
 import numpy as np
 
+from .network import TransportLp
 from .simplex import PolytopeLp
 from .types import (
     FEAS_EPS,
@@ -79,12 +87,26 @@ def feasible(assign: Assignment, cons: ConstraintSet) -> bool:
     return bool(np.all(load <= cons.u + FEAS_EPS))
 
 
-def _polytope_lp(weights: np.ndarray, cons: ConstraintSet,
-                 lp: PolytopeLp | None = None) -> RelaxedAssignment:
-    """max <weights, beta> over the relaxed polytope via the simplex engine."""
-    if lp is None:
-        lp = PolytopeLp(cons.mu, cons.u)
-    return RelaxedAssignment(lp.solve(weights))
+def _row_constant(cons: ConstraintSet) -> bool:
+    """True iff each agent contributes the same mu to every task."""
+    return bool((cons.mu == cons.mu[:, :1]).all())
+
+
+def _lp_solver(cons: ConstraintSet) -> TransportLp | PolytopeLp:
+    """A warm-startable solver for max <weights, beta> over the polytope:
+    the network simplex when mu is row-constant, else the revised simplex."""
+    if _row_constant(cons):
+        return TransportLp(cons.mu[:, 0], cons.u)
+    return PolytopeLp(cons.mu, cons.u)
+
+
+def _relaxed_lp(weights: np.ndarray, cons: ConstraintSet) -> RelaxedAssignment:
+    """One LP over the polytope: the exact matching for unit demand, else
+    the solver `_lp_solver` picks."""
+    if unit_demand(cons):
+        target = _match_lanes(weights[None], cons.u[None])[0]
+        return RelaxedAssignment(Assignment(target).to_matrix(cons.m))
+    return RelaxedAssignment(_lp_solver(cons).solve(weights))
 
 
 def unit_demand(cons: ConstraintSet) -> bool:
@@ -222,14 +244,12 @@ def lp_relax_solve(scores: ScoreTable, cons: ConstraintSet) -> RelaxedAssignment
     """Solve the linear relaxation of the constrained assignment ILP.
 
     Unit-demand constraints take the exact matching, whose 0/1 matrix is
-    an LP optimum; every other polytope runs the simplex. The task-task
-    table g, if present, is ignored.
+    an LP optimum; row-constant mu runs the network simplex and any other
+    polytope the revised simplex. The task-task table g, if present, is
+    ignored.
     """
     _check_dims(scores, cons)
-    if unit_demand(cons):
-        target = _match_lanes(scores.h[None], cons.u[None])[0]
-        return RelaxedAssignment(Assignment(target).to_matrix(cons.m))
-    return _polytope_lp(scores.h, cons)
+    return _relaxed_lp(scores.h, cons)
 
 
 def fw_linear_oracle(gradient: np.ndarray, cons: ConstraintSet) -> RelaxedAssignment:
@@ -239,7 +259,7 @@ def fw_linear_oracle(gradient: np.ndarray, cons: ConstraintSet) -> RelaxedAssign
         raise AssignError(f"gradient shape {gradient.shape} != ({cons.n}, {cons.m})")
     if not np.all(np.isfinite(gradient)):
         raise AssignError("gradient contains non-finite values")
-    return _polytope_lp(gradient, cons)
+    return _relaxed_lp(gradient, cons)
 
 
 def fw_line_search(
@@ -291,12 +311,12 @@ def quad_relax_solve(
         cfg = FwConfig()
     beta = np.zeros((scores.n, scores.m))
     g_sym = scores.g + scores.g.T
-    lp = PolytopeLp(cons.mu, cons.u)  # warm-started across FW iterations
+    lp = _lp_solver(cons)  # warm-started across FW iterations
     hit_cap = False
     for iters in range(1, cfg.max_iters + 1):
         r = beta.sum(axis=0)
         grad = scores.h + (g_sym @ r)[None, :]
-        vertex = _polytope_lp(grad, cons, lp)
+        vertex = RelaxedAssignment(lp.solve(grad))
         gap = float(np.sum(grad * (vertex.beta - beta)))
         obj = objective_value(RelaxedAssignment(beta), scores)
         if gap <= cfg.gap_tol * (1.0 + abs(obj)):

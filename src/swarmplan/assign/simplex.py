@@ -2,6 +2,11 @@
 
     { beta >= 0,  sum_j beta_ij <= 1,  sum_i mu_ij beta_ij <= u_j }.
 
+It serves general mu only. Unit demand goes to the exact matching and
+row-constant mu to the network simplex in `network.py` (see `core.py`).
+Those two cover every shipped environment, but `ConstraintSet` admits
+any nonnegative mu.
+
 Row sums <= 1 imply beta <= 1, so only the n + m aggregate rows are
 materialized and the all-slack basis is feasible (no phase-1). Every
 structural column has at most two nonzeros (a 1 in its agent row and

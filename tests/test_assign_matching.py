@@ -226,9 +226,10 @@ class TestInferLpOnRescue:
 
     def test_never_builds_a_simplex(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the unit-demand path ran the simplex or the rounding")
+            raise AssertionError("the unit-demand path ran an LP solver or the rounding")
 
         monkeypatch.setattr(core, "PolytopeLp", refuse)
+        monkeypatch.setattr(core, "TransportLp", refuse)
         monkeypatch.setattr(procedures, "greedy_round", refuse)
         infer = get_procedure("lp")
         for scores, cons in rescue_observations(8, 15, episodes=1, steps=10):
@@ -374,6 +375,12 @@ class TestPolytopeLp:
             assert highs.status == 0
             beta = SOLVERS["TransportLp"](cons).solve(weights)
             assert float(np.sum(beta * weights)) == pytest.approx(-highs.fun, abs=1e-7)
+
+    def test_solver_follows_the_constraints(self):
+        row_constant = ConstraintSet(np.tile([[2.0], [0.0], [1.5]], (1, 4)), np.ones(4))
+        general = ConstraintSet(np.arange(1.0, 13.0).reshape(3, 4), np.ones(4))
+        assert isinstance(core._lp_solver(row_constant), TransportLp)
+        assert isinstance(core._lp_solver(general), PolytopeLp)
 
     def test_basis_inverse_stays_exact_across_a_refactor(self):
         # Warm-started solves chained on one solver object, as Frank-Wolfe
