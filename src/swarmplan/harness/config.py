@@ -13,7 +13,8 @@ Schema (version 1)::
         "total_updates": int, "seed": int, "eval_every": int}}
 
 Sweep files carry the same envelope with a "sweep" object alongside
-"experiment". A key that names no field is rejected with a HarnessError.
+"experiment". A key that names no field, a missing required key and an
+out-of-range a2c value are rejected with a HarnessError.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from ..learn import OPTIMIZERS, A2CConfig
+from ..learn import OPTIMIZERS, A2CConfig, LearnError
 
 SCHEMA_VERSION = 1
 ENVIRONMENTS = ("rescue", "battle")
@@ -88,9 +89,18 @@ class ExperimentConfig:
         data = dict(data)
         a2c = data.pop("a2c", {})
         _check_keys(cls, data, "experiment")
+        required = [f.name for f in dataclasses.fields(cls)
+                    if f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING]
+        missing = [name for name in required if name not in data]
+        if missing:
+            raise HarnessError(f"missing experiment keys: {', '.join(missing)}")
         if isinstance(a2c, dict):
             _check_keys(A2CConfig, a2c, "a2c")
-            a2c = A2CConfig(**a2c)
+            try:
+                a2c = A2CConfig(**a2c)
+            except LearnError as exc:
+                raise HarnessError(f"a2c: {exc}") from exc
         return cls(a2c=a2c, **data)
 
 

@@ -100,6 +100,30 @@ def test_config_files_with_unknown_keys_fail_cleanly(tmp_path, capsys):
         load_sweep(path)
 
 
+def _saved_config(tmp_path):
+    path = tmp_path / "config.json"
+    save_experiment(path, small_experiment(output_dir=str(tmp_path / "run")))
+    return path, json.loads(path.read_text())
+
+
+def test_config_files_missing_experiment_keys_fail_cleanly(tmp_path, capsys):
+    path, saved = _saved_config(tmp_path)
+    for key in ("environment", "scenario", "inference"):
+        doc = json.loads(json.dumps(saved))
+        doc["experiment"].pop(key)
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: missing experiment keys: {key}\n"
+
+
+def test_config_files_with_out_of_range_a2c_values_fail_cleanly(tmp_path, capsys):
+    path, doc = _saved_config(tmp_path)
+    doc["experiment"]["a2c"]["gamma"] = 1.5
+    path.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: a2c: gamma must be in [0, 1)\n"
+
+
 def test_sweep_file_takes_the_environment_sigma_default(tmp_path):
     path = tmp_path / "sweep.json"
     for environment, scenario, sigma_high in (("rescue", "2x4", 2.0),
