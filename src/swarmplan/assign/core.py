@@ -300,7 +300,7 @@ def quad_relax_solve(
     Converges to a local maximum (the objective need not be concave).
 
     A `stats` dict, when given, receives `iters` (linear subproblems
-    solved), `hit_cap` (stopped by the iteration cap), `pivots` (simplex
+    solved), `hit_cap` (stopped by the iteration cap), `pivots` (LP solver
     pivots of those subproblems) and `rel_gap` (FW gap over 1 + |objective|
     at the returned point, which costs one more subproblem).
     """

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .simplex import _TOL
 from .types import SolverFailure
-
-_TOL = 1e-9
 
 
 class TransportLp:
