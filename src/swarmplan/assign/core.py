@@ -22,7 +22,9 @@ Conventions shared by every operation:
 """
 from __future__ import annotations
 
+import bisect
 import itertools
+from math import inf
 
 import numpy as np
 
@@ -115,7 +117,14 @@ def unit_demand(cons: ConstraintSet) -> bool:
     The polytope is then a bipartite b-matching polytope: totally
     unimodular, so its LP optimum is an integral matching.
     """
-    return bool((cons.mu == 1.0).all() and (cons.u == np.floor(cons.u)).all())
+    return bool(_unit_lanes(cons.mu, cons.u))
+
+
+def _unit_lanes(mu, u):
+    """`unit_demand` of each lane of a stack, mu (L, n, m) and u (L, m),
+    as a bool array of shape (L,); one lane without the L axis gives a
+    0-d array."""
+    return (mu == 1.0).all(axis=(-2, -1)) & (u == np.floor(u)).all(axis=-1)
 
 
 def _augment(cost, row_dual, col_dual, row4col, col4row, start):
@@ -124,34 +133,47 @@ def _augment(cost, row_dual, col_dual, row4col, col4row, start):
     Dijkstra over the reduced costs cost - row_dual - col_dual, which the
     duals keep nonnegative, and zero on matched edges. Ties go to a free
     column, then to the lowest index. Updates duals and matching in place.
+
+    Every argument is a Python list (cost a list of rows): at the sizes
+    rescue runs (about 23 columns at 8x15) a numpy scan of one row costs
+    more in per-call overhead than in arithmetic, and the list scan is
+    faster up to about 64x120. Column i < n is agent i's idle column,
+    finite only in row i, so a row scans the task columns and the idle
+    columns of the rows scanned so far, in index order.
     """
-    ncol = cost.shape[1]
-    dist = np.full(ncol, np.inf)
-    path = np.empty(ncol, dtype=int)
-    remaining = np.ones(ncol, dtype=bool)
-    rows = []
+    n = len(col4row)
+    dist = [inf] * len(col_dual)
+    path = [-1] * len(col_dual)
+    todo = [start, *range(n, len(col_dual))]  # unscanned columns that can be finite
+    rows, scanned = [], []
     low = 0.0
     i = start
     while True:
         rows.append(i)
-        reduced = low + cost[i] - row_dual[i] - col_dual
-        closer = remaining & (reduced < dist)
-        dist[closer] = reduced[closer]
-        path[closer] = i
-        open_dist = np.where(remaining, dist, np.inf)
-        low = open_dist.min()
-        ties = (open_dist == low).nonzero()[0]
-        free = ties[row4col[ties] < 0]
-        j = int(free[0] if free.size else ties[0])
-        remaining[j] = False
-        if row4col[j] < 0:
+        row, dual = cost[i], row_dual[i]
+        best, j, free = inf, -1, False
+        for k in todo:
+            d = dist[k]
+            reduced = low + row[k] - dual - col_dual[k]
+            if reduced < d:
+                dist[k] = d = reduced
+                path[k] = i
+            if d < best:
+                best, j, free = d, k, row4col[k] < 0
+            elif d == best and not free and row4col[k] < 0:
+                j, free = k, True
+        low = best
+        todo.remove(j)
+        scanned.append(j)
+        if free:
             break
-        i = int(row4col[j])
+        i = row4col[j]
+        bisect.insort(todo, i)  # its idle column joins the scan
     row_dual[start] += low
     for r in rows[1:]:
         row_dual[r] += low - dist[col4row[r]]
-    scanned = ~remaining
-    col_dual[scanned] -= low - dist[scanned]
+    for k in scanned:
+        col_dual[k] -= low - dist[k]
     while True:  # flip the path back to `start`
         i = path[j]
         row4col[j] = i
@@ -170,7 +192,10 @@ def matching_assign(scores, cons):
     augmenting paths (Jonker & Volgenant 1987, in Crouse's 2016
     rectangular form), warm started by row reduction: each agent takes its
     cheapest column unless an earlier agent holds it, and only the agents
-    that conflict are augmented. The g table, if present, is ignored.
+    that conflict are augmented. The warm start is numpy over the whole
+    stack; the augmenting paths run on Python lists (see `_augment`),
+    which beat numpy up to about 64x120. The g table, if present, is
+    ignored.
 
     One ScoreTable and one ConstraintSet return an Assignment. A stack of
     L lanes with equal (n, m), given as an (L, n, m) array of finite h
@@ -214,21 +239,22 @@ def _augment_lane(h, u, choice):
     UNASSIGNED per agent), from the row reduction: each agent takes the
     first copy of its choice, or its idle column, unless an earlier agent
     holds it, and the others are augmented."""
-    n, m = h.shape
-    copies = np.minimum(u, n).astype(int)
-    task_of = np.concatenate((np.full(n, UNASSIGNED), np.repeat(np.arange(m), copies)))
-    ncol = task_of.size
-    cost = np.empty((n, ncol))
-    cost[:, :n] = np.inf
-    cost.ravel()[::ncol + 1] = 0.0  # the diagonal of the idle block
-    np.negative(h[:, task_of[n:]], out=cost[:, n:])
+    n = len(choice)
+    task_of = [UNASSIGNED] * n
+    start = []  # first column of each task
+    for j, cap in enumerate(u.tolist()):
+        start.append(len(task_of))
+        task_of += [j] * min(int(cap), n)
+    idle = [inf] * n
+    cost = [idle + row for row in np.negative(h[:, task_of[n:]]).tolist()]
+    for i in range(n):
+        cost[i][i] = 0.0
 
-    start = list(itertools.accumulate(copies.tolist(), initial=n))  # first copy of each task
     first = [i if j < 0 else start[j] for i, j in enumerate(choice)]
-    row_dual = cost[np.arange(n), first]
-    col_dual = np.zeros(ncol)
-    row4col = np.full(ncol, -1)
-    col4row = np.full(n, -1)
+    row_dual = [cost[i][j] for i, j in enumerate(first)]
+    col_dual = [0.0] * len(task_of)
+    row4col = [-1] * len(task_of)
+    col4row = [-1] * n
     conflicts = []
     for i, j in enumerate(first):
         if row4col[j] < 0:
@@ -237,7 +263,7 @@ def _augment_lane(h, u, choice):
             conflicts.append(i)
     for i in conflicts:
         _augment(cost, row_dual, col_dual, row4col, col4row, i)
-    return task_of[col4row]
+    return [task_of[j] for j in col4row]
 
 
 def lp_relax_solve(scores: ScoreTable, cons: ConstraintSet) -> RelaxedAssignment:

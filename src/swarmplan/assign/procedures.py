@@ -6,6 +6,7 @@ import numpy as np
 from .core import (
     _check_dims,
     _match_lanes,
+    _unit_lanes,
     amax_assign,
     greedy_round,
     lp_relax_solve,
@@ -45,18 +46,21 @@ def infer_stack(name: str, h, g, cons) -> list:
 
     h is (L, n, m) and g (L, m, m) or None, all finite; cons holds the L
     ConstraintSets. Returns one Assignment per lane, the one the procedure
-    gives for that lane alone. The LP procedure solves its unit-demand
-    lanes with one stacked `matching_assign`, checking unit demand once.
+    gives for that lane alone. The LP procedure tests unit demand once on
+    the stacked mu and u, and solves its unit-demand lanes with one
+    stacked `matching_assign`.
     """
     procedure = get_procedure(name)
     out = [None] * len(cons)
     if procedure is infer_lp:
-        unit = [k for k, lane in enumerate(cons) if unit_demand(lane)]
-        if unit:
-            stack = h if len(unit) == len(cons) else h[unit]
-            targets = _match_lanes(stack, np.array([cons[k].u for k in unit]))
-            for k, target in zip(unit, targets):
-                out[k] = Assignment(target)
+        u = np.array([lane.u for lane in cons])
+        unit = _unit_lanes(np.array([lane.mu for lane in cons]), u).nonzero()[0]
+        if unit.size == len(cons):
+            targets = _match_lanes(h, u)
+        else:  # a mixed stack: match its unit-demand lanes only
+            targets = _match_lanes(h[unit], u[unit]) if unit.size else []
+        for k, target in zip(unit.tolist(), targets):
+            out[k] = Assignment(target)
     for k, lane in enumerate(cons):
         if out[k] is None:
             out[k] = procedure(ScoreTable(h[k], None if g is None else g[k]), lane)

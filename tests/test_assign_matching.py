@@ -148,9 +148,47 @@ class TestMatchingAssign:
             assert relaxed.check_invariants(cons)
 
 
+def reference_augment(cost, row_dual, col_dual, row4col, col4row, start):
+    """One shortest augmenting path on numpy arrays, scanning every column
+    of every row: the reference for `core._augment`, which scans lists."""
+    ncol = cost.shape[1]
+    dist = np.full(ncol, np.inf)
+    path = np.empty(ncol, dtype=int)
+    remaining = np.ones(ncol, dtype=bool)
+    rows = []
+    low = 0.0
+    i = start
+    while True:
+        rows.append(i)
+        reduced = low + cost[i] - row_dual[i] - col_dual
+        closer = remaining & (reduced < dist)
+        dist[closer] = reduced[closer]
+        path[closer] = i
+        open_dist = np.where(remaining, dist, np.inf)
+        low = open_dist.min()
+        ties = (open_dist == low).nonzero()[0]
+        free = ties[row4col[ties] < 0]
+        j = int(free[0] if free.size else ties[0])
+        remaining[j] = False
+        if row4col[j] < 0:
+            break
+        i = int(row4col[j])
+    row_dual[start] += low
+    for r in rows[1:]:
+        row_dual[r] += low - dist[col4row[r]]
+    scanned = ~remaining
+    col_dual[scanned] -= low - dist[scanned]
+    while True:  # flip the path back to `start`
+        i = path[j]
+        row4col[j] = i
+        col4row[i], j = j, col4row[i]
+        if i == start:
+            break
+
+
 def reference_matching(scores, cons):
-    """One instance, with the row-reduction warm start as a loop over agents:
-    the reference for the stacked warm start of `matching_assign`."""
+    """One instance on numpy arrays, with the row-reduction warm start as a
+    loop over agents: the reference for `matching_assign`."""
     n = cons.n
     task_of = np.concatenate((np.full(n, UNASSIGNED),
                               np.repeat(np.arange(cons.m), np.minimum(cons.u, n).astype(int))))
@@ -170,7 +208,7 @@ def reference_matching(scores, cons):
         else:
             conflicts.append(i)
     for i in conflicts:
-        core._augment(cost, row_dual, col_dual, row4col, col4row, i)
+        reference_augment(cost, row_dual, col_dual, row4col, col4row, i)
     return task_of[col4row]
 
 
@@ -180,7 +218,10 @@ class TestStackedMatching:
         augmented = 0
         for trial in range(300):
             lanes = 1 if trial % 5 == 0 else int(rng.integers(2, 7))
-            n, m = int(rng.integers(1, 8)), int(rng.integers(1, 6))  # n > m often
+            if trial % 3:
+                n, m = int(rng.integers(1, 8)), int(rng.integers(1, 6))  # n > m often
+            else:
+                n, m = ((16, 30), (32, 60))[trial % 2]
             if trial % 2:  # half-integer scores: exact ties between tasks and with idling
                 h = rng.integers(-2, 4, size=(lanes, n, m)) / 2.0
             else:
@@ -198,6 +239,23 @@ class TestStackedMatching:
                 firsts = np.where(u[k] > 0, h[k], -np.inf).argmax(axis=1)[best > 0]
                 augmented += len(set(firsts.tolist())) < firsts.size
         assert augmented > 100  # many lanes leave the warm start
+
+    def test_infer_stack_keeps_per_lane_results_on_mixed_stacks(self):
+        rng = np.random.default_rng(6)
+        infer = get_procedure("lp")
+        mixed = 0
+        for trial in range(40):
+            lanes, n, m = 4, int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            h = rng.normal(size=(lanes, n, m))
+            u = rng.integers(0, 3, size=(lanes, m)).astype(float)
+            mu = np.ones((lanes, n, m))
+            u[rng.random(lanes) < 0.4, 0] += 0.5  # not whole: the simplex and rounding
+            mu[rng.random(lanes) < 0.3, 0, 0] = 2.0  # not unit mu
+            cons = [ConstraintSet(mu[k], u[k]) for k in range(lanes)]
+            mixed += 0 < sum(map(unit_demand, cons)) < lanes
+            for k, got in enumerate(procedures.infer_stack("lp", h, None, cons)):
+                np.testing.assert_array_equal(got.target, infer(ScoreTable(h[k]), cons[k]).target)
+        assert mixed > 20
 
     def test_stack_rejects_bad_lanes(self):
         h = np.ones((2, 2, 2))
