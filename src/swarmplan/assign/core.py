@@ -136,8 +136,9 @@ def _augment(cost, row_dual, col_dual, row4col, col4row, start):
 
     Every argument is a Python list (cost a list of rows): at the sizes
     rescue runs (about 23 columns at 8x15) a numpy scan of one row costs
-    more in per-call overhead than in arithmetic, and the list scan is
-    faster up to about 64x120. Column i < n is agent i's idle column,
+    more in per-call overhead than in arithmetic. The list scan is faster
+    up to 32x60; the crossover lies between 32x60 and 64x120, beyond
+    every rescue size in use. Column i < n is agent i's idle column,
     finite only in row i, so a row scans the task columns and the idle
     columns of the rows scanned so far, in index order.
     """
@@ -194,8 +195,7 @@ def matching_assign(scores, cons):
     cheapest column unless an earlier agent holds it, and only the agents
     that conflict are augmented. The warm start is numpy over the whole
     stack; the augmenting paths run on Python lists (see `_augment`),
-    which beat numpy up to about 64x120. The g table, if present, is
-    ignored.
+    which beat numpy up to 32x60. The g table, if present, is ignored.
 
     One ScoreTable and one ConstraintSet return an Assignment. A stack of
     L lanes with equal (n, m), given as an (L, n, m) array of finite h
