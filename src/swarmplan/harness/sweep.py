@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..learn import A2CConfig, RescueMetaEnv, train
+from ..battle import load_scenario
+from ..learn import A2CConfig, BattleMetaEnv, RescueMetaEnv, train
 from ..nets import init_critic, init_scoring_model, save_models
 from ..rescue import RescueConfig
 from .config import ExperimentConfig, HarnessError, SweepSpec, parse_rescue_size, save_experiment
@@ -90,28 +91,18 @@ def code_version() -> str:
     return "unknown"
 
 
-def make_rescue_setup(config: ExperimentConfig):
-    """(env_factory, fresh model, fresh critic) for a rescue experiment."""
-    n, m = parse_rescue_size(config.scenario)
-    env_factory = lambda: RescueMetaEnv(RescueConfig(n, m, seed=config.seed))
-    probe = env_factory().reset(seed=0)
-    model = init_scoring_model(
-        probe.agent_feats.shape[1], probe.task_feats.shape[1],
-        with_g=config.inference == "quad", seed=config.seed)
-    critic = init_critic(2, probe.task_feats.shape[1], seed=config.seed + 1)
-    return env_factory, model, critic
-
-
-def make_battle_setup(config: ExperimentConfig):
-    from ..battle import load_scenario
-    from ..learn import BattleMetaEnv
-    env_factory = lambda: BattleMetaEnv(load_scenario(config.scenario,
-                                                      seed=config.seed))
+def make_setup(config: ExperimentConfig):
+    """(env_factory, fresh model, fresh critic) for a rescue or battle experiment."""
+    if config.environment == "rescue":
+        n, m = parse_rescue_size(config.scenario)
+        env_factory = lambda: RescueMetaEnv(RescueConfig(n, m, seed=config.seed))
+    else:
+        env_factory = lambda: BattleMetaEnv(load_scenario(config.scenario, seed=config.seed))
     probe_env = env_factory()
     probe = probe_env.reset(seed=0)
     model = init_scoring_model(
         probe.agent_feats.shape[1], probe.task_feats.shape[1],
-        pair_extra_dim=probe.pair_extras.shape[-1],
+        pair_extra_dim=0 if probe.pair_extras is None else probe.pair_extras.shape[-1],
         with_g=config.inference == "quad", seed=config.seed)
     critic = init_critic(2, probe_env.feature_dim, seed=config.seed + 1)
     return env_factory, model, critic
@@ -124,8 +115,7 @@ def run_experiment(config: ExperimentConfig, total_updates=None, max_seconds=Non
     the metrics CSV and the code version string — everything needed to
     re-run bit-identically with the same seed.
     """
-    setup = make_rescue_setup if config.environment == "rescue" else make_battle_setup
-    env_factory, model, critic = setup(config)
+    env_factory, model, critic = make_setup(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_experiment(out / "config.json", config)

@@ -1,18 +1,15 @@
 """Meta-environment adapters and trajectory collection.
 
-The learner sees every domain through the same lens: an observation is
-(agent features, task features, optional pair extras, constraints,
-critic entities). A collector owns one or more rollout lanes, each an
-environment with its own rng, noise windows and episode state. It
-snapshots the scoring model and steps its lanes in lockstep: every step
-scores the lanes of equal size with one pass of each net, and solves the
-unit-demand LP lanes with one stacked matching, while each lane draws its
-own correlated exploration noise and steps its own environment. Lanes
-emit chunks of up to N steps that carry everything the updater needs:
-the observation, the sampled score tables, the assignment, the reward
-and the terminal flag. The update rescores the sampled tables under the
-same parameters, so chunks carry no log-likelihood of their own.
-A `RolloutWorker` is the one-lane collector.
+An observation is (agent features, task features, optional pair extras,
+constraints) in every domain. A collector owns rollout lanes, each an
+environment with its own rng, noise windows and episode, and steps them
+in lockstep under one model snapshot: the lanes of equal size are scored
+with one pass of each net, matched in one stack (unit-demand LP) and
+advanced by one `step_lanes` call of their environment class. Rescue
+lanes share one lane-axis `GridState`; battle lanes step one at a time.
+Lanes emit chunks of up to N steps holding the observations, sampled
+score tables, assignments, rewards and terminal flags that the update
+rescores. A `RolloutWorker` is the one-lane collector.
 """
 from __future__ import annotations
 
@@ -29,7 +26,8 @@ from ..battle import (
     step_battle,
 )
 from ..nets import ScoringModel, score_pair_stack
-from ..rescue import RescueConfig, build_constraints, extract_features, spawn
+from ..rescue import (STEP_REWARD, RescueConfig, RescueError, build_constraints,
+                      extract_features, spawn, stack_lanes)
 from ..rescue import step as rescue_step
 from .config import A2CConfig, LearnError
 from .noise import NoiseWindows
@@ -41,41 +39,50 @@ class Observation:
     task_feats: np.ndarray
     pair_extras: np.ndarray | None
     cons: ConstraintSet
-    entities: list  # [(kind, features)] for the critic
 
 
 class RescueMetaEnv:
-    """Rescue episode as a meta-environment (one assignment per step)."""
+    """One rescue lane (one assignment per step): row `lane` of the
+    GridState `state` it shares with the lanes it steps with. Its
+    ConstraintSet `cons` is rebuilt only when a pick-up changes u."""
 
     num_kinds = 2
     feature_dim = 3  # victims carry the widest feature vector
 
     def __init__(self, config: RescueConfig):
         self.config = config
-        self.state = None
-
-    def _observe(self) -> Observation:
-        agents, tasks = extract_features(self.state)
-        entities = [(0, row) for row in agents] + [(1, row) for row in tasks]
-        return Observation(agents, tasks, None, build_constraints(self.state), entities)
+        self.state = self.cons = None
+        self.lane = 0
 
     def reset(self, seed=None) -> Observation:
-        cfg = self.config if seed is None else replace(self.config, seed=seed)
-        self.state = spawn(cfg)
-        return self._observe()
+        spawned = spawn(self.config if seed is None else replace(self.config, seed=seed))
+        self.state = spawned if self.state is None else self.state.put(self.lane, spawned)
+        agents, tasks = extract_features(spawned)
+        self.cons = build_constraints(spawned)
+        return Observation(agents[0], tasks[0], None, self.cons)
 
-    def step(self, assignment: Assignment):
-        self.state, reward, done = rescue_step(
-            self.state, assignment, self.config.max_steps)
-        return self._observe(), reward, done
-
-    @property
-    def n(self):
-        return self.config.n
-
-    @property
-    def m(self):
-        return self.config.m
+    @staticmethod
+    def step_lanes(envs, assignments) -> list:
+        """Advance lanes of equal (n, m) by one `rescue.step` on the state
+        they share; returns (observation, reward, done) per lane."""
+        state = envs[0].state
+        if any(env.state is not state for env in envs):  # first step together
+            if len({(env.config.grid_size, env.config.max_steps) for env in envs}) > 1:
+                raise RescueError("lanes stepped together need one grid size and step cap")
+            state = stack_lanes([(env.state, env.lane) for env in envs])
+            for k, env in enumerate(envs):
+                env.state, env.lane = state, k
+        rows = [env.lane for env in envs]
+        lanes = None if rows == list(range(len(state.step_count))) else np.array(rows)
+        done, gained = rescue_step(state, np.array([a.target for a in assignments]),
+                                   envs[0].config.max_steps, lanes)
+        agents, tasks = extract_features(state, lanes)
+        out = []
+        for k, (env, new, end) in enumerate(zip(envs, gained.tolist(), done.tolist())):
+            if new:
+                env.cons = build_constraints(state, env.lane)
+            out.append((Observation(agents[k], tasks[k], None, env.cons), STEP_REWARD, end))
+        return out
 
 
 class BattleMetaEnv:
@@ -90,9 +97,7 @@ class BattleMetaEnv:
 
     def _observe(self) -> Observation:
         agents, tasks, extras = extract_battle_features(self.state)
-        entities = [(0, row) for row in agents] + [(1, row) for row in tasks]
-        return Observation(agents, tasks, extras,
-                           build_battle_constraints(self.state), entities)
+        return Observation(agents, tasks, extras, build_battle_constraints(self.state))
 
     def reset(self, seed=None) -> Observation:
         cfg = self.config if seed is None else replace(self.config, seed=seed)
@@ -103,13 +108,10 @@ class BattleMetaEnv:
         reward, done, _ = step_battle(self.state, assignment)
         return self._observe(), reward, done
 
-    @property
-    def n(self):
-        return len(self.config.ours)
-
-    @property
-    def m(self):
-        return len(self.config.theirs)
+    @staticmethod
+    def step_lanes(envs, assignments) -> list:
+        """Advance each lane on its own; (observation, reward, done) per lane."""
+        return [env.step(assignment) for env, assignment in zip(envs, assignments)]
 
 
 def gaussian_loglik(sample: np.ndarray, mean: np.ndarray, variance: float) -> float:
@@ -132,7 +134,7 @@ class StepRecord:
 @dataclass
 class Chunk:
     steps: list
-    bootstrap_entities: list | None  # state after the last step
+    bootstrap: Observation | None  # the state after the last step
     terminal_tail: bool
 
     def __len__(self):
@@ -210,22 +212,25 @@ class RolloutLanes:
         return list(zip(sampled_h, sampled_g, assignments))
 
     def _step(self, lanes) -> list:
-        """One lockstep step of `lanes`; returns their records in order."""
+        """One lockstep step of `lanes`; returns their records in order.
+
+        The lanes of each observation shape are scored together and then
+        advanced by one `step_lanes` call of their environment class."""
         groups = {}
         for k in lanes:
             obs = self.obs[k]
             groups.setdefault((obs.agent_feats.shape, obs.task_feats.shape), []).append(k)
-        scored = {}
+        records = {}
         for group in groups.values():
-            scored.update(zip(group, self._score_group(group)))
-        records = []
-        for k in lanes:
-            sampled_h, sampled_g, assignment = scored[k]
-            next_obs, reward, done = self.envs[k].step(assignment)
-            records.append(StepRecord(self.obs[k], sampled_h, sampled_g,
-                                      assignment, reward, done))
-            self.obs[k] = next_obs
-        return records
+            scored = self._score_group(group)
+            envs = [self.envs[k] for k in group]
+            stepped = type(envs[0]).step_lanes(envs, [a for _, _, a in scored])
+            for k, (sampled_h, sampled_g, assignment), (next_obs, reward, done) in zip(
+                    group, scored, stepped):
+                records[k] = StepRecord(self.obs[k], sampled_h, sampled_g,
+                                        assignment, reward, done)
+                self.obs[k] = next_obs
+        return [records[k] for k in lanes]
 
     def collect_round(self, count: int | None = None) -> list:
         """One chunk from each of the first `count` lanes (all by default)."""
@@ -248,7 +253,7 @@ class RolloutLanes:
                 self.obs[k] = None  # the next round starts a fresh episode
                 chunks.append(Chunk(steps[k], None, True))
             else:
-                chunks.append(Chunk(steps[k], self.obs[k].entities, False))
+                chunks.append(Chunk(steps[k], self.obs[k], False))
         return chunks
 
 

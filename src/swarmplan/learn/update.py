@@ -15,9 +15,10 @@ finite-difference tests check.
 
 An update is one batched pass over the whole batch: every step's
 agent-task pair rows go through h_net together (task-task rows through
-g_net when the steps sampled g), and every step's critic entities, plus
-the bootstrap entities of non-terminal chunks, go through the critic
-together with a segment mean per state. The targets come from that
+g_net when the steps sampled g), and the critic rows of every step's
+observation, plus the bootstrap observations of non-terminal chunks,
+built from their feature arrays, go through the critic together with a
+segment mean per state. The targets come from that
 forward pass, and each net then runs one backward pass. Batched sums
 round differently from per-step sums, so results agree with a per-step
 loop to rounding, not bit for bit. `frozen_objective` stays a per-step
@@ -26,13 +27,14 @@ loop: it is the independent reference for the gradient checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from ..nets import (
     CriticParams,
     ScoringModel,
-    critic_value,
+    critic_rows,
     critic_values,
     critic_values_backward,
     grads_to_vector,
@@ -47,14 +49,14 @@ from .rollout import Chunk, gaussian_loglik
 
 
 def _check_bootstrap(chunk: Chunk):
-    if not chunk.terminal_tail and chunk.bootstrap_entities is None:
-        raise LearnError("non-terminal chunk without bootstrap entities")
+    if not chunk.terminal_tail and chunk.bootstrap is None:
+        raise LearnError("non-terminal chunk without a bootstrap observation")
 
 
 def nstep_returns(chunk: Chunk, gamma: float, critic: CriticParams) -> list:
     """Discounted n-step returns, bootstrapped with V at the chunk tail."""
     _check_bootstrap(chunk)
-    tail = 0.0 if chunk.terminal_tail else critic_value(critic, chunk.bootstrap_entities)
+    tail = 0.0 if chunk.terminal_tail else _state_value(critic, chunk.bootstrap)
     return _discounted_returns(chunk, gamma, tail)
 
 
@@ -150,35 +152,42 @@ class _BatchPass:
     critic_cache: tuple
 
 
-def _runs(steps, key):
-    """Split `steps` into maximal runs of consecutive steps with equal key."""
-    runs = []
-    for step in steps:
-        if runs and key(runs[-1][0]) == key(step):
-            runs[-1].append(step)
-        else:
-            runs.append([step])
-    return runs
+def _stacked_runs(items, key, rows):
+    """rows(run) of each maximal run of consecutive items with equal key,
+    stacked in item order."""
+    blocks = [rows(list(run)) for _, run in groupby(items, key)]
+    return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
 
 
 def _h_rows(model, steps):
     """h_net rows of `steps` in step order, one `_pair_inputs` call per run
     of steps with equal (n, m)."""
-    blocks = []
-    for run in _runs(steps, lambda step: step.sampled_h.shape):
+    def rows(run):
         obs = [step.obs for step in run]
         extras = None if obs[0].pair_extras is None else np.stack(
             [o.pair_extras for o in obs])
-        blocks.append(_pair_inputs(model, np.stack([o.agent_feats for o in obs]),
-                                   np.stack([o.task_feats for o in obs]), extras)[0])
-    return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+        return _pair_inputs(model, np.stack([o.agent_feats for o in obs]),
+                            np.stack([o.task_feats for o in obs]), extras)[0]
+    return _stacked_runs(steps, lambda step: step.sampled_h.shape, rows)
 
 
 def _g_rows(steps):
     """g_net rows of `steps` in step order, one call per run of equal m."""
-    blocks = [_task_pair_inputs(np.stack([step.obs.task_feats for step in run]))
-              for run in _runs(steps, lambda step: step.sampled_g.shape)]
-    return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+    return _stacked_runs(steps, lambda step: step.sampled_g.shape, lambda run: _task_pair_inputs(
+        np.stack([step.obs.task_feats for step in run])))
+
+
+def _critic_inputs(critic, observations):
+    """Critic rows of `observations` in order, one `critic_rows` call per run
+    of equal (n, m), and the entity count of each observation."""
+    X = _stacked_runs(observations, lambda obs: (obs.agent_feats.shape, obs.task_feats.shape),
+                      lambda run: critic_rows(critic, np.stack([obs.agent_feats for obs in run]),
+                                              np.stack([obs.task_feats for obs in run])))
+    return X, [obs.agent_feats.shape[0] + obs.task_feats.shape[0] for obs in observations]
+
+
+def _state_value(critic, obs) -> float:
+    return float(critic_values(critic, *_critic_inputs(critic, [obs]))[0])
 
 
 def _pair_pass(net, X, samples, step_ids, num_steps: int, sigma: float):
@@ -216,9 +225,10 @@ def _batch_forward(model: ScoringModel, critic: CriticParams, chunks,
         log_l = log_l + g_log_l
     for chunk in chunks:
         _check_bootstrap(chunk)
-    entity_lists = [step.obs.entities for step in steps] + [
-        chunk.bootstrap_entities for chunk in chunks if not chunk.terminal_tail]
-    values, critic_cache = critic_values(critic, entity_lists, with_cache=True)
+    observations = [step.obs for step in steps] + [
+        chunk.bootstrap for chunk in chunks if not chunk.terminal_tail]
+    values, critic_cache = critic_values(critic, *_critic_inputs(critic, observations),
+                                         with_cache=True)
     return _BatchPass(steps, values, log_l, policy, critic_cache)
 
 
@@ -250,7 +260,7 @@ def frozen_objective(model: ScoringModel, critic: CriticParams, chunks,
     count = 0
     for chunk, R, A in zip(chunks, frozen.returns, frozen.advantages):
         for step, r, a in zip(chunk.steps, R, A):
-            v = critic_value(critic, step.obs.entities)
+            v = _state_value(critic, step.obs)
             log_l = _step_loglik(model, step, cfg.sigma)
             total += abs(r - v) - cfg.lam * a * log_l
             count += 1

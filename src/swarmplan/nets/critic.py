@@ -5,7 +5,9 @@ MLP from its one-hot kind and zero-padded features; embeddings are mean
 pooled and a small head maps the pooled vector to a scalar value. Mean
 pooling makes the value exactly invariant to entity order and defined
 for any entity count, which is what lets one critic train across
-instance sizes.
+instance sizes. The learner builds the rows of many states from their
+feature arrays (`critic_rows`); `critic_value` takes one state as
+(kind, features) pairs.
 """
 from __future__ import annotations
 
@@ -48,36 +50,34 @@ def init_critic(num_kinds: int, feature_dim: int, seed: int = 0) -> CriticParams
     return CriticParams(embed, head, num_kinds, feature_dim)
 
 
-def _entity_matrix(params: CriticParams, entity_lists):
-    """Stack the input rows of several entity lists; also return their counts."""
-    counts = np.array([len(entities) for entities in entity_lists], dtype=int)
-    if counts.size == 0 or np.any(counts == 0):
-        raise NetError("critic_value requires at least one entity")
-    X = np.zeros((int(counts.sum()), params.num_kinds + params.feature_dim))
-    row = 0
-    for entities in entity_lists:
-        for kind, feats in entities:
-            if not 0 <= kind < params.num_kinds:
-                raise NetError(f"entity kind {kind} out of range")
-            feats = np.asarray(feats, dtype=float)
-            if feats.shape[0] > params.feature_dim:
-                raise NetError(f"entity features length {feats.shape[0]} > {params.feature_dim}")
-            X[row, kind] = 1.0
-            X[row, params.num_kinds:params.num_kinds + feats.shape[0]] = feats
-            row += 1
-    return X, counts
+def critic_rows(params: CriticParams, agent_feats, task_feats) -> np.ndarray:
+    """Input rows of S states with equal (n, m) from their (S, n, .) agent and
+    (S, m, .) task features: per state, n agent rows of kind 0, then m task
+    rows of kind 1, each a one-hot kind followed by the zero-padded features."""
+    (S, n, agent_dim), (m, task_dim) = agent_feats.shape, task_feats.shape[1:]
+    K, F = params.num_kinds, params.feature_dim
+    if max(agent_dim, task_dim) > F or K < 2:
+        raise NetError(f"critic rows need 2 kinds and {max(agent_dim, task_dim)} features")
+    X = np.zeros((S, n + m, K + F))
+    X[:, :n, 0] = X[:, n:, 1] = 1.0
+    X[:, :n, K:K + agent_dim] = agent_feats
+    X[:, n:, K:K + task_dim] = task_feats
+    return X.reshape(S * (n + m), K + F)
 
 
-def critic_values(params: CriticParams, entity_lists, with_cache: bool = False):
-    """V of each entity list from one embed pass and one head pass.
+def critic_values(params: CriticParams, X: np.ndarray, counts, with_cache: bool = False):
+    """V of several states from one embed pass and one head pass.
 
-    The rows of every list are embedded together, mean pooled per list
-    (a segment sum over row offsets divided by the counts), and the
-    pooled rows go through the head together. Returns an array with one
-    value per list; with_cache=True also returns the caches for
+    X stacks the input rows of every state, counts[k] rows for state k.
+    The rows are embedded together, mean pooled per state (a segment sum
+    over row offsets divided by the counts), and the pooled rows go
+    through the head together. Returns an array with one value per
+    state; with_cache=True also returns the caches for
     `critic_values_backward`.
     """
-    X, counts = _entity_matrix(params, entity_lists)
+    counts = np.asarray(counts, dtype=int)
+    if counts.size == 0 or counts.min() == 0:
+        raise NetError("critic_value requires at least one entity")
     emb, embed_cache = mlp_forward_batch(params.embed_net, X)
     offsets = np.cumsum(counts) - counts
     pooled = np.add.reduceat(emb, offsets, axis=0) / counts[:, None]
@@ -100,11 +100,19 @@ def critic_values_backward(params: CriticParams, cache, upstream: np.ndarray):
 
 
 def critic_value(params: CriticParams, entities, with_cache: bool = False):
-    """V = head(mean over entities of embed(kind ++ features))."""
-    if with_cache:
-        values, cache = critic_values(params, [entities], with_cache=True)
-        return float(values[0]), cache
-    return float(critic_values(params, [entities])[0])
+    """V = head(mean over entities of embed(kind ++ features)) for one
+    state given as a list of (kind, features) entities."""
+    X = np.zeros((len(entities), params.num_kinds + params.feature_dim))
+    for row, (kind, feats) in zip(X, entities):
+        if not 0 <= kind < params.num_kinds:
+            raise NetError(f"entity kind {kind} out of range")
+        feats = np.asarray(feats, dtype=float)
+        if feats.shape[0] > params.feature_dim:
+            raise NetError(f"entity features length {feats.shape[0]} > {params.feature_dim}")
+        row[kind] = 1.0
+        row[params.num_kinds:params.num_kinds + feats.shape[0]] = feats
+    values, cache = critic_values(params, X, [len(entities)], with_cache=True)
+    return (float(values[0]), cache) if with_cache else float(values[0])
 
 
 def critic_backward(params: CriticParams, cache, upstream: float = 1.0):

@@ -93,20 +93,6 @@ def mlp_backward_batch(params: MlpParams, cache, dY: np.ndarray):
     return grads, d
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray):
-    """Single-input evaluation; returns (scalar-or-vector, cache)."""
-    y, cache = mlp_forward_batch(params, np.asarray(x, dtype=float)[None, :])
-    out = y[0]
-    return (float(out[0]) if out.shape == (1,) else out), cache
-
-
-def mlp_backward(params: MlpParams, cache, upstream):
-    """Single-input backward matching mlp_forward's cache."""
-    up = np.atleast_1d(np.asarray(upstream, dtype=float))[None, :]
-    grads, dX = mlp_backward_batch(params, cache, up)
-    return grads, dX[0]
-
-
 def zero_grads(params: MlpParams):
     return [(np.zeros_like(W), np.zeros_like(b)) for W, b in params.layers]
 

@@ -4,7 +4,8 @@ Ambulances and victims live on a 16x16 grid of integer cells. Each step,
 every assigned ambulance takes one 8-connected move toward its target
 victim's cell; any victim sharing a cell with any ambulance afterwards is
 picked up, whether or not it was the target. Reward is a flat -0.01 per
-step, so episode return only encodes episode length.
+step, so episode return only encodes episode length. A `GridState` holds
+W episodes ("lanes") of equal (n, m) on a leading lane axis; one is W = 1.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..assign import Assignment, ConstraintSet, UNASSIGNED
+from ..assign import ConstraintSet, UNASSIGNED
 
 GRID_SIZE = 16
 STEP_REWARD = -0.01
@@ -37,32 +38,52 @@ class RescueConfig:
             raise RescueError("grid_size and max_steps must be positive")
 
 
-@dataclass
+@dataclass(eq=False)
 class GridState:
+    """W lanes of equal (n, m): ambulance cells (W, n, 2), victim cells
+    (W, m, 2), picked flags (W, m) and step counts (W,). The victims'
+    cell ids x * grid_size + y, which `step` compares, are fixed here."""
+
     grid_size: int
-    ambulances: list  # [(x, y)]
-    victims: list     # [(x, y, picked_up)]
-    step_count: int = 0
+    ambulances: np.ndarray
+    victims: np.ndarray
+    picked: np.ndarray
+    step_count: np.ndarray
 
     def __post_init__(self):
-        for x, y in self.ambulances:
-            if not (0 <= x < self.grid_size and 0 <= y < self.grid_size):
-                raise RescueError(f"ambulance off grid: {(x, y)}")
-        for x, y, _ in self.victims:
-            if not (0 <= x < self.grid_size and 0 <= y < self.grid_size):
-                raise RescueError(f"victim off grid: {(x, y)}")
-
-    @property
-    def n(self) -> int:
-        return len(self.ambulances)
-
-    @property
-    def m(self) -> int:
-        return len(self.victims)
+        self.ambulances, self.victims, self.step_count = (
+            np.array(a, dtype=np.int64) for a in (self.ambulances, self.victims, self.step_count))
+        self.picked = np.array(self.picked, dtype=bool)
+        for kind, cells in (("ambulance", self.ambulances), ("victim", self.victims)):
+            if cells.size and (cells.min() < 0 or cells.max() >= self.grid_size):
+                raise RescueError(f"{kind} off grid")
+        self.id_weights = np.array([self.grid_size, 1])  # cells @ id_weights = cell ids
+        self.victim_ids = self.victims @ self.id_weights
 
     @property
     def all_picked(self) -> bool:
-        return all(p for _, _, p in self.victims)
+        """Every victim of every lane is picked up."""
+        return bool(self.picked.all())
+
+    def cells(self):
+        """(ambulances, victims, picked) of a one-lane state, as lists."""
+        if len(self.step_count) != 1:
+            raise RescueError("expected a one-lane state")
+        return self.ambulances[0].tolist(), self.victims[0].tolist(), self.picked[0].tolist()
+
+    def put(self, k: int, lane: "GridState") -> "GridState":
+        """Overwrite lane k with the only lane of `lane`; returns self."""
+        for name in ("ambulances", "victims", "picked", "step_count", "victim_ids"):
+            getattr(self, name)[k] = getattr(lane, name)[0]
+        return self
+
+
+def stack_lanes(parts) -> GridState:
+    """One GridState holding lane k of `state` for each (state, k) in `parts`;
+    the states share one grid size."""
+    return GridState(parts[0][0].grid_size, *(
+        np.concatenate([getattr(state, name)[k:k + 1] for state, k in parts])
+        for name in ("ambulances", "victims", "picked", "step_count")))
 
 
 def chebyshev(a, b) -> int:
@@ -70,71 +91,62 @@ def chebyshev(a, b) -> int:
 
 
 def spawn(config: RescueConfig) -> GridState:
-    """All entities i.i.d. uniform over the grid cells; overlaps allowed."""
+    """One lane; all entities i.i.d. uniform over the grid cells; overlaps allowed."""
     rng = np.random.default_rng(config.seed)
     cells = rng.integers(0, config.grid_size, size=(config.n + config.m, 2))
-    ambulances = [(int(x), int(y)) for x, y in cells[:config.n]]
-    victims = [(int(x), int(y), False) for x, y in cells[config.n:]]
-    return GridState(config.grid_size, ambulances, victims)
+    return GridState(config.grid_size, cells[None, :config.n], cells[None, config.n:],
+                     np.zeros((1, config.m), dtype=bool), np.zeros(1))
 
 
-def low_level_move(agent_pos, target_pos):
-    """One king-move toward the target: (sign(dx), sign(dy))."""
-    return (int(np.sign(target_pos[0] - agent_pos[0])),
-            int(np.sign(target_pos[1] - agent_pos[1])))
+def step(state: GridState, targets, max_steps: int = 400, lanes=None):
+    """Advance lanes of `state` one step in place.
 
-
-def step(state: GridState, assignment: Assignment, max_steps: int = 400):
-    """Advance one step; returns (next_state, reward, done).
-
-    Unassigned ambulances stay put. Targeting a picked-up victim is
-    legal; the ambulance walks there to no effect.
+    `lanes` indexes the lanes to step (all by default); `targets` holds
+    their (L, n) victim indices or UNASSIGNED, which stays put. Targeting
+    a picked-up victim is legal, to no effect. A victim is picked up when
+    an ambulance is on its cell before or after the move: "before" only
+    matters on a lane's first step, where it sweeps up the victims spawned
+    under an ambulance at no travel cost. Every step pays STEP_REWARD.
+    Returns (done, gained) per stepped lane: episode over, and a pick-up.
     """
-    if assignment.target.shape[0] != state.n:
-        raise RescueError(
-            f"assignment covers {assignment.target.shape[0]} agents, state has {state.n}"
-        )
-    # A victim spawned on an ambulance's cell is already reached; sweep
-    # it up on the first step so it costs no travel time.
-    victims = state.victims
-    if state.step_count == 0:
-        start_cells = set(state.ambulances)
-        victims = [(x, y, p or (x, y) in start_cells) for x, y, p in victims]
-    ambulances = []
-    for i, pos in enumerate(state.ambulances):
-        j = int(assignment.target[i])
-        if j == UNASSIGNED:
-            ambulances.append(pos)
-            continue
-        if not 0 <= j < state.m:
-            raise RescueError(f"ambulance {i} assigned to invalid victim {j}")
-        vx, vy, _ = state.victims[j]
-        dx, dy = low_level_move(pos, (vx, vy))
-        ambulances.append((pos[0] + dx, pos[1] + dy))
-    occupied = set(ambulances)
-    victims = [(x, y, p or (x, y) in occupied) for x, y, p in victims]
-    next_state = GridState(state.grid_size, ambulances, victims, state.step_count + 1)
-    done = next_state.all_picked or next_state.step_count >= max_steps
-    return next_state, STEP_REWARD, done
+    rows = slice(None) if lanes is None else lanes
+    amb, picked, steps = state.ambulances[rows], state.picked[rows], state.step_count[rows]
+    targets = np.asarray(targets)
+    if targets.shape != amb.shape[:2]:
+        raise RescueError(f"targets of shape {targets.shape} for ambulances {amb.shape[:2]}")
+    m = state.victims.shape[1]
+    if targets.size and (targets.min() < UNASSIGNED or targets.max() >= m):
+        raise RescueError(f"a target is outside [{UNASSIGNED}, {m})")
+    goal = state.victims[rows][np.arange(len(targets))[:, None], targets]
+    move = np.sign(goal - amb)
+    move[targets == UNASSIGNED] = 0
+    to = amb + move
+    occupied = np.concatenate([amb, to], axis=1) @ state.id_weights
+    now = picked | (state.victim_ids[rows][:, :, None] == occupied[:, None]).any(axis=2)
+    steps = steps + 1
+    gained = (now != picked).any(axis=1)
+    state.ambulances[rows], state.picked[rows], state.step_count[rows] = to, now, steps
+    return now.all(axis=1) | (steps >= max_steps), gained
 
 
-def build_constraints(state: GridState) -> ConstraintSet:
-    """Unit demand everywhere; capacity 1 per open victim, 0 once picked."""
-    mu = np.ones((state.n, state.m))
-    u = np.array([0.0 if p else 1.0 for _, _, p in state.victims])
-    return ConstraintSet(mu, u)
+def build_constraints(state: GridState, lane: int = 0) -> ConstraintSet:
+    """Lane `lane`'s polytope: unit demand everywhere; capacity 1 per open
+    victim, 0 once picked."""
+    return ConstraintSet(np.ones((state.ambulances.shape[1], state.victims.shape[1])),
+                         1.0 - state.picked[lane])
 
 
-def extract_features(state: GridState):
-    """Agent features (x, y)/extent; task features add the picked flag."""
+def extract_features(state: GridState, lanes=None):
+    """Agent features (x, y)/extent, (L, n, 2); task features add the
+    picked flag, (L, m, 3). `lanes` as in `step`."""
+    rows = slice(None) if lanes is None else lanes
     extent = state.grid_size - 1
-    agents = np.array([[x / extent, y / extent] for x, y in state.ambulances])
-    tasks = np.array([[x / extent, y / extent, float(p)] for x, y, p in state.victims])
-    return agents, tasks
+    return state.ambulances[rows] / extent, np.concatenate(
+        [state.victims[rows] / extent, state.picked[rows][..., None]], axis=2)
 
 
 def run_episode(config: RescueConfig, policy, seed=None):
-    """Roll one episode; policy: GridState -> Assignment.
+    """Roll one episode; policy: one-lane GridState -> Assignment.
 
     Returns (steps, total_reward, capped), where capped means the step
     cap ended the episode with a victim still open.
@@ -145,6 +157,6 @@ def run_episode(config: RescueConfig, policy, seed=None):
     total = 0.0
     done = False
     while not done:
-        state, reward, done = step(state, policy(state), config.max_steps)
-        total += reward
-    return state.step_count, total, not state.all_picked
+        done = step(state, policy(state).target[None], config.max_steps)[0][0]
+        total += STEP_REWARD
+    return int(state.step_count[0]), total, not state.all_picked

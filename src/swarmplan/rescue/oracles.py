@@ -22,12 +22,12 @@ MVR_MAX_TASKS = 15
 
 def closest_baseline(state: GridState) -> Assignment:
     """Each ambulance targets the nearest open victim (lowest index on ties)."""
-    target = np.full(state.n, UNASSIGNED, dtype=int)
-    open_victims = [(j, (x, y)) for j, (x, y, p) in enumerate(state.victims) if not p]
-    if open_victims:
-        for i, pos in enumerate(state.ambulances):
-            target[i] = min(open_victims, key=lambda jv: (chebyshev(pos, jv[1]), jv[0]))[0]
-    return Assignment(target)
+    ambulances, victims, picked = (np.array(cells) for cells in state.cells())
+    if picked.all():
+        return Assignment(np.full(len(ambulances), UNASSIGNED))
+    dist = np.abs(ambulances[:, None] - victims).max(axis=2)
+    dist[:, picked] = np.iinfo(dist.dtype).max
+    return Assignment(dist.argmin(axis=1))
 
 
 @dataclass
@@ -46,10 +46,12 @@ class SubsetPathTable:
 
 
 @lru_cache(maxsize=None)
-def _masks_by_popcount(m: int):
+def _layer_fills(m: int):
+    """Per popcount layer from 2 up, (v, masks of the layer holding v) for each v."""
     masks = np.arange(1, 1 << m)
     counts = np.array([bin(x).count("1") for x in masks])
-    return [masks[counts == c] for c in range(1, m + 1)]
+    layers = [masks[counts == c] for c in range(2, m + 1)]
+    return [[(v, layer[(layer >> v) & 1 == 1]) for v in range(m)] for layer in layers]
 
 
 def dp_subset_paths(victim_positions) -> SubsetPathTable:
@@ -57,6 +59,7 @@ def dp_subset_paths(victim_positions) -> SubsetPathTable:
 
     Starting at v and visiting mask is the reverse of ending at v, and
     the metric is symmetric, so one anchored table serves both readings.
+    Each (popcount layer, v) is filled by one gather-add-min.
     """
     positions = [tuple(p) for p in victim_positions]
     m = len(positions)
@@ -66,34 +69,24 @@ def dp_subset_paths(victim_positions) -> SubsetPathTable:
     table = np.full((1 << m, m), np.inf)
     for v in range(m):
         table[1 << v, v] = 0.0
-    layers = _masks_by_popcount(m)
-    for size in range(2, m + 1):
-        for mask in layers[size - 1]:
-            for v in range(m):
-                if mask & (1 << v):
-                    # leave v first, then optimally cover the rest
-                    table[mask, v] = np.min(D[v] + table[mask ^ (1 << v)])
+    for layer in _layer_fills(m):
+        for v, sel in layer:
+            # leave v first, then optimally cover the rest
+            table[sel, v] = (D[v] + table[sel ^ (1 << v)]).min(axis=1)
     return SubsetPathTable(positions, table)
 
 
 def _route_order(paths: SubsetPathTable, mask: int, start: int):
-    """Recover one optimal visiting order for (mask, start)."""
+    """Recover one optimal visiting order for (mask, start): each next victim
+    is the first whose leg plus rest-of-tour equals the table entry (the
+    entries are minima of exactly these integer-valued sums)."""
     D = paths.positions
     order = [start]
     v = start
     while mask != (1 << v):
         rest = mask ^ (1 << v)
-        best = None
-        for u in range(paths.m):
-            if rest & (1 << u):
-                cost = chebyshev(D[v], D[u]) + paths.table[rest, u]
-                if abs(cost - paths.table[mask, v]) < 1e-9:
-                    best = u
-                    break
-        if best is None:  # numeric fallback: take the argmin successor
-            cands = [(chebyshev(D[v], D[u]) + paths.table[rest, u], u)
-                     for u in range(paths.m) if rest & (1 << u)]
-            best = min(cands)[1]
+        best = next(u for u in range(paths.m) if rest & (1 << u) and abs(
+            chebyshev(D[v], D[u]) + paths.table[rest, u] - paths.table[mask, v]) < 1e-9)
         order.append(best)
         mask, v = rest, best
     return order
@@ -123,8 +116,9 @@ def mvr_exact(state: GridState) -> RoutePlan:
     makespan is a valid bound because adding victims to a set never
     shortens its tour.
     """
-    n = state.n
-    open_idx = [j for j, (_, _, p) in enumerate(state.victims) if not p]
+    ambulances, victims, picked = state.cells()
+    n = len(ambulances)
+    open_idx = [j for j, p in enumerate(picked) if not p]
     if n > MVR_MAX_AGENTS or len(open_idx) > MVR_MAX_TASKS:
         raise RescueError(
             f"instance {n}x{len(open_idx)} beyond exact-solver budget "
@@ -132,10 +126,10 @@ def mvr_exact(state: GridState) -> RoutePlan:
         )
     if not open_idx:
         return RoutePlan([[] for _ in range(n)], 0)
-    positions = [state.victims[j][:2] for j in open_idx]
+    positions = [victims[j] for j in open_idx]
     paths = dp_subset_paths(positions)
     amb_dists = [np.array([chebyshev(a, v) for v in positions], dtype=float)
-                 for a in state.ambulances]
+                 for a in ambulances]
     m = len(open_idx)
 
     # Greedy incumbent: place each victim where it grows the makespan least.
@@ -191,14 +185,13 @@ def plan_policy(plan: RoutePlan):
     """Policy executing a RoutePlan: each ambulance chases the first
     still-open victim on its route."""
     def policy(state: GridState) -> Assignment:
-        target = np.full(state.n, UNASSIGNED, dtype=int)
+        ambulances, victims, picked = state.cells()
+        target = np.full(len(ambulances), UNASSIGNED, dtype=int)
         for i, route in enumerate(plan.routes):
-            pos = state.ambulances[i]
             for j in route:
-                x, y, picked = state.victims[j]
                 # A victim under the ambulance is collected by the
                 # spawn-overlap sweep; chase the next one instead.
-                if not picked and (x, y) != pos:
+                if not picked[j] and victims[j] != ambulances[i]:
                     target[i] = j
                     break
         return Assignment(target)

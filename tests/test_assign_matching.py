@@ -55,7 +55,7 @@ def rescue_observations(n, m, episodes, steps, sigma=0.4, seed=0):
             table = score_pairs(model, obs.agent_feats, obs.task_feats)
             noisy = ScoreTable(table.h + rng.normal(0.0, np.sqrt(sigma), table.h.shape))
             yield noisy, obs.cons
-            obs, _, done = env.step(matching_assign(noisy, obs.cons))
+            [(obs, _, done)] = RescueMetaEnv.step_lanes([env], [matching_assign(noisy, obs.cons)])
             if done:
                 break
 

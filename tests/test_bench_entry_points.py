@@ -1,0 +1,68 @@
+"""The benchmark's hooks into swarmplan still resolve.
+
+`perfbench/tracing.py` wraps the entry points in `ENTRY_POINTS` by name,
+and the workloads in `perfbench/workloads.py` hook two more to time their
+operations. A renamed or moved entry point makes the runner exit 2 (a
+workload hook) or records it as absent and reads 0 for its layer (a
+traced entry point). This module imports perfbench without changing it.
+"""
+import importlib.util
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from swarmplan import learn, nets, rescue
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOAD_HOOKS = ("swarmplan.learn.train:a2c_update",
+                  "swarmplan.learn:RolloutWorker.collect_chunk")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load("tracing")
+
+
+def test_workload_hooks_are_the_known_ones():
+    source = (PERFBENCH / "workloads.py").read_text()
+    assert set(re.findall(r'_hook\(patches, "([^"]+)"', source)) == set(WORKLOAD_HOOKS)
+
+
+@pytest.mark.parametrize("spec", WORKLOAD_HOOKS)
+def test_workload_hook_resolves(tracing, spec):
+    assert tracing._resolve(spec) is not None, spec
+
+
+def test_every_traced_entry_point_resolves(tracing):
+    absent = [spec for _, spec in tracing.ENTRY_POINTS if tracing._resolve(spec) is None]
+    assert absent == []
+
+
+def test_traced_training_sees_the_rescue_layers(tracing):
+    """A traced rescue training run records the env layers it executes."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        cfg = learn.A2CConfig(n_steps=4, workers=4, batch_chunks=8)
+        learn.train(nets.init_scoring_model(2, 3, with_g=False, seed=0),
+                    nets.init_critic(2, 3, seed=1),
+                    lambda: learn.RescueMetaEnv(rescue.RescueConfig(2, 4, seed=0)),
+                    "lp", cfg, total_updates=1, seed=3)
+        tracer.active = False
+        tracer.drain()
+    finally:
+        tracer.remove()
+    for name in ("rescue.step", "rescue.extract_features", "rescue.build_constraints",
+                 "learn.a2c_grads", "learn.noise.sample"):
+        assert tracer.calls(name) > 0, name

@@ -131,9 +131,8 @@ class FixedEnv:
         rng = np.random.default_rng(self.t)
         agents = rng.normal(size=(self.n, 2))
         tasks = rng.normal(size=(self.m, 3))
-        entities = [(0, row) for row in agents] + [(1, row) for row in tasks]
         cons = ConstraintSet(np.ones((self.n, self.m)), np.ones(self.m))
-        return Observation(agents, tasks, None, cons, entities)
+        return Observation(agents, tasks, None, cons)
 
     def reset(self, seed=None):
         self.t = 0
@@ -142,6 +141,15 @@ class FixedEnv:
     def step(self, assignment):
         self.t += 1
         return self._observe(), 1.0, self.t >= self.length
+
+    @staticmethod
+    def step_lanes(envs, assignments):
+        return [env.step(assignment) for env, assignment in zip(envs, assignments)]
+
+
+def entities(obs):
+    """The (kind, features) entity list of an observation, for `critic_value`."""
+    return [(0, row) for row in obs.agent_feats] + [(1, row) for row in obs.task_feats]
 
 
 def small_cfg(**kw):
@@ -180,10 +188,10 @@ def test_chunks_never_cross_episodes():
 def test_terminal_chunk_has_no_bootstrap():
     worker, _ = make_worker(FixedEnv(length=4))
     chunk = worker.collect_chunk()
-    assert chunk.terminal_tail and chunk.bootstrap_entities is None
+    assert chunk.terminal_tail and chunk.bootstrap is None
     worker2, _ = make_worker(FixedEnv(length=9))
     chunk2 = worker2.collect_chunk()
-    assert not chunk2.terminal_tail and chunk2.bootstrap_entities is not None
+    assert not chunk2.terminal_tail and chunk2.bootstrap is not None
 
 
 def test_rollout_assignments_replay_from_sampled_tables():
@@ -222,8 +230,8 @@ def test_rescue_meta_env_round_trip():
     obs = env.reset(seed=42)
     assert env.config.seed == 0  # the episode seed does not replace the config's
     assert obs.agent_feats.shape == (2, 2) and obs.task_feats.shape == (3, 3)
-    assert len(obs.entities) == 5
-    obs2, reward, done = env.step(Assignment(np.array([0, 1])))
+    assert obs.cons.mu.shape == (2, 3)
+    [(obs2, reward, done)] = RescueMetaEnv.step_lanes([env], [Assignment(np.array([0, 1]))])
     assert reward == pytest.approx(-0.01) and not done
 
 
@@ -325,6 +333,64 @@ def test_lanes_of_different_sizes_match_one_lane_workers():
 
 
 # ---------------------------------------------------------------------------
+# critic rows
+
+
+def reference_entity_matrix(critic, entity_lists):
+    """Critic input rows of several (kind, features) entity lists, one entity
+    at a time, as the update built them before it read the feature arrays."""
+    counts = np.array([len(entities) for entities in entity_lists], dtype=int)
+    X = np.zeros((int(counts.sum()), critic.num_kinds + critic.feature_dim))
+    row = 0
+    for entities in entity_lists:
+        for kind, feats in entities:
+            feats = np.asarray(feats, dtype=float)
+            X[row, kind] = 1.0
+            X[row, critic.num_kinds:critic.num_kinds + feats.shape[0]] = feats
+            row += 1
+    return X, counts
+
+
+def _battle_chunks():
+    from swarmplan.battle import load_scenario
+    env = BattleMetaEnv(load_scenario("m5v5", seed=0))
+    obs = env.reset(seed=0)
+    model = init_scoring_model(obs.agent_feats.shape[1], obs.task_feats.shape[1],
+                               pair_extra_dim=obs.pair_extras.shape[-1], with_g=False,
+                               seed=3)
+    chunks = worker_rollout(env, model, "lp", small_cfg(), np.random.default_rng(5),
+                            num_chunks=3)
+    return chunks, init_critic(BattleMetaEnv.num_kinds, env.feature_dim, seed=6)
+
+
+CRITIC_BATCHES = {
+    "rescue-2x4": lambda: (_rescue_batch([(2, 4)] * 3)[2], None),
+    "rescue-8x15": lambda: (_rescue_batch([(8, 15)])[2], None),
+    "battle-m5v5": _battle_chunks,
+    "mixed-sizes-with-bootstrap": lambda: (_rescue_batch([(2, 4), (3, 5), (8, 15), (2, 4)])[2],
+                                           None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRITIC_BATCHES))
+def test_critic_rows_equal_entity_rows(case):
+    """The update's critic rows, built from the feature arrays one run of
+    equal (n, m) at a time, equal the entity-by-entity rows bit for bit."""
+    from swarmplan.learn.update import _critic_inputs
+    chunks, critic = CRITIC_BATCHES[case]()
+    critic = critic or init_critic(RescueMetaEnv.num_kinds, RescueMetaEnv.feature_dim, seed=2)
+    observations = [step.obs for chunk in chunks for step in chunk.steps] + [
+        chunk.bootstrap for chunk in chunks if not chunk.terminal_tail]
+    if case == "mixed-sizes-with-bootstrap":
+        assert len({obs.task_feats.shape for obs in observations}) == 3
+        assert any(not chunk.terminal_tail for chunk in chunks)
+    X, counts = _critic_inputs(critic, observations)
+    want_X, want_counts = reference_entity_matrix(critic, [entities(obs) for obs in observations])
+    assert X.shape == want_X.shape and np.array_equal(X, want_X)
+    assert list(counts) == want_counts.tolist()
+
+
+# ---------------------------------------------------------------------------
 # returns
 
 
@@ -339,34 +405,33 @@ def brute_returns(rewards, terminal_tail, tail_value, gamma):
     return out
 
 
-def _stub_chunk(rewards, terminal_tail, entities):
+def _stub_chunk(rewards, terminal_tail, agents, tasks):
     steps = []
+    obs = Observation(np.array(agents), np.array(tasks), None,
+                      ConstraintSet(np.ones((len(agents), len(tasks))), np.ones(len(tasks))))
     for t, r in enumerate(rewards):
-        obs = Observation(np.zeros((1, 1)), np.zeros((1, 1)), None,
-                          ConstraintSet(np.ones((1, 1)), np.ones(1)),
-                          entities)
         steps.append(StepRecord(obs, np.zeros((1, 1)), None,
                                 Assignment(np.array([0])), r,
                                 terminal_tail and t == len(rewards) - 1))
-    return Chunk(steps, None if terminal_tail else entities, terminal_tail)
+    return Chunk(steps, None if terminal_tail else obs, terminal_tail)
 
 
 @pytest.mark.parametrize("terminal", [True, False])
 def test_nstep_returns_match_brute_force(terminal):
     critic = init_critic(2, 3, seed=0)
-    entities = [(0, [0.1, 0.2]), (1, [0.3, -0.1, 0.5])]
     rewards = [1.0, -0.5, 2.0, 0.25]
-    chunk = _stub_chunk(rewards, terminal, entities)
+    chunk = _stub_chunk(rewards, terminal, [[0.1, 0.2]], [[0.3, -0.1, 0.5]])
     got = nstep_returns(chunk, 0.9, critic)
-    tail = 0.0 if terminal else critic_value(critic, entities)
+    tail = 0.0 if terminal else critic_value(
+        critic, [(0, [0.1, 0.2]), (1, [0.3, -0.1, 0.5])])
     expected = brute_returns(rewards, terminal, tail, 0.9)
     assert got == pytest.approx(expected)
 
 
 def test_nstep_returns_rejects_missing_bootstrap():
     critic = init_critic(2, 3, seed=0)
-    chunk = _stub_chunk([1.0], False, [(0, [0.0, 0.0])])
-    chunk.bootstrap_entities = None
+    chunk = _stub_chunk([1.0], False, [[0.0, 0.0]], [[0.0, 0.0, 0.0]])
+    chunk.bootstrap = None
     with pytest.raises(LearnError):
         nstep_returns(chunk, 0.9, critic)
 
@@ -490,7 +555,7 @@ def reference_targets(model, critic, chunks, cfg):
     for chunk in chunks:
         R = nstep_returns(chunk, cfg.gamma, critic)
         returns.append(R)
-        advantages.append([r - critic_value(critic, step.obs.entities)
+        advantages.append([r - critic_value(critic, entities(step.obs))
                            for r, step in zip(R, chunk.steps)])
     return FrozenTargets(returns, advantages)
 
@@ -505,7 +570,7 @@ def reference_grads(model, critic, chunks, cfg, frozen):
     count = 0
     for chunk, R, A in zip(chunks, frozen.returns, frozen.advantages):
         for step, r, a in zip(chunk.steps, R, A):
-            v, v_cache = critic_value(critic, step.obs.entities, with_cache=True)
+            v, v_cache = critic_value(critic, entities(step.obs), with_cache=True)
             eg, hg = critic_backward(critic, v_cache, upstream=-np.sign(r - v))
             add_grads(acc["embed"], eg)
             add_grads(acc["head"], hg)

@@ -21,9 +21,7 @@ from swarmplan.nets import (
     init_scoring_model,
     load_arrays,
     load_models,
-    mlp_backward,
     mlp_backward_batch,
-    mlp_forward,
     mlp_forward_batch,
     params_to_vector,
     save_arrays,
@@ -35,6 +33,19 @@ from swarmplan.nets import (
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
+
+
+def mlp_forward(params, x):
+    """One input through `mlp_forward_batch`: (scalar-or-vector, cache)."""
+    y, cache = mlp_forward_batch(params, np.asarray(x, dtype=float)[None, :])
+    return (float(y[0, 0]) if y.shape[1] == 1 else y[0]), cache
+
+
+def mlp_backward(params, cache, upstream):
+    """`mlp_backward_batch` for the cache of one input: (grads, dx)."""
+    grads, dX = mlp_backward_batch(params, cache,
+                                   np.atleast_1d(np.asarray(upstream, dtype=float))[None, :])
+    return grads, dX[0]
 
 
 def fd_check(params, objective, analytic_vec, rng, n_coords=60):

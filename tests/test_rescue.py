@@ -18,11 +18,11 @@ from swarmplan.rescue import (
     closest_baseline,
     dp_subset_paths,
     extract_features,
-    low_level_move,
     mvr_exact,
     plan_policy,
     run_episode,
     spawn,
+    stack_lanes,
     step,
 )
 
@@ -32,34 +32,38 @@ from swarmplan.rescue import (
 CHI2_255_P01 = 310.46
 
 
-def make_state(ambulances, victims, grid_size=16):
-    return GridState(grid_size, list(ambulances),
-                     [(x, y, False) for x, y in victims])
+def make_state(ambulances, victims, picked=None, grid_size=16):
+    """A one-lane state at step 0; no victim picked unless `picked` says so."""
+    picked = [False] * len(victims) if picked is None else picked
+    return GridState(grid_size, [list(ambulances)], [list(victims)], [picked], [0])
+
+
+def advance(state, target, max_steps=400):
+    """Step a one-lane state with `target`; returns its done flag."""
+    done, _ = step(state, np.array([target]), max_steps)
+    return bool(done[0])
 
 
 class TestSpawn:
     def test_reproducible_and_counts(self):
         cfg = RescueConfig(2, 4, seed=7)
         a, b = spawn(cfg), spawn(cfg)
-        assert a == b
-        assert a.n == 2 and a.m == 4
-        assert not any(p for _, _, p in a.victims)
+        assert a.cells() == b.cells()
+        assert a.ambulances.shape == (1, 2, 2) and a.victims.shape == (1, 4, 2)
+        assert not a.picked.any()
 
     def test_coordinates_on_grid(self):
         for s in range(50):
             st = spawn(RescueConfig(3, 5, seed=s))
-            for x, y in st.ambulances:
-                assert 0 <= x < 16 and 0 <= y < 16
-            for x, y, _ in st.victims:
+            ambulances, victims, _ = st.cells()
+            for x, y in ambulances + victims:
                 assert 0 <= x < 16 and 0 <= y < 16
 
     def test_cell_occupancy_uniform(self):
         counts = np.zeros(256)
         for s in range(5000):
-            st = spawn(RescueConfig(2, 4, seed=100000 + s))
-            for x, y in st.ambulances:
-                counts[x * 16 + y] += 1
-            for x, y, _ in st.victims:
+            ambulances, victims, _ = spawn(RescueConfig(2, 4, seed=100000 + s)).cells()
+            for x, y in ambulances + victims:
                 counts[x * 16 + y] += 1
         expected = counts.sum() / 256
         chi2 = ((counts - expected) ** 2 / expected).sum()
@@ -67,85 +71,93 @@ class TestSpawn:
 
 
 class TestLowLevelMove:
+    """The king-move rule inside `step`: one (sign(dx), sign(dy)) move."""
+
     def test_diagonal(self):
-        assert low_level_move((0, 0), (3, 5)) == (1, 1)
+        st = make_state([(0, 0)], [(3, 5)])
+        advance(st, [0])
+        assert st.cells()[0] == [[1, 1]]
 
     def test_stay(self):
-        assert low_level_move((4, 4), (4, 4)) == (0, 0)
+        st = make_state([(4, 4)], [(4, 4)])
+        advance(st, [0])
+        assert st.cells()[0] == [[4, 4]]
 
     def test_reaches_in_chebyshev_steps(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            pos = tuple(rng.integers(0, 16, 2))
-            target = tuple(rng.integers(0, 16, 2))
-            d = chebyshev(pos, target)
-            for _ in range(d):
-                dx, dy = low_level_move(pos, target)
-                pos = (pos[0] + dx, pos[1] + dy)
-            assert pos == target
+            pos = rng.integers(0, 16, 2).tolist()
+            target = rng.integers(0, 16, 2).tolist()
+            st = make_state([pos], [target])
+            for _ in range(chebyshev(pos, target)):
+                assert not st.picked[0, 0]
+                advance(st, [0])
+            assert st.cells()[0] == [target]
 
 
 class TestStep:
     def test_arrival_pickup(self):
         st = make_state([(0, 1)], [(0, 2)])
-        nxt, reward, done = step(st, Assignment(np.array([0])))
-        assert nxt.ambulances == [(0, 2)]
-        assert nxt.victims[0][2]
-        assert reward == -0.01
-        assert done
+        done, gained = step(st, np.array([[0]]))
+        assert st.cells() == ([[0, 2]], [[0, 2]], [True])
+        assert done.tolist() == [True] and gained.tolist() == [True]
 
     def test_contingent_pickup(self):
         # Ambulance assigned to the far victim passes over the near one.
         st = make_state([(0, 0)], [(0, 1), (0, 2)])
-        nxt, _, done = step(st, Assignment(np.array([1])))
-        assert nxt.victims[0][2]  # swept en route
-        assert not nxt.victims[1][2]
+        done = advance(st, [1])
+        assert st.picked.tolist() == [[True, False]]  # swept en route
         assert not done
 
     def test_two_leg_episode_length(self):
         cfg = RescueConfig(1, 2, seed=0)
         st = make_state([(0, 0)], [(0, 3), (0, 5)])
-        total = 0.0
         steps = 0
         done = False
         while not done:
-            j = 0 if not st.victims[0][2] else 1
-            st, r, done = step(st, Assignment(np.array([j])), cfg.max_steps)
-            total += r
+            j = 0 if not st.picked[0, 0] else 1
+            done = advance(st, [j], cfg.max_steps)
             steps += 1
-        assert steps == 5
-        assert abs(total + 0.05) < 1e-12
+        assert steps == 5 and st.step_count.tolist() == [5]
 
     def test_unassigned_stays(self):
         st = make_state([(3, 3)], [(0, 0)])
-        nxt, _, _ = step(st, Assignment(np.array([UNASSIGNED])))
-        assert nxt.ambulances == [(3, 3)]
+        advance(st, [UNASSIGNED])
+        assert st.cells()[0] == [[3, 3]]
 
     def test_target_picked_victim_is_legal(self):
-        st = GridState(16, [(5, 5)], [(0, 0, True), (9, 9, False)])
-        nxt, _, done = step(st, Assignment(np.array([0])))
-        assert nxt.ambulances == [(4, 4)]
-        assert not done
+        st = make_state([(5, 5)], [(0, 0), (9, 9)], picked=[True, False])
+        done, gained = step(st, np.array([[0]]))
+        assert st.cells()[0] == [[4, 4]]
+        assert not done[0] and not gained[0]
 
     def test_invalid_index_raises(self):
         st = make_state([(0, 0)], [(1, 1)])
         with pytest.raises(RescueError):
-            step(st, Assignment(np.array([5])))
+            step(st, np.array([[5]]))
         with pytest.raises(RescueError):
-            step(st, Assignment(np.array([0, 0])))
+            step(st, np.array([[-2]]))
+        with pytest.raises(RescueError):
+            step(st, np.array([[0, 0]]))
+
+    def test_off_grid_state_raises(self):
+        with pytest.raises(RescueError):
+            make_state([(0, 16)], [(1, 1)])
+        with pytest.raises(RescueError):
+            make_state([(0, 0)], [(-1, 1)])
 
     def test_spawn_overlap_swept_first_step(self):
         st = make_state([(2, 2)], [(2, 2), (9, 9)])
-        nxt, _, _ = step(st, Assignment(np.array([1])))
-        assert nxt.victims[0][2]
-        assert nxt.ambulances == [(3, 3)]
+        assert not st.picked.any()  # shown open until the first step
+        advance(st, [1])
+        assert st.cells() == ([[3, 3]], [[2, 2], [9, 9]], [True, False])
 
     def test_max_steps_cap(self):
         st = make_state([(0, 0)], [(15, 15)])
         done = False
         while not done:
-            st, _, done = step(st, Assignment(np.array([UNASSIGNED])), max_steps=3)
-        assert st.step_count == 3
+            done = advance(st, [UNASSIGNED], max_steps=3)
+        assert st.step_count.tolist() == [3]
         assert not st.all_picked
         idle = lambda state: Assignment(np.array([UNASSIGNED]))
         steps, total, capped = run_episode(RescueConfig(1, 1, seed=0, max_steps=3), idle)
@@ -153,13 +165,35 @@ class TestStep:
 
     def test_picked_flags_monotone(self):
         st = spawn(RescueConfig(2, 4, seed=3))
-        prev_picked = [False] * st.m
+        prev_picked = st.picked.copy()
         done = False
         while not done:
-            st, _, done = step(st, closest_baseline(st))
-            picked = [p for _, _, p in st.victims]
-            assert all(q or not p for p, q in zip(prev_picked, picked))
-            prev_picked = picked
+            done = advance(st, closest_baseline(st).target)
+            assert np.all(st.picked | ~prev_picked)
+            prev_picked = st.picked.copy()
+
+    def test_lanes_step_like_single_episodes(self):
+        """A subset of the lanes of a stacked state steps exactly as each
+        lane would on its own; the other lanes do not move."""
+        configs = [RescueConfig(3, 5, seed=s) for s in range(4)]
+        singles = [spawn(cfg) for cfg in configs]
+        stacked = stack_lanes([(state, 0) for state in singles])
+        rng = np.random.default_rng(8)
+        for t in range(12):
+            lanes = np.array([0, 1, 2, 3]) if t % 3 else np.array([1, 3])
+            targets = rng.integers(-1, 5, size=(len(lanes), 3))
+            done, gained = step(stacked, targets, max_steps=10, lanes=lanes)
+            for k, lane in enumerate(lanes):
+                single_done, single_gained = step(singles[lane], targets[k:k + 1], 10)
+                assert (done[k], gained[k]) == (single_done[0], single_gained[0])
+            for lane, single in enumerate(singles):
+                assert stack_lanes([(stacked, lane)]).cells() == single.cells()
+                assert stacked.step_count[lane] == single.step_count[0]
+            agents, tasks = extract_features(stacked, lanes)
+            for k, lane in enumerate(lanes):
+                one_agents, one_tasks = extract_features(singles[lane])
+                assert np.array_equal(agents[k], one_agents[0])
+                assert np.array_equal(tasks[k], one_tasks[0])
 
 
 class TestConstraintsAndFeatures:
@@ -170,14 +204,14 @@ class TestConstraintsAndFeatures:
         np.testing.assert_array_equal(cons.u, np.ones(4))
 
     def test_picked_victim_zero_capacity(self):
-        st = GridState(16, [(0, 0)], [(1, 1, True), (2, 2, False)])
+        st = make_state([(0, 0)], [(1, 1), (2, 2)], picked=[True, False])
         np.testing.assert_array_equal(build_constraints(st).u, [0.0, 1.0])
 
     def test_features(self):
-        st = GridState(16, [(15, 0)], [(3, 3, True)])
+        st = make_state([(15, 0)], [(3, 3)], picked=[True])
         agents, tasks = extract_features(st)
-        np.testing.assert_allclose(agents, [[1.0, 0.0]])
-        np.testing.assert_allclose(tasks, [[0.2, 0.2, 1.0]])
+        np.testing.assert_allclose(agents, [[[1.0, 0.0]]])
+        np.testing.assert_allclose(tasks, [[[0.2, 0.2, 1.0]]])
 
 
 class TestEpisodes:
@@ -206,11 +240,11 @@ class TestClosestBaseline:
         assert closest_baseline(st).target[0] == 0
 
     def test_ignores_picked(self):
-        st = GridState(16, [(0, 0)], [(0, 1, True), (5, 5, False)])
+        st = make_state([(0, 0)], [(0, 1), (5, 5)], picked=[True, False])
         assert closest_baseline(st).target[0] == 1
 
     def test_all_picked_unassigned(self):
-        st = GridState(16, [(0, 0)], [(0, 1, True)])
+        st = make_state([(0, 0)], [(0, 1)], picked=[True])
         assert closest_baseline(st).target[0] == UNASSIGNED
 
 
@@ -248,7 +282,35 @@ def brute_mvr(ambulances, victims):
     return best
 
 
+def reference_subset_table(positions):
+    """The Held-Karp table filled one (mask, v) entry at a time, as
+    `dp_subset_paths` did before it filled whole popcount layers."""
+    m = len(positions)
+    D = np.array([[chebyshev(a, b) for b in positions] for a in positions], dtype=float)
+    table = np.full((1 << m, m), np.inf)
+    for v in range(m):
+        table[1 << v, v] = 0.0
+    masks = np.arange(1, 1 << m)
+    counts = np.array([bin(x).count("1") for x in masks])
+    for size in range(2, m + 1):
+        for mask in masks[counts == size]:
+            for v in range(m):
+                if mask & (1 << v):
+                    table[mask, v] = np.min(D[v] + table[mask ^ (1 << v)])
+    return table
+
+
 class TestSubsetPaths:
+    @pytest.mark.parametrize("m", range(1, 16))
+    def test_table_equals_entrywise_reference(self, m):
+        rng = np.random.default_rng(100 + m)
+        positions = [tuple(int(c) for c in rng.integers(0, 16, 2)) for _ in range(m)]
+        if m > 2:  # coincident victims: a repeated cell and a tight cluster
+            positions[1] = positions[0]
+            positions[2] = (positions[0][0], min(positions[0][1] + 1, 15))
+        paths = dp_subset_paths(positions)
+        assert np.array_equal(paths.table, reference_subset_table(positions))
+
     def test_line_sweep(self):
         paths = dp_subset_paths([(0, 0), (3, 0), (5, 0)])
         full = (1 << 3) - 1
@@ -300,7 +362,7 @@ class TestMvrExact:
             st = spawn(RescueConfig(2, 4, seed=s))
             plan = mvr_exact(st)
             flat = sorted(j for r in plan.routes for j in r)
-            assert flat == list(range(st.m))
+            assert flat == list(range(4))
 
     def test_matches_partition_oracle(self):
         rng = np.random.default_rng(19)
@@ -328,7 +390,7 @@ class TestMvrExact:
             assert length == max(plan.makespan, 1)
 
     def test_skips_picked_victims(self):
-        st = GridState(16, [(0, 0)], [(5, 5, True), (0, 2, False)])
+        st = make_state([(0, 0)], [(5, 5), (0, 2)], picked=[True, False])
         plan = mvr_exact(st)
         assert plan.makespan == 2
         assert plan.routes == [[1]]
