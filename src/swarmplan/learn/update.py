@@ -173,8 +173,8 @@ def _h_rows(model, steps):
 
 def _g_rows(steps):
     """g_net rows of `steps` in step order, one call per run of equal m."""
-    return _stacked_runs(steps, lambda step: step.sampled_g.shape, lambda run: _task_pair_inputs(
-        np.stack([step.obs.task_feats for step in run])))
+    return _stacked_runs(steps, lambda step: step.sampled_g.shape, lambda run:
+                         _task_pair_inputs(np.stack([step.obs.task_feats for step in run])))
 
 
 def _critic_inputs(critic, observations):
