@@ -11,6 +11,10 @@ rounding must reproduce them exactly.
 Instances: 100 random ones (general mu, row-constant mu, half-integer
 scores that tie, tasks with zero capacity), two m80v82 spawn states and
 one m15v16 spawn state scored by the seed-0 random model with a g net.
+On every instance, `round_quad` of the `quad_relax_solve` iterate, and the
+`quad` procedure, must also give the same targets as `round_quad` of
+`reference_quad`, a plain Frank-Wolfe loop that stops only on the gap
+tolerance or the iteration cap.
 The digests do not depend on the BLAS thread count: the last test runs
 the criterion-9 decision once with one OpenBLAS thread and once with the
 default, each in its own process, and requires the same output.
@@ -32,12 +36,17 @@ import pytest
 import swarmplan
 from swarmplan.assign import (
     ConstraintSet,
+    FwConfig,
     RelaxedAssignment,
     ScoreTable,
+    fw_line_search,
+    get_procedure,
     greedy_round,
+    objective_value,
     quad_relax_solve,
     round_quad,
 )
+from swarmplan.assign.core import _lp_solver
 from swarmplan.assign.simplex import PolytopeLp
 from swarmplan.battle import (
     build_battle_constraints,
@@ -107,6 +116,29 @@ def instance_digest(scores: ScoreTable, cons: ConstraintSet) -> str:
     return digest.hexdigest()
 
 
+def reference_quad(scores: ScoreTable, cons: ConstraintSet) -> RelaxedAssignment:
+    """Frank-Wolfe from beta = 0 that stops only when the FW gap falls
+    below the relative gap tolerance, on a zero step, or at the iteration
+    cap: the reference for `quad_relax_solve`'s rounded targets."""
+    cfg = FwConfig()
+    beta = np.zeros((scores.n, scores.m))
+    g_sym = scores.g + scores.g.T
+    lp = _lp_solver(cons)
+    for _ in range(cfg.max_iters):
+        r = beta.sum(axis=0)
+        grad = scores.h + (g_sym @ r)[None, :]
+        vertex = RelaxedAssignment(lp.solve(grad))
+        gap = float(np.sum(grad * (vertex.beta - beta)))
+        obj = objective_value(RelaxedAssignment(beta), scores)
+        if gap <= cfg.gap_tol * (1.0 + abs(obj)):
+            break
+        gamma = fw_line_search(RelaxedAssignment(beta), vertex, scores)
+        if gamma == 0.0:
+            break
+        beta = beta + gamma * (vertex.beta - beta)
+    return RelaxedAssignment(np.clip(beta, 0.0, 1.0))
+
+
 CASES = dict(golden_cases())
 
 
@@ -122,6 +154,15 @@ def test_fixture_covers_every_case(golden):
 @pytest.mark.parametrize("key", list(CASES))
 def test_golden_digest(golden, key):
     assert instance_digest(*CASES[key]()) == golden[key]
+
+
+@pytest.mark.parametrize("key", list(CASES))
+def test_round_quad_equals_reference(key):
+    scores, cons = CASES[key]()
+    want = round_quad(reference_quad(scores, cons), scores, cons).target
+    np.testing.assert_array_equal(
+        round_quad(quad_relax_solve(scores, cons), scores, cons).target, want)
+    np.testing.assert_array_equal(get_procedure("quad")(scores, cons).target, want)
 
 
 # The criterion-9 decision (m80v82 seed 0, seed-0 random model, quad),
