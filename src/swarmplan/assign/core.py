@@ -112,19 +112,9 @@ def _relaxed_lp(weights: np.ndarray, cons: ConstraintSet) -> RelaxedAssignment:
 
 
 def unit_demand(cons: ConstraintSet) -> bool:
-    """True iff every mu is 1 and every capacity is a whole number.
-
-    The polytope is then a bipartite b-matching polytope: totally
-    unimodular, so its LP optimum is an integral matching.
-    """
-    return bool(_unit_lanes(cons.mu, cons.u))
-
-
-def _unit_lanes(mu, u):
-    """`unit_demand` of each lane of a stack, mu (L, n, m) and u (L, m),
-    as a bool array of shape (L,); one lane without the L axis gives a
-    0-d array."""
-    return (mu == 1.0).all(axis=(-2, -1)) & (u == np.floor(u)).all(axis=-1)
+    """True iff every mu is 1 and every capacity is a whole number
+    (`ConstraintSet.unit_demand`)."""
+    return cons.unit_demand
 
 
 def _augment(cost, row_dual, col_dual, row4col, col4row, start):

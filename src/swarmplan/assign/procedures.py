@@ -6,7 +6,6 @@ import numpy as np
 from .core import (
     _check_dims,
     _match_lanes,
-    _unit_lanes,
     amax_assign,
     greedy_round,
     lp_relax_solve,
@@ -46,21 +45,20 @@ def infer_stack(name: str, h, g, cons) -> list:
 
     h is (L, n, m) and g (L, m, m) or None, all finite; cons holds the L
     ConstraintSets. Returns one Assignment per lane, the one the procedure
-    gives for that lane alone. The LP procedure tests unit demand once on
-    the stacked mu and u, and solves its unit-demand lanes with one
-    stacked `matching_assign`.
+    gives for that lane alone. The LP procedure reads each set's cached
+    unit-demand flag and solves its unit-demand lanes with one stacked
+    `matching_assign`.
     """
     procedure = get_procedure(name)
     out = [None] * len(cons)
     if procedure is infer_lp:
-        u = np.array([lane.u for lane in cons])
-        unit = _unit_lanes(np.array([lane.mu for lane in cons]), u).nonzero()[0]
-        if unit.size == len(cons):
-            targets = _match_lanes(h, u)
-        else:  # a mixed stack: match its unit-demand lanes only
-            targets = _match_lanes(h[unit], u[unit]) if unit.size else []
-        for k, target in zip(unit.tolist(), targets):
-            out[k] = Assignment(target)
+        unit = [k for k, lane in enumerate(cons) if lane.unit_demand]
+        if unit:
+            u = np.array([cons[k].u for k in unit])
+            # a mixed stack matches its unit-demand lanes only
+            lanes = h if len(unit) == len(cons) else h[unit]
+            for k, target in zip(unit, _match_lanes(lanes, u)):
+                out[k] = Assignment(target)
     for k, lane in enumerate(cons):
         if out[k] is None:
             out[k] = procedure(ScoreTable(h[k], None if g is None else g[k]), lane)

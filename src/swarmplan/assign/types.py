@@ -6,6 +6,7 @@ as immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,17 @@ class ConstraintSet:
     @property
     def m(self) -> int:
         return self.mu.shape[1]
+
+    @cached_property
+    def unit_demand(self) -> bool:
+        """True iff every mu is 1 and every capacity is a whole number.
+
+        The polytope is then a bipartite b-matching polytope: totally
+        unimodular, so its LP optimum is an integral matching. Tested on
+        first use and kept: a set is an immutable value, and a rescue lane
+        hands the same set to every step until a pick-up.
+        """
+        return bool((self.mu == 1.0).all() and (self.u == np.floor(self.u)).all())
 
 
 @dataclass

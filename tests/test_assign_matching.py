@@ -66,6 +66,11 @@ class TestUnitDemand:
         assert not unit_demand(ConstraintSet(np.ones((2, 3)), [0.0, 1.5, 5.0]))
         assert not unit_demand(ConstraintSet([[1.0, 2.0], [1.0, 1.0]], [1.0, 1.0]))
 
+    def test_tested_once_per_set_on_first_use(self):
+        cons = ConstraintSet(np.ones((2, 3)), [0.0, 1.0, 5.0])
+        assert "unit_demand" not in vars(cons)  # a set that never asks pays nothing
+        assert unit_demand(cons) and vars(cons)["unit_demand"] is True
+
     def test_rejects_other_polytopes(self):
         scores = ScoreTable(np.ones((2, 2)))
         with pytest.raises(AssignError):
