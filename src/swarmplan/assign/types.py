@@ -156,7 +156,9 @@ class FwConfig:
     """Frank-Wolfe iteration budget and duality-gap threshold.
 
     gap_tol is relative: the loop stops when the FW gap falls below
-    gap_tol * (1 + |objective|).
+    gap_tol * (1 + |objective|). max_iters caps the iterations. The third
+    stop rule, on a settled objective, has no setting: see
+    `quad_relax_solve`.
     """
 
     max_iters: int = 50
