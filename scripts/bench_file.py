@@ -10,6 +10,12 @@ run's end-to-end metrics, their median and quartiles, the failed and
 attempted operation counts, and the per-layer numbers of the traced run,
 together with the seeds, the run length and the BLAS thread count.
 
+It also records the Frank-Wolfe counters of the `battle-80v82-quad`
+workload, which perfbench's traced spans do not see: for the workload's
+32 spawn states of the first seed, the median iteration count and the
+shares of solves stopped by the settle rule and by the iteration cap,
+from `quad_relax_solve(stats=...)` in a process of each checkout.
+
 With `--baseline DIR` (another checkout, such as the parent commit) the
 same runs are made on DIR too, in pairs that alternate which side runs
 first, because the host's speed drifts over minutes. The file then also
@@ -17,6 +23,7 @@ records, per metric, how many pairs the checkout under test won.
 """
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -27,6 +34,31 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("rescue-train-2x4", "battle-80v82-quad", "battle-80v82-wcnok",
              "rescue-eval-8x15")
 BETTER = {"work_per_s": max, "op_tail_ms": min, "setup_s": min}
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Run in a checkout with its own sources and workloads; argv[1] is the seed.
+# A solver without the settle rule reports no `settled`.
+FW_COUNTERS = """
+import json, statistics, sys
+sys.path[:0] = ["src", "perfbench"]
+from workloads import QuadWorkload
+from swarmplan import assign, battle, nets
+work = QuadWorkload(int(sys.argv[1]), None)
+work.setup()
+solves = []
+for state in work.states:
+    agents, tasks, extras = battle.extract_battle_features(state)
+    table = nets.score_pairs(work.model, agents, tasks, pair_extras=extras)
+    stats = {}
+    assign.quad_relax_solve(table, battle.build_battle_constraints(state), stats=stats)
+    solves.append(stats)
+print(json.dumps({
+    "states": len(solves),
+    "iters_p50": statistics.median(s["iters"] for s in solves),
+    "settled_share": statistics.fmean(s.get("settled", False) for s in solves),
+    "cap_hit_share": statistics.fmean(s["hit_cap"] for s in solves),
+}))
+"""
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -39,6 +71,17 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
                            f"{proc.stderr[-2000:]}")
     path = checkout / ".perfbench" / f"{workload}-seed{seed}-trace{trace}.json"
     return json.loads(path.read_text())
+
+
+def fw_counters(checkout: Path, seed: int) -> dict:
+    """Frank-Wolfe counters of the quad workload's states in `checkout`."""
+    env = {**os.environ, **{var: "1" for var in BLAS_VARS}}
+    proc = subprocess.run([sys.executable, "-c", FW_COUNTERS, str(seed)], cwd=checkout,
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"FW counters in {checkout} exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    return {"seed": seed, **json.loads(proc.stdout)}
 
 
 def summarize(values) -> dict:
@@ -94,6 +137,8 @@ def main(argv=None) -> int:
     out = {"label": args.label, "commit": commit, "seeds": args.seeds,
            "seconds": args.seconds, "sides": list(sides), "workloads": {}}
     started = time.time()
+    out["fw_counters"] = {name: fw_counters(sides[name], args.seeds[0]) for name in sides}
+    print(f"battle-80v82-quad FW counters: {out['fw_counters']}", flush=True)
     for workload in WORKLOADS:
         records = {name: [] for name in sides}
         for i, seed in enumerate(args.seeds):
