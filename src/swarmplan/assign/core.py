@@ -19,11 +19,11 @@ relative FW gap falls below `FwConfig.gap_tol`; the objective has
 settled (reported as `settled`): it rose by at most SETTLE_RISE of
 1 + |objective| over the last SETTLE_PERIOD steps; or
 `FwConfig.max_iters` iterations. Plain FW zig-zags between vertices of
-the optimal face and rarely meets the gap tolerance at 80v82, so without
-the settle rule every decision there ran to the cap of 50. The bound is
-on the objective, not on the rounded decision: with a trained g, the
-rounding of the iterate can hold for 20 steps while the objective still
-climbs, and then jump to a better vertex.
+the optimal face and rarely meets the gap tolerance at 80v82, where
+decisions used to run to the cap of 50. The rule watches the objective,
+not the rounded decision: with a trained g, the rounding of the iterate
+can hold for 20 steps while the objective still climbs, and then jump
+to a better vertex.
 
 Conventions shared by every operation:
   * tie-breaks are deterministic (lowest index / highest score) so repeated
