@@ -14,7 +14,12 @@ one m15v16 spawn state scored by the seed-0 random model with a g net.
 On every instance, `round_quad` of the `quad_relax_solve` iterate must
 also give the same targets as `round_quad` of `reference_quad`, a plain
 Frank-Wolfe loop that stops only on the gap tolerance or the iteration
-cap.
+cap. A random g is nearly flat, so the same rounding is also compared,
+by objective, on eight m80v82 spawn states scored by a trained model:
+`fixtures/quad_battle_model.bin`, made by the harness before the settle
+rule existed (`run_experiment` on m10v10 with `quad`, adam, gamma 0.999,
+seed 3 and `max_seconds=90`: 158 updates). With it, the rounding of the
+iterate can hold still for 20 steps and then jump to a better vertex.
 The digests do not depend on the BLAS thread count: the last test runs
 the criterion-9 decision once with one OpenBLAS thread and once with the
 default, each in its own process, and requires the same output.
@@ -53,9 +58,10 @@ from swarmplan.battle import (
     load_scenario,
     spawn_battle,
 )
-from swarmplan.nets import init_scoring_model, score_pairs
+from swarmplan.nets import init_scoring_model, load_models, score_pairs
 
 FIXTURE = Path(__file__).parent / "fixtures" / "assign_golden.json"
+TRAINED_MODEL = Path(__file__).parent / "fixtures" / "quad_battle_model.bin"
 RANDOM_INSTANCES = 100
 BATTLES = (("m80v82", 0), ("m80v82", 1), ("m15v16", 0))
 
@@ -81,11 +87,13 @@ def random_instance(seed: int):
     return ScoreTable(h, g), ConstraintSet(mu, u)
 
 
-def battle_instance(scenario: str, seed: int):
+def battle_instance(scenario: str, seed: int, model=None):
+    """A spawn state scored by `model`, or by the seed-0 random model."""
     state = spawn_battle(load_scenario(scenario, seed=seed))
     agents, tasks, extras = extract_battle_features(state)
-    model = init_scoring_model(agents.shape[1], tasks.shape[1],
-                               pair_extra_dim=extras.shape[-1], with_g=True, seed=0)
+    if model is None:
+        model = init_scoring_model(agents.shape[1], tasks.shape[1],
+                                   pair_extra_dim=extras.shape[-1], with_g=True, seed=0)
     return score_pairs(model, agents, tasks, pair_extras=extras), build_battle_constraints(state)
 
 
@@ -163,13 +171,26 @@ def test_round_quad_equals_reference(key):
         round_quad(reference_quad(scores, cons), scores, cons).target)
 
 
+@pytest.fixture(scope="module")
+def trained_model():
+    return load_models(TRAINED_MODEL)[0]
+
+
+@pytest.mark.parametrize("seed", range(101000, 101008))
+def test_trained_quad_decision_not_below_reference(trained_model, seed):
+    scores, cons = battle_instance("m80v82", seed, trained_model)
+    ours = round_quad(quad_relax_solve(scores, cons), scores, cons)
+    want = round_quad(reference_quad(scores, cons), scores, cons)
+    assert objective_value(ours, scores) >= objective_value(want, scores) - 1e-12
+
+
 # The criterion-9 decision (m80v82 seed 0, seed-0 random model, quad),
 # printed as its targets and the sha256 of its relaxed beta.
 QUAD_DECISION = """
 import hashlib
 from swarmplan.assign import quad_relax_solve, round_quad
 from swarmplan.battle import build_battle_constraints, extract_battle_features, load_scenario, spawn_battle
-from swarmplan.nets import init_scoring_model, score_pairs
+from swarmplan.nets import init_scoring_model, load_models, score_pairs
 state = spawn_battle(load_scenario("m80v82", seed=0))
 agents, tasks, extras = extract_battle_features(state)
 model = init_scoring_model(agents.shape[1], tasks.shape[1],
