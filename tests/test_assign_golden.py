@@ -1,20 +1,23 @@
 """Golden digests for the simplex, Frank-Wolfe and rounding layers.
 
 Each instance folds into one sha256: the beta of a cold `PolytopeLp.solve`
-on h, the beta of a warm-started second solve on the same solver object
-(on the Frank-Wolfe gradient at the cold vertex), the `quad_relax_solve`
-beta, and the targets of `greedy_round` (on the cold and the quadratic
-beta) and of `round_quad`. The digests in `fixtures/assign_golden.json`
-pin these layers bit for bit, so a refactor of the solver or of the
-rounding must reproduce them exactly.
+on h and the beta of a warm-started second solve on the same solver
+object (on the Frank-Wolfe gradient at the cold vertex). A row-constant
+instance then adds the `quad_relax_solve` beta and the targets of
+`greedy_round` (on the cold and the quadratic beta) and of `round_quad`;
+any other mu adds only the `greedy_round` targets of the cold beta. The
+digests in `fixtures/assign_golden.json` pin these layers bit for bit,
+so a refactor of the solver or of the rounding must reproduce them
+exactly.
 
 Instances: 100 random ones (general mu, row-constant mu, half-integer
-scores that tie, tasks with zero capacity), two m80v82 spawn states and
-one m15v16 spawn state scored by the seed-0 random model with a g net.
-On every instance, `round_quad` of the `quad_relax_solve` iterate must
-also give the same targets as `round_quad` of `reference_quad`, a plain
-Frank-Wolfe loop that stops only on the gap tolerance or the iteration
-cap. A random g is nearly flat, so the same rounding is also compared,
+scores that tie, tasks with zero capacity; kinds 0, 2 and 3 draw a
+general mu, which is row-constant only when m = 1), two m80v82 spawn
+states and one m15v16 spawn state scored by the seed-0 random model with
+a g net. On every instance, `round_quad` of the `quad_relax_solve`
+iterate must also give the same targets as `round_quad` of
+`reference_quad`, a plain Frank-Wolfe loop that stops only on the gap
+tolerance or the iteration cap. A random g is nearly flat, so the same rounding is also compared,
 by objective, on eight m80v82 spawn states scored by a trained model:
 `fixtures/quad_battle_model.bin`, made by the harness before the settle
 rule existed (`run_experiment` on m10v10 with `quad`, adam, gamma 0.999,
@@ -104,6 +107,11 @@ def golden_cases():
         yield f"{scenario}/{seed}", lambda s=scenario, k=seed: battle_instance(s, k)
 
 
+def row_constant(cons: ConstraintSet) -> bool:
+    """True iff each agent contributes the same mu to every task."""
+    return bool((cons.mu == cons.mu[:, :1]).all())
+
+
 def instance_digest(scores: ScoreTable, cons: ConstraintSet) -> str:
     digest = hashlib.sha256()
 
@@ -113,9 +121,12 @@ def instance_digest(scores: ScoreTable, cons: ConstraintSet) -> str:
     lp = PolytopeLp(cons.mu, cons.u)
     cold = lp.solve(scores.h)
     warm = lp.solve(scores.h + ((scores.g + scores.g.T) @ cold.sum(axis=0))[None, :])
-    quad = quad_relax_solve(scores, cons)
     absorb(cold, np.float64)
     absorb(warm, np.float64)
+    if not row_constant(cons):
+        absorb(greedy_round(RelaxedAssignment(cold), scores, cons).target, np.int64)
+        return digest.hexdigest()
+    quad = quad_relax_solve(scores, cons)
     absorb(quad.beta, np.float64)
     absorb(greedy_round(RelaxedAssignment(cold), scores, cons).target, np.int64)
     absorb(greedy_round(quad, scores, cons).target, np.int64)
