@@ -1,18 +1,19 @@
 """Inference procedures: argmax, LP relaxation, Frank-Wolfe QP, rounding,
 and the exhaustive oracle.
 
-The LP relaxation has three solvers, chosen by the constraints alone:
+The LP relaxation has two solvers, chosen by the constraints alone:
   * unit demand (every mu 1, every u a whole number): the polytope is
     totally unimodular, and an exact shortest-augmenting-path matching
     returns its integral optimum directly;
   * row-constant mu (mu_ij = d_i, every battle polytope): x = d * beta
     makes it a transportation problem, which the network simplex in
-    `network.py` solves on a spanning-tree basis, with no basis inverse;
-  * any other mu: the revised simplex in `simplex.py`.
+    `network.py` solves on a spanning-tree basis, with no basis inverse.
 One-shot LPs (`lp_relax_solve`, `fw_linear_oracle`) take the first that
 applies. Frank-Wolfe keeps one solver object across its iterations, so
 it takes the network simplex for unit demand too: the matching cannot be
-warm-started.
+warm-started. Any other mu, which no shipped environment builds, gets
+AssignError from every LP procedure; the rounding, `feasible` and
+`ConstraintSet` still take any nonnegative mu.
 
 Frank-Wolfe (`quad_relax_solve`) stops on the first of three rules: the
 relative FW gap falls below `FwConfig.gap_tol`; the objective has
@@ -40,7 +41,6 @@ from math import inf
 import numpy as np
 
 from .network import TransportLp
-from .simplex import PolytopeLp
 from .types import (
     FEAS_EPS,
     UNASSIGNED,
@@ -102,22 +102,18 @@ def feasible(assign: Assignment, cons: ConstraintSet) -> bool:
     return bool(np.all(load <= cons.u + FEAS_EPS))
 
 
-def _row_constant(cons: ConstraintSet) -> bool:
-    """True iff each agent contributes the same mu to every task."""
-    return bool((cons.mu == cons.mu[:, :1]).all())
-
-
-def _lp_solver(cons: ConstraintSet) -> TransportLp | PolytopeLp:
-    """A warm-startable solver for max <weights, beta> over the polytope:
-    the network simplex when mu is row-constant, else the revised simplex."""
-    if _row_constant(cons):
-        return TransportLp(cons.mu[:, 0], cons.u)
-    return PolytopeLp(cons.mu, cons.u)
+def _lp_solver(cons: ConstraintSet) -> TransportLp:
+    """A warm-startable network simplex for max <weights, beta> over the
+    polytope. Raises AssignError unless each agent contributes the same mu
+    to every task."""
+    if not (cons.mu == cons.mu[:, :1]).all():
+        raise AssignError("the LP procedures need a row-constant mu (mu_ij = d_i)")
+    return TransportLp(cons.mu[:, 0], cons.u)
 
 
 def _relaxed_lp(weights: np.ndarray, cons: ConstraintSet) -> RelaxedAssignment:
     """One LP over the polytope: the exact matching for unit demand, else
-    the solver `_lp_solver` picks."""
+    the network simplex."""
     if unit_demand(cons):
         target = _match_lanes(weights[None], cons.u[None])[0]
         return RelaxedAssignment(Assignment(target).to_matrix(cons.m))
@@ -273,9 +269,9 @@ def lp_relax_solve(scores: ScoreTable, cons: ConstraintSet) -> RelaxedAssignment
     """Solve the linear relaxation of the constrained assignment ILP.
 
     Unit-demand constraints take the exact matching, whose 0/1 matrix is
-    an LP optimum; row-constant mu runs the network simplex and any other
-    polytope the revised simplex. The task-task table g, if present, is
-    ignored.
+    an LP optimum; any other row-constant mu runs the network simplex. A
+    mu that is not row-constant raises AssignError. The task-task table
+    g, if present, is ignored.
     """
     _check_dims(scores, cons)
     return _relaxed_lp(scores.h, cons)

@@ -1,4 +1,5 @@
-"""Network simplex for the assignment polytope when mu is row-constant.
+"""Network simplex for the assignment polytope when mu is row-constant,
+the only LP solver in the package.
 
 With mu_ij = d_i (the battle polytope: d_i is agent i's damage), the
 substitution x_ij = d_i beta_ij turns
@@ -14,14 +15,16 @@ no BLAS call: one reduced-cost broadcast and argmax, a walk up the tree
 to the entering arc's cycle, one splice of the cut subtree in the
 preorder array and one potential shift over that subtree.
 
-Entering arcs follow `PolytopeLp`'s rule: Dantzig pricing on the reduced
-costs of beta (the x costs times d_i), ties to the lowest id in
-`PolytopeLp`'s variable order, and the same tolerance. The leaving arc
-follows Cunningham's rule for strongly feasible trees (Cunningham 1976,
-"A network simplex method", Math. Programming 11): every tree arc
-without flow points away from the root, as in the all-slack start, and
-the leaving arc is the first blocking arc met when the cycle is walked
-from its apex in the entering arc's direction. (Ahuja, Magnanti & Orlin
+Entering arcs follow the rule of the test-side reference, the revised
+simplex `PolytopeLp` in `tests/lp_reference.py`: Dantzig pricing on the
+reduced costs of beta (the x costs times d_i), ties to the lowest id in
+its variable order (agent-task pairs i*m + j, then agent slacks, then
+task slacks), and the same tolerance _TOL. The leaving arc follows
+Cunningham's rule for strongly feasible trees (Cunningham 1976, "A
+network simplex method", Math. Programming 11): every tree arc without
+flow points away from the root, as in the all-slack start, and the
+leaving arc is the first blocking arc met when the cycle is walked from
+its apex in the entering arc's direction. (Ahuja, Magnanti & Orlin
 state the mirror image: flow sent toward the root, last blocking arc.)
 Strongly feasible trees cannot cycle on degenerate pivots, so no Bland
 fallback is needed. The tree persists between solves, so the Frank-Wolfe
@@ -33,8 +36,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .simplex import _TOL
 from .types import SolverFailure
+
+_TOL = 1e-9
 
 
 class TransportLp:
@@ -124,8 +128,8 @@ class TransportLp:
         phi_a, phi_t = phi[:na], phi[na:root]
         parent, flow, size, order, pre = self.parent, self.flow, self.size, self.order, self.pre
         n_struct = na * m
-        # reduced costs of beta (x costs times d_i) in PolytopeLp's variable
-        # order: agent-task arcs, agent slacks, task slacks. The arcs' are
+        # reduced costs of beta (x costs times d_i) in the reference's
+        # variable order: agent-task arcs, agent slacks, task slacks. The arcs' are
         # value - y_i with value_ij = w_ij + d_i phi_j, which changes only
         # in the columns of tasks whose potential moved.
         red = np.empty(n_struct + na + m)
@@ -160,7 +164,7 @@ class TransportLp:
             else:
                 tail, head = root, entering - n_struct
                 gain = phi[head]
-            # ratio ties within the tolerance PolytopeLp applies to beta
+            # ratio ties within the tolerance the reference applies to beta
             tol = _TOL * (dl[tail] if tail < na else 1.0)
 
             # the cycle: tail and head walk up to their common ancestor

@@ -1,11 +1,11 @@
-"""Revised primal simplex specialized to the assignment polytope
+"""Revised primal simplex over the general assignment polytope
 
-    { beta >= 0,  sum_j beta_ij <= 1,  sum_i mu_ij beta_ij <= u_j }.
+    { beta >= 0,  sum_j beta_ij <= 1,  sum_i mu_ij beta_ij <= u_j }
 
-It serves general mu only. Unit demand goes to the exact matching and
-row-constant mu to the network simplex in `network.py` (see `core.py`).
-Those two cover every shipped environment, but `ConstraintSet` admits
-any nonnegative mu.
+for any nonnegative mu: the scipy-free reference that the golden digests
+and the network-simplex tests compare against. The package solves only
+row-constant mu (`swarmplan.assign.network.TransportLp`), whose entering
+rule and tolerance mirror this solver's.
 
 Row sums <= 1 imply beta <= 1, so only the n + m aggregate rows are
 materialized and the all-slack basis is feasible (no phase-1). Every
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import SolverFailure
+from swarmplan.assign import SolverFailure
 
 _TOL = 1e-9
 _REFACTOR_EVERY = 300

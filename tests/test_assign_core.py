@@ -341,7 +341,7 @@ class TestDeterminism:
 def test_property_lp_dominates_and_round_feasible(n, m, seed):
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(n, m))
-    mu = rng.uniform(0.1, 2.0, size=(n, m))
+    mu = np.tile(rng.uniform(0.1, 2.0, size=(n, 1)), (1, m))  # the LP needs mu_ij = d_i
     u = rng.uniform(0, 2.0 * n, size=m)
     scores, cons = ScoreTable(h), ConstraintSet(mu, u)
     relaxed = lp_relax_solve(scores, cons)

@@ -1,24 +1,26 @@
 """Golden digests for the simplex, Frank-Wolfe and rounding layers.
 
 Each instance folds into one sha256: the beta of a cold `PolytopeLp.solve`
-on h and the beta of a warm-started second solve on the same solver
-object (on the Frank-Wolfe gradient at the cold vertex). A row-constant
-instance then adds the `quad_relax_solve` beta and the targets of
-`greedy_round` (on the cold and the quadratic beta) and of `round_quad`;
-any other mu adds only the `greedy_round` targets of the cold beta. The
-digests in `fixtures/assign_golden.json` pin these layers bit for bit,
-so a refactor of the solver or of the rounding must reproduce them
-exactly.
+(the revised simplex reference in `lp_reference.py`) on h and the beta
+of a warm-started second solve on the same solver object (on the
+Frank-Wolfe gradient at the cold vertex). A row-constant instance then
+adds the `quad_relax_solve` beta and the targets of `greedy_round` (on
+the cold and the quadratic beta) and of `round_quad`; any other mu adds
+only the `greedy_round` targets of the cold beta. The digests in
+`fixtures/assign_golden.json` pin these layers bit for bit, so a
+refactor of the solver or of the rounding must reproduce them exactly.
 
 Instances: 100 random ones (general mu, row-constant mu, half-integer
 scores that tie, tasks with zero capacity; kinds 0, 2 and 3 draw a
 general mu, which is row-constant only when m = 1), two m80v82 spawn
 states and one m15v16 spawn state scored by the seed-0 random model with
-a g net. On every instance, `round_quad` of the `quad_relax_solve`
-iterate must also give the same targets as `round_quad` of
-`reference_quad`, a plain Frank-Wolfe loop that stops only on the gap
-tolerance or the iteration cap. A random g is nearly flat, so the same rounding is also compared,
-by objective, on eight m80v82 spawn states scored by a trained model:
+a g net. On every row-constant instance, `round_quad` of the
+`quad_relax_solve` iterate must also give the same targets as
+`round_quad` of `reference_quad`, a plain Frank-Wolfe loop that stops
+only on the gap tolerance or the iteration cap; on any other,
+`quad_relax_solve` must raise AssignError. A random g is nearly flat, so
+the same rounding is also compared, by objective, on eight m80v82 spawn
+states scored by a trained model:
 `fixtures/quad_battle_model.bin`, made by the harness before the settle
 rule existed (`run_experiment` on m10v10 with `quad`, adam, gamma 0.999,
 seed 3 and `max_seconds=90`: 158 updates). With it, the rounding of the
@@ -43,6 +45,7 @@ import pytest
 
 import swarmplan
 from swarmplan.assign import (
+    AssignError,
     ConstraintSet,
     FwConfig,
     RelaxedAssignment,
@@ -54,7 +57,6 @@ from swarmplan.assign import (
     round_quad,
 )
 from swarmplan.assign.core import _lp_solver
-from swarmplan.assign.simplex import PolytopeLp
 from swarmplan.battle import (
     build_battle_constraints,
     extract_battle_features,
@@ -62,6 +64,7 @@ from swarmplan.battle import (
     spawn_battle,
 )
 from swarmplan.nets import init_scoring_model, load_models, score_pairs
+from lp_reference import PolytopeLp
 
 FIXTURE = Path(__file__).parent / "fixtures" / "assign_golden.json"
 TRAINED_MODEL = Path(__file__).parent / "fixtures" / "quad_battle_model.bin"
@@ -177,6 +180,10 @@ def test_golden_digest(golden, key):
 @pytest.mark.parametrize("key", list(CASES))
 def test_round_quad_equals_reference(key):
     scores, cons = CASES[key]()
+    if not row_constant(cons):
+        with pytest.raises(AssignError):
+            quad_relax_solve(scores, cons)
+        return
     np.testing.assert_array_equal(
         round_quad(quad_relax_solve(scores, cons), scores, cons).target,
         round_quad(reference_quad(scores, cons), scores, cons).target)

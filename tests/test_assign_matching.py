@@ -1,6 +1,7 @@
 """The exact matching path for unit-demand constraints, and direct tests of
-the two LP engines behind every other polytope: the network simplex for
-row-constant mu and the revised simplex for general mu."""
+the network simplex, the LP engine behind every other row-constant
+polytope, against the revised simplex reference in `lp_reference.py`,
+which also solves general mu. The LP procedures reject a general mu."""
 import itertools
 import sys
 
@@ -16,19 +17,22 @@ from swarmplan.assign import (
     SolverFailure,
     brute_force_assign,
     feasible,
+    fw_linear_oracle,
     get_procedure,
     greedy_round,
     lp_relax_solve,
     matching_assign,
     objective_value,
+    polish_assignment,
+    quad_relax_solve,
     unit_demand,
 )
-from swarmplan.assign import core, procedures, simplex
+from swarmplan.assign import core, procedures
 from swarmplan.assign.network import TransportLp
-from swarmplan.assign.simplex import PolytopeLp
 from swarmplan.learn import RescueMetaEnv
 from swarmplan.nets import init_scoring_model, score_pairs
 from swarmplan.rescue import RescueConfig
+from lp_reference import _REFACTOR_EVERY, PolytopeLp
 
 
 def unit_instance(rng, n, m, u_max=None):
@@ -38,7 +42,8 @@ def unit_instance(rng, n, m, u_max=None):
 
 
 def simplex_rounded(scores, cons):
-    """The LP procedure as it is for every non-unit polytope."""
+    """The reference simplex, then the rounding: the LP procedure's path
+    for a polytope that is not unit demand."""
     relaxed = RelaxedAssignment(PolytopeLp(cons.mu, cons.u).solve(scores.h))
     return greedy_round(relaxed, scores, cons)
 
@@ -255,7 +260,7 @@ class TestStackedMatching:
             u = rng.integers(0, 3, size=(lanes, m)).astype(float)
             mu = np.ones((lanes, n, m))
             u[rng.random(lanes) < 0.4, 0] += 0.5  # not whole: the simplex and rounding
-            mu[rng.random(lanes) < 0.3, 0, 0] = 2.0  # not unit mu
+            mu[rng.random(lanes) < 0.3, 0, :] = 2.0  # not unit mu, still row-constant
             cons = [ConstraintSet(mu[k], u[k]) for k in range(lanes)]
             mixed += 0 < sum(map(unit_demand, cons)) < lanes
             for k, got in enumerate(procedures.infer_stack("lp", h, None, cons)):
@@ -291,7 +296,6 @@ class TestInferLpOnRescue:
         def refuse(*args, **kwargs):
             raise AssertionError("the unit-demand path ran an LP solver or the rounding")
 
-        monkeypatch.setattr(core, "PolytopeLp", refuse)
         monkeypatch.setattr(core, "TransportLp", refuse)
         monkeypatch.setattr(procedures, "greedy_round", refuse)
         infer = get_procedure("lp")
@@ -443,7 +447,21 @@ class TestPolytopeLp:
         row_constant = ConstraintSet(np.tile([[2.0], [0.0], [1.5]], (1, 4)), np.ones(4))
         general = ConstraintSet(np.arange(1.0, 13.0).reshape(3, 4), np.ones(4))
         assert isinstance(core._lp_solver(row_constant), TransportLp)
-        assert isinstance(core._lp_solver(general), PolytopeLp)
+        with pytest.raises(AssignError):
+            core._lp_solver(general)
+        # every LP procedure rejects the general set at its boundary ...
+        scores = ScoreTable(np.arange(12.0).reshape(3, 4) / 6.0, np.eye(4))
+        for solve in (lambda: lp_relax_solve(scores, general),
+                      lambda: fw_linear_oracle(scores.h, general),
+                      lambda: quad_relax_solve(scores, general),
+                      lambda: get_procedure("lp")(scores, general),
+                      lambda: get_procedure("quad")(scores, general)):
+            with pytest.raises(AssignError):
+                solve()
+        # ... while the rounding and the feasibility check still take it
+        relaxed = RelaxedAssignment(PolytopeLp(general.mu, general.u).solve(scores.h))
+        rounded = polish_assignment(greedy_round(relaxed, scores, general), scores, general)
+        assert feasible(rounded, general)
 
     def test_basis_inverse_stays_exact_across_a_refactor(self):
         # Warm-started solves chained on one solver object, as Frank-Wolfe
@@ -454,7 +472,7 @@ class TestPolytopeLp:
         cons = ConstraintSet(rng.uniform(0.2, 2.0, size=(n, m)), rng.uniform(0.5, 3.0, size=m))
         lp = PolytopeLp(cons.mu, cons.u)
         drifts, since_refactor = [], []
-        while lp.pivots < 2 * simplex._REFACTOR_EVERY:
+        while lp.pivots < 2 * _REFACTOR_EVERY:
             beta = lp.solve(rng.normal(size=(n, m)))
             assert RelaxedAssignment(beta).check_invariants(cons)
             B = np.zeros((lp.rows, lp.rows))
@@ -468,6 +486,6 @@ class TestPolytopeLp:
             since_refactor.append(lp._pivots_since_refactor)
         refactored = int(np.argmax(np.diff(since_refactor) < 0)) + 1
         assert refactored > 0, "no refactor happened"
-        assert since_refactor[refactored - 1] > simplex._REFACTOR_EVERY // 2
+        assert since_refactor[refactored - 1] > _REFACTOR_EVERY // 2
         assert max(drifts[:refactored]) < 1e-9
         assert max(drifts[refactored:]) < 1e-9
