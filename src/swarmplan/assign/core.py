@@ -11,9 +11,8 @@ The LP relaxation has two solvers, chosen by the constraints alone:
 One-shot LPs (`lp_relax_solve`, `fw_linear_oracle`) take the first that
 applies. Frank-Wolfe keeps one solver object across its iterations, so
 it takes the network simplex for unit demand too: the matching cannot be
-warm-started. Any other mu, which no shipped environment builds, gets
-AssignError from every LP procedure; the rounding, `feasible` and
-`ConstraintSet` still take any nonnegative mu.
+warm-started. Any other mu (no environment builds one) gets AssignError
+from every LP procedure; the rounding and `feasible` take any mu.
 
 Frank-Wolfe (`quad_relax_solve`) stops on the first of three rules: the
 relative FW gap falls below `FwConfig.gap_tol`; the objective has

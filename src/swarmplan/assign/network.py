@@ -15,11 +15,10 @@ no BLAS call: one reduced-cost broadcast and argmax, a walk up the tree
 to the entering arc's cycle, one splice of the cut subtree in the
 preorder array and one potential shift over that subtree.
 
-Entering arcs follow the rule of the test-side reference, the revised
-simplex `PolytopeLp` in `tests/lp_reference.py`: Dantzig pricing on the
-reduced costs of beta (the x costs times d_i), ties to the lowest id in
-its variable order (agent-task pairs i*m + j, then agent slacks, then
-task slacks), and the same tolerance _TOL. The leaving arc follows
+Entering arcs follow the rule of the revised simplex kept as the tests'
+reference (`PolytopeLp` in `tests/lp_reference.py`): Dantzig pricing on
+the reduced costs of beta (the x costs times d_i), ties to the lowest id
+in its variable order, and the same tolerance. The leaving arc follows
 Cunningham's rule for strongly feasible trees (Cunningham 1976, "A
 network simplex method", Math. Programming 11): every tree arc without
 flow points away from the root, as in the all-slack start, and the

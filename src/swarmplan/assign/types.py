@@ -59,11 +59,8 @@ class ScoreTable:
 
 @dataclass
 class ConstraintSet:
-    """Feasible-polytope parameters: contributions mu (n, m) and capacities u (m,).
-
-    Any nonnegative mu is a valid set for `feasible` and the rounding; the
-    LP procedures take only a row-constant mu (mu_ij = d_i).
-    """
+    """Feasible-polytope parameters: contributions mu (n, m) and capacities
+    u (m,). The rounding takes any mu; the LP procedures only mu_ij = d_i."""
 
     mu: np.ndarray
     u: np.ndarray

@@ -19,7 +19,7 @@ import sys
 
 from ..battle import HEURISTICS
 from ..learn import A2CConfig
-from ..nets import load_models
+from ..nets import CheckpointError, load_models
 from .config import HarnessError, load_experiment, load_sweep, parse_rescue_size
 from .evaluate import (
     BATTLE_EVAL_SEED_BASE,
@@ -135,7 +135,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except HarnessError as exc:
+    except (HarnessError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -157,8 +157,11 @@ class SweepSpec:
 
 def _load_envelope(path) -> dict:
     with open(path) as fh:
-        data = json.load(fh)
-    version = data.get("version")
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise HarnessError(f"{path} is not a JSON file: {exc}") from exc
+    version = data.get("version") if isinstance(data, dict) else None
     if version != SCHEMA_VERSION:
         raise HarnessError(f"unsupported config version {version!r}")
     return data

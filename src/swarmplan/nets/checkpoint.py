@@ -44,21 +44,22 @@ def load_arrays(path):
     (hlen,) = struct.unpack("<I", raw[:4])
     try:
         header = json.loads(raw[4:4 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"bad checkpoint header: {exc}") from exc
+        entries = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+        meta = dict(header["meta"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"bad checkpoint header: {exc!r}") from exc
     if header.get("version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
     arrays = {}
     offset = 4 + hlen
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
+    for name, shape in entries:
         count = int(np.prod(shape)) if shape else 1
         end = offset + 4 * count
         if end > len(raw):
-            raise CheckpointError(f"truncated payload for array {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(raw[offset:end], dtype="<f4").reshape(shape)
+            raise CheckpointError(f"truncated payload for array {name}")
+        arrays[name] = np.frombuffer(raw[offset:end], dtype="<f4").reshape(shape)
         offset = end
-    return arrays, header["meta"]
+    return arrays, meta
 
 
 def _mlp_arrays(prefix: str, params: MlpParams, out: dict):
@@ -105,17 +106,20 @@ def save_models(path, model: ScoringModel, critic: CriticParams | None = None,
 def load_models(path):
     """Returns (ScoringModel, CriticParams or None, meta)."""
     arrays, meta = load_arrays(path)
-    h_net = _mlp_from_arrays("h_net", arrays)
-    g_net = _mlp_from_arrays("g_net", arrays) if meta.get("has_g") else None
-    model = ScoringModel(
-        h_net, g_net,
-        meta["feature_dim_agent"], meta["feature_dim_task"], meta["pair_extra_dim"],
-    )
-    critic = None
-    if meta.get("has_critic"):
-        critic = CriticParams(
-            _mlp_from_arrays("critic_embed", arrays),
-            _mlp_from_arrays("critic_head", arrays),
-            meta["critic_num_kinds"], meta["critic_feature_dim"],
+    try:
+        h_net = _mlp_from_arrays("h_net", arrays)
+        g_net = _mlp_from_arrays("g_net", arrays) if meta.get("has_g") else None
+        model = ScoringModel(
+            h_net, g_net,
+            meta["feature_dim_agent"], meta["feature_dim_task"], meta["pair_extra_dim"],
         )
+        critic = None
+        if meta.get("has_critic"):
+            critic = CriticParams(
+                _mlp_from_arrays("critic_embed", arrays),
+                _mlp_from_arrays("critic_head", arrays),
+                meta["critic_num_kinds"], meta["critic_feature_dim"],
+            )
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint has no {exc} entry") from exc
     return model, critic, meta

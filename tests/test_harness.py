@@ -1,5 +1,6 @@
 """Tests for configuration, evaluation sets, sweeps and the CLI."""
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -114,6 +115,13 @@ def test_config_files_missing_experiment_keys_fail_cleanly(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert main(["train", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error: missing experiment keys: {key}\n"
+    # a file that is not JSON, or no file at all
+    for text in (json.dumps(saved)[:-9], "[1, 2]"):
+        path.write_text(text)
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert main(["train", "--config", str(tmp_path / "missing.json")]) == 2
+    assert "missing.json" in capsys.readouterr().err
 
 
 def test_config_files_with_out_of_range_a2c_values_fail_cleanly(tmp_path, capsys):
@@ -348,6 +356,25 @@ def test_cli_eval_checkpoint(tmp_path, capsys):
                         "--scenario", "2x4", "--seeds-file", str(seeds_file))
     assert code == 0
     assert out["episodes"] == 4 and out["metric"] == "episode_length"
+    # broken checkpoints exit 2 with one error line
+    whole = ckpt.read_bytes()
+    (hlen,) = struct.unpack("<I", whole[:4])
+    header = json.loads(whole[4:4 + hlen])
+    no_arrays = json.dumps({k: v for k, v in header.items() if k != "arrays"}).encode()
+    no_dims = json.dumps({**header, "meta": {"has_g": False}}).encode()
+    broken = {
+        "truncated": whole[:-5],
+        "no arrays": struct.pack("<I", len(no_arrays)) + no_arrays,
+        "no feature dims": struct.pack("<I", len(no_dims)) + no_dims + whole[4 + hlen:],
+    }
+    for name, raw in broken.items():
+        ckpt.write_bytes(raw)
+        assert main(["eval", "--checkpoint", str(ckpt), "--scenario", "2x4"]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), name
+    assert main(["eval", "--checkpoint", str(tmp_path / "missing.bin"),
+                 "--scenario", "2x4"]) == 2
+    assert "missing.bin" in capsys.readouterr().err
 
 
 def test_cli_train_and_battle_bench(tmp_path, capsys):
