@@ -124,14 +124,15 @@ def instance_digest(scores: ScoreTable, cons: ConstraintSet) -> str:
     lp = PolytopeLp(cons.mu, cons.u)
     cold = lp.solve(scores.h)
     warm = lp.solve(scores.h + ((scores.g + scores.g.T) @ cold.sum(axis=0))[None, :])
+    cold_targets = greedy_round(RelaxedAssignment(cold), scores, cons).target
     absorb(cold, np.float64)
     absorb(warm, np.float64)
     if not row_constant(cons):
-        absorb(greedy_round(RelaxedAssignment(cold), scores, cons).target, np.int64)
+        absorb(cold_targets, np.int64)
         return digest.hexdigest()
     quad = quad_relax_solve(scores, cons)
     absorb(quad.beta, np.float64)
-    absorb(greedy_round(RelaxedAssignment(cold), scores, cons).target, np.int64)
+    absorb(cold_targets, np.int64)
     absorb(greedy_round(quad, scores, cons).target, np.int64)
     absorb(round_quad(quad, scores, cons).target, np.int64)
     return digest.hexdigest()
