@@ -113,16 +113,10 @@ def _lp_solver(cons: ConstraintSet) -> TransportLp:
 def _relaxed_lp(weights: np.ndarray, cons: ConstraintSet) -> RelaxedAssignment:
     """One LP over the polytope: the exact matching for unit demand, else
     the network simplex."""
-    if unit_demand(cons):
+    if cons.unit_demand:
         target = _match_lanes(weights[None], cons.u[None])[0]
         return RelaxedAssignment(Assignment(target).to_matrix(cons.m))
     return RelaxedAssignment(_lp_solver(cons).solve(weights))
-
-
-def unit_demand(cons: ConstraintSet) -> bool:
-    """True iff every mu is 1 and every capacity is a whole number
-    (`ConstraintSet.unit_demand`)."""
-    return cons.unit_demand
 
 
 def _augment(cost, row_dual, col_dual, row4col, col4row, start):
@@ -182,7 +176,7 @@ def _augment(cost, row_dual, col_dual, row4col, col4row, start):
 
 
 def matching_assign(scores, cons):
-    """Exact LP optimum for unit-demand constraints (see `unit_demand`).
+    """Exact LP optimum for unit-demand constraints (see `ConstraintSet.unit_demand`).
 
     Task j is repeated min(u_j, n) times and agent i gets a private
     zero-cost "stay unassigned" column i, placed before the tasks so that
@@ -212,7 +206,7 @@ def matching_assign(scores, cons):
         if (lane.n, lane.m) != h.shape[1:]:
             raise AssignError(f"score tables are {h.shape[1]}x{h.shape[2]} "
                               f"but constraints are {lane.n}x{lane.m}")
-        if not unit_demand(lane):
+        if not lane.unit_demand:
             raise AssignError("matching_assign needs mu == 1 and whole-number u")
     return _match_lanes(h, np.array([lane.u for lane in cons]))
 

@@ -11,7 +11,6 @@ from .core import (
     lp_relax_solve,
     quad_relax_solve,
     round_quad,
-    unit_demand,
 )
 from .types import Assignment, ConstraintSet, ScoreTable
 
@@ -21,7 +20,7 @@ def infer_amax(scores: ScoreTable, cons: ConstraintSet) -> Assignment:
 
 
 def infer_lp(scores: ScoreTable, cons: ConstraintSet) -> Assignment:
-    if unit_demand(cons):  # the LP optimum is already a hard assignment
+    if cons.unit_demand:  # the LP optimum is already a hard assignment
         _check_dims(scores, cons)
         return Assignment(_match_lanes(scores.h[None], cons.u[None])[0])
     return greedy_round(lp_relax_solve(scores, cons), scores, cons)

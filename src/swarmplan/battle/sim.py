@@ -3,7 +3,7 @@
 Two teams of units fight on a continuous 100x100 arena. Our side picks a
 target per unit every `assignment_period` frames; the opponent follows a
 scripted attack-move toward our centroid refreshed every
-`opponent_order_period` frames. Attacks miss with probability 1/256, so
+`OPPONENT_ORDER_PERIOD` frames. Attacks miss with probability 1/256, so
 battles are stochastic but bit-reproducible under a seed. Reward per
 assignment window is the normalized health swing
 (our delta + enemy damage taken) / our initial total health.
@@ -25,6 +25,7 @@ import numpy as np
 ARENA = 100.0
 CONTACT_EPS = 0.3
 FRAME_CAP = 2000
+OPPONENT_ORDER_PERIOD = 60
 TEAM_OURS = 0
 TEAM_THEIRS = 1
 
@@ -73,15 +74,14 @@ class BattleConfig:
     theirs: list
     seed: int = 0
     assignment_period: int = 6
-    opponent_order_period: int = 60
     miss_probability: float = 1.0 / 256.0
     frame_cap: int = FRAME_CAP
 
     def __post_init__(self):
         if not self.ours or not self.theirs:
             raise BattleError("both teams need at least one unit")
-        if self.assignment_period < 1 or self.opponent_order_period < 1:
-            raise BattleError("periods must be >= 1")
+        if self.assignment_period < 1:
+            raise BattleError("assignment_period must be >= 1")
         if not 0 <= self.miss_probability < 1:
             raise BattleError("miss_probability must be in [0, 1)")
 
@@ -162,12 +162,6 @@ def pair_distances(p, q) -> np.ndarray:
     np.subtract(p[:, None, 0], q[None, :, 0], out=delta[..., 0])
     np.subtract(p[:, None, 1], q[None, :, 1], out=delta[..., 1])
     return vec_norm(delta)
-
-
-def effective_range(attacker: Unit, target: Unit) -> float:
-    """Edge-to-edge reach: melee units connect at contact distance."""
-    contact = attacker.spec.radius + target.spec.radius + CONTACT_EPS
-    return max(attacker.spec.attack_range, contact)
 
 
 class _Window:
@@ -386,17 +380,6 @@ def _sweep(pos, start, a_rows, b_rows, dist0, touch):
     return np.array(moved), trail
 
 
-def _resolve_collisions(units):
-    """Symmetric pairwise separation push between overlapping ground units."""
-    ground = [u for u in units if u.alive and not u.spec.is_flying]
-    if len(ground) < 2:
-        return
-    pos = np.array([u.pos for u in ground], dtype=float)
-    _separate(pos, np.array([u.spec.radius for u in ground]))
-    for u, p in zip(ground, pos.tolist()):
-        u.pos = np.array(p)
-
-
 def step_battle(state: BattleState, our_assignment):
     """Advance one assignment window; returns (reward, done, outcome).
 
@@ -426,7 +409,7 @@ def step_battle(state: BattleState, our_assignment):
     w = _Window(state)
     n, health = w.n, w.health
     for _ in range(cfg.assignment_period):
-        if state.frame % cfg.opponent_order_period == 0:
+        if state.frame % OPPONENT_ORDER_PERIOD == 0:
             alive = health[:n] > 0.0
             if alive.any():
                 state.opp_waypoint = np.mean(w.pos[:n][alive], axis=0)

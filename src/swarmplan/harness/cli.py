@@ -17,18 +17,13 @@ import argparse
 import json
 import sys
 
-from ..battle import HEURISTICS
+from ..battle import HEURISTICS, BattleError
 from ..learn import A2CConfig
 from ..nets import CheckpointError, load_models
-from .config import HarnessError, load_experiment, load_sweep, parse_rescue_size
-from .evaluate import (
-    BATTLE_EVAL_SEED_BASE,
-    RESCUE_EVAL_SEEDS,
-    evaluate,
-    evaluate_battle_heuristic,
-    evaluate_battle_model,
-    oracle_report,
-)
+from ..rescue import RescueError
+from .config import (ENVIRONMENTS, INFERENCES, HarnessError, load_experiment, load_sweep,
+                     parse_rescue_size)
+from .evaluate import BATTLE_EVAL_SEED_BASE, RESCUE_EVAL_SEEDS, evaluate, oracle_report
 from .sweep import hyperparameter_search, run_experiment
 
 
@@ -41,10 +36,13 @@ def _load_seeds(path):
     if path is None:
         return RESCUE_EVAL_SEEDS
     with open(path) as fh:
-        seeds = json.load(fh)
-    if not isinstance(seeds, list) or not seeds:
-        raise HarnessError("seeds file must hold a nonempty JSON list")
-    return [int(s) for s in seeds]
+        try:
+            seeds = json.load(fh)
+            if isinstance(seeds, list) and seeds:
+                return [int(s) for s in seeds]
+        except (TypeError, ValueError) as exc:
+            raise HarnessError(f"seeds file {path}: {exc}") from exc
+    raise HarnessError("seeds file must hold a nonempty JSON list")
 
 
 def cmd_train(args):
@@ -78,15 +76,14 @@ def cmd_oracle(args):
 
 
 def cmd_battle_bench(args):
-    seeds = range(args.seed_base, args.seed_base + args.episodes)
-    if args.policy == "checkpoint":
+    policy = args.policy
+    if policy == "checkpoint":
         if args.checkpoint is None:
             raise HarnessError("--policy checkpoint requires --checkpoint")
-        model, _, _ = load_models(args.checkpoint)
-        summary = evaluate_battle_model(model, args.inference, A2CConfig(),
-                                        args.scenario, seeds)
-    else:
-        summary = evaluate_battle_heuristic(args.policy, args.scenario, seeds)
+        policy, _, _ = load_models(args.checkpoint)
+    summary = evaluate(policy, "battle", args.scenario,
+                       range(args.seed_base, args.seed_base + args.episodes),
+                       inference=args.inference, a2c=A2CConfig())
     _emit({"scenario": args.scenario, "policy": args.policy,
            **summary.to_dict()})
 
@@ -105,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--scenario", required=True)
     p.add_argument("--seeds-file")
-    p.add_argument("--env", choices=("rescue", "battle"), default="rescue")
-    p.add_argument("--inference", choices=("amax", "lp", "quad"), default="lp")
+    p.add_argument("--env", choices=ENVIRONMENTS, default="rescue")
+    p.add_argument("--inference", choices=INFERENCES, default="lp")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("sweep", help="hyperparameter random search")
@@ -124,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True,
                    choices=HEURISTICS + ("checkpoint",))
     p.add_argument("--checkpoint")
-    p.add_argument("--inference", choices=("amax", "lp", "quad"), default="lp")
+    p.add_argument("--inference", choices=INFERENCES, default="lp")
     p.add_argument("--episodes", type=int, default=100)
     p.add_argument("--seed-base", type=int, default=BATTLE_EVAL_SEED_BASE)
     p.set_defaults(fn=cmd_battle_bench)
@@ -135,7 +132,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except (HarnessError, CheckpointError, OSError) as exc:
+    except (HarnessError, CheckpointError, RescueError, BattleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

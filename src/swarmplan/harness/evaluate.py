@@ -14,7 +14,7 @@ import numpy as np
 
 from ..battle import heuristic_policy, load_scenario, spawn_battle, step_battle
 from ..battle import HEURISTICS
-from ..learn import A2CConfig, BattleMetaEnv, RescueMetaEnv, play_episode
+from ..learn import A2CConfig, BattleMetaEnv, RescueMetaEnv, evaluate_policy
 from ..nets import ScoringModel
 from ..rescue import (
     RescueConfig,
@@ -84,18 +84,16 @@ def evaluate_rescue_model(model: ScoringModel, inference: str, a2c: A2CConfig,
                           n: int, m: int, seeds=RESCUE_EVAL_SEEDS) -> EvalSummary:
     """Learned-policy episode lengths with exploration noise on."""
     config = RescueConfig(n, m, seed=0)
-    rng = np.random.default_rng(seeds[0])
-    lengths = []
-    returns = []
-    failures = 0
-    for seed in seeds:
-        env = RescueMetaEnv(config)
-        ret, raw_steps = play_episode(env, model, inference, a2c, rng, seed=seed)
-        lengths.append(raw_steps - 1)
-        returns.append(ret)
-        failures += raw_steps >= config.max_steps and not env.state.all_picked
-    return _summarize(lengths, failures, "episode_length",
-                      {"mean_return": float(np.mean(returns))})
+    played = evaluate_policy(lambda: RescueMetaEnv(config), model, inference, a2c, seeds)
+    failures = sum(length >= config.max_steps and not env.state.all_picked
+                   for env, _, length in played)
+    return _summarize([length - 1 for _, _, length in played], failures, "episode_length",
+                      {"mean_return": float(np.mean([ret for _, ret, _ in played]))})
+
+
+def _battle_summary(returns, outcomes) -> EvalSummary:
+    return _summarize(returns, outcomes.count("draw"), "return",
+                      {"win_rate": outcomes.count("win") / len(outcomes)})
 
 
 def evaluate_battle_heuristic(kind: str, scenario: str, seeds) -> EvalSummary:
@@ -103,38 +101,27 @@ def evaluate_battle_heuristic(kind: str, scenario: str, seeds) -> EvalSummary:
     if kind not in HEURISTICS:
         raise HarnessError(f"kind must be one of {HEURISTICS}")
     returns = []
-    wins = 0
-    failures = 0
+    outcomes = []
     for seed in seeds:
         state = spawn_battle(load_scenario(scenario, seed=seed))
         policy = heuristic_policy(kind, rng=np.random.default_rng(seed))
         total = 0.0
         done = False
         while not done:
-            reward, done, outcome = step_battle(state, policy(state))
+            reward, done, _ = step_battle(state, policy(state))
             total += reward
         returns.append(total)
-        wins += state.outcome == "win"
-        failures += state.outcome == "draw"
-    return _summarize(returns, failures, "return",
-                      {"win_rate": wins / len(returns)})
+        outcomes.append(state.outcome)
+    return _battle_summary(returns, outcomes)
 
 
 def evaluate_battle_model(model: ScoringModel, inference: str, a2c: A2CConfig,
                           scenario: str, seeds) -> EvalSummary:
     """Learned-policy returns with exploration noise on, one battle per seed."""
-    rng = np.random.default_rng(seeds[0])
-    returns = []
-    wins = 0
-    failures = 0
-    for seed in seeds:
-        env = BattleMetaEnv(load_scenario(scenario, seed=seed))
-        ret, _ = play_episode(env, model, inference, a2c, rng, seed=seed)
-        returns.append(ret)
-        wins += env.state.outcome == "win"
-        failures += env.state.outcome == "draw"
-    return _summarize(returns, failures, "return",
-                      {"win_rate": wins / len(returns)})
+    config = load_scenario(scenario)  # every episode resets with its own seed
+    played = evaluate_policy(lambda: BattleMetaEnv(config), model, inference, a2c, seeds)
+    return _battle_summary([ret for _, ret, _ in played],
+                           [env.state.outcome for env, _, _ in played])
 
 
 def evaluate(policy, environment: str, scenario: str, eval_seeds,
@@ -145,6 +132,8 @@ def evaluate(policy, environment: str, scenario: str, eval_seeds,
     feature dimensions do not match the scenario is rejected rather than
     silently coerced.
     """
+    if len(eval_seeds) == 0:
+        raise HarnessError("evaluation needs at least one seed")
     a2c = a2c or A2CConfig()
     if environment == "rescue":
         n, m = parse_rescue_size(scenario)
@@ -160,18 +149,19 @@ def evaluate(policy, environment: str, scenario: str, eval_seeds,
     raise HarnessError(f"unknown environment {environment!r}")
 
 
+def feature_dims(env) -> tuple:
+    """(agent, task, pair-extra) feature widths of `env`'s observations."""
+    obs = env.reset(seed=0)
+    return (obs.agent_feats.shape[1], obs.task_feats.shape[1],
+            0 if obs.pair_extras is None else obs.pair_extras.shape[-1])
+
+
 def _check_model(model: ScoringModel, probe_env, inference: str):
-    obs = probe_env.reset(seed=0)
-    extra_dim = 0 if obs.pair_extras is None else obs.pair_extras.shape[-1]
-    if (model.feature_dim_agent != obs.agent_feats.shape[1]
-            or model.feature_dim_task != obs.task_feats.shape[1]
-            or model.pair_extra_dim != extra_dim):
+    expects = (model.feature_dim_agent, model.feature_dim_task, model.pair_extra_dim)
+    provides = feature_dims(probe_env)
+    if expects != provides:
         raise HarnessError(
-            f"checkpoint expects features "
-            f"({model.feature_dim_agent}, {model.feature_dim_task}, "
-            f"{model.pair_extra_dim}), scenario provides "
-            f"({obs.agent_feats.shape[1]}, {obs.task_feats.shape[1]}, {extra_dim})"
-        )
+            f"checkpoint expects features {expects}, scenario provides {provides}")
     if inference == "quad" and model.g_net is None:
         raise HarnessError("quad inference needs a checkpoint with a g net")
 

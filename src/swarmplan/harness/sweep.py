@@ -15,7 +15,7 @@ from ..learn import A2CConfig, BattleMetaEnv, RescueMetaEnv, train
 from ..nets import init_critic, init_scoring_model, save_models
 from ..rescue import RescueConfig
 from .config import ExperimentConfig, HarnessError, SweepSpec, parse_rescue_size, save_experiment
-from .evaluate import evaluate, evaluate_battle_heuristic, evaluate_rescue_reference
+from .evaluate import evaluate, feature_dims
 
 SWEEP_FIELDS = ("scenario", "baseline_mean", "method_mean", "delta_percent",
                 "method_stderr", "failures", "episodes")
@@ -40,11 +40,8 @@ def generalization_sweep(policy, environment: str, test_scenarios, eval_seeds,
     """
     rows = []
     for scenario in test_scenarios:
-        if environment == "rescue":
-            n, m = parse_rescue_size(scenario)
-            baseline = evaluate_rescue_reference("closest", n, m, eval_seeds)
-        else:
-            baseline = evaluate_battle_heuristic("c", scenario, eval_seeds)
+        baseline = evaluate("closest" if environment == "rescue" else "c",
+                            environment, scenario, eval_seeds)
         summary = evaluate(policy, environment, scenario, eval_seeds,
                            inference, a2c)
         rows.append({
@@ -99,11 +96,9 @@ def make_setup(config: ExperimentConfig):
     else:
         env_factory = lambda: BattleMetaEnv(load_scenario(config.scenario, seed=config.seed))
     probe_env = env_factory()
-    probe = probe_env.reset(seed=0)
-    model = init_scoring_model(
-        probe.agent_feats.shape[1], probe.task_feats.shape[1],
-        pair_extra_dim=0 if probe.pair_extras is None else probe.pair_extras.shape[-1],
-        with_g=config.inference == "quad", seed=config.seed)
+    agent_dim, task_dim, extra_dim = feature_dims(probe_env)
+    model = init_scoring_model(agent_dim, task_dim, pair_extra_dim=extra_dim,
+                               with_g=config.inference == "quad", seed=config.seed)
     critic = init_critic(2, probe_env.feature_dim, seed=config.seed + 1)
     return env_factory, model, critic
 

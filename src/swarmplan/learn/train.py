@@ -51,18 +51,18 @@ def play_episode(meta_env, model: ScoringModel, inference: str, cfg: A2CConfig,
             return total, length
 
 
-def evaluate_policy(env_factory, model, inference, cfg, episodes: int,
-                    seed_base: int):
-    """Mean return and mean episode length over fixed evaluation seeds."""
-    rng = np.random.default_rng(seed_base)
-    returns = []
-    lengths = []
-    for k in range(episodes):
-        ret, length = play_episode(env_factory(), model, inference, cfg, rng,
-                                   seed=seed_base + k)
-        returns.append(ret)
-        lengths.append(length)
-    return float(np.mean(returns)), float(np.mean(lengths))
+def evaluate_policy(env_factory, model, inference, cfg, seeds) -> list:
+    """Play one episode per seed, each on a fresh `env_factory()` reset
+    with that seed, with exploration noise drawn from one rng seeded
+    `seeds[0]`; returns (env after the episode, return, length) per seed."""
+    if len(seeds) == 0:
+        raise LearnError("evaluation needs at least one seed")
+    rng = np.random.default_rng(seeds[0])
+    played = []
+    for seed in seeds:
+        env = env_factory()
+        played.append((env, *play_episode(env, model, inference, cfg, rng, seed=seed)))
+    return played
 
 
 @dataclass
@@ -90,8 +90,7 @@ def train(
     total_updates: int,
     seed: int = 0,
     eval_every: int = 0,
-    eval_episodes: int = 8,
-    eval_seed_base: int = 10_000,
+    eval_seeds=range(10_000, 10_008),
     metrics_path=None,
     max_seconds=None,
 ) -> TrainResult:
@@ -99,7 +98,9 @@ def train(
 
     A budget of zero leaves the parameters untouched. `max_seconds`, if
     given, stops early once the wall clock is exhausted (checked between
-    updates).
+    updates). With `eval_every` = k > 0, every k-th update, the last one
+    and the one that runs out of time record the mean return and length
+    of `evaluate_policy` over `eval_seeds`.
     """
     if total_updates < 0:
         raise LearnError("total_updates must be >= 0")
@@ -134,10 +135,9 @@ def train(
         last = update == total_updates - 1
         out_of_time = max_seconds is not None and row["wall_clock"] > max_seconds
         if eval_every and (updates % eval_every == 0 or last or out_of_time):
-            ret, length = evaluate_policy(env_factory, model, inference, cfg,
-                                          eval_episodes, eval_seed_base)
-            row["eval_mean_return"] = ret
-            row["eval_mean_length"] = length
+            played = evaluate_policy(env_factory, model, inference, cfg, eval_seeds)
+            row["eval_mean_return"] = float(np.mean([ret for _, ret, _ in played]))
+            row["eval_mean_length"] = float(np.mean([length for _, _, length in played]))
         rows.append(row)
         if out_of_time:
             break

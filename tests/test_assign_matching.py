@@ -25,7 +25,6 @@ from swarmplan.assign import (
     objective_value,
     polish_assignment,
     quad_relax_solve,
-    unit_demand,
 )
 from swarmplan.assign import core, procedures
 from swarmplan.assign.network import TransportLp
@@ -67,14 +66,14 @@ def rescue_observations(n, m, episodes, steps, sigma=0.4, seed=0):
 
 class TestUnitDemand:
     def test_detects_unit_mu_and_whole_capacities(self):
-        assert unit_demand(ConstraintSet(np.ones((2, 3)), [0.0, 1.0, 5.0]))
-        assert not unit_demand(ConstraintSet(np.ones((2, 3)), [0.0, 1.5, 5.0]))
-        assert not unit_demand(ConstraintSet([[1.0, 2.0], [1.0, 1.0]], [1.0, 1.0]))
+        assert ConstraintSet(np.ones((2, 3)), [0.0, 1.0, 5.0]).unit_demand
+        assert not ConstraintSet(np.ones((2, 3)), [0.0, 1.5, 5.0]).unit_demand
+        assert not ConstraintSet([[1.0, 2.0], [1.0, 1.0]], [1.0, 1.0]).unit_demand
 
     def test_tested_once_per_set_on_first_use(self):
         cons = ConstraintSet(np.ones((2, 3)), [0.0, 1.0, 5.0])
         assert "unit_demand" not in vars(cons)  # a set that never asks pays nothing
-        assert unit_demand(cons) and vars(cons)["unit_demand"] is True
+        assert cons.unit_demand and vars(cons)["unit_demand"] is True
 
     def test_rejects_other_polytopes(self):
         scores = ScoreTable(np.ones((2, 2)))
@@ -262,7 +261,7 @@ class TestStackedMatching:
             u[rng.random(lanes) < 0.4, 0] += 0.5  # not whole: the simplex and rounding
             mu[rng.random(lanes) < 0.3, 0, :] = 2.0  # not unit mu, still row-constant
             cons = [ConstraintSet(mu[k], u[k]) for k in range(lanes)]
-            mixed += 0 < sum(map(unit_demand, cons)) < lanes
+            mixed += 0 < sum(lane.unit_demand for lane in cons) < lanes
             for k, got in enumerate(procedures.infer_stack("lp", h, None, cons)):
                 np.testing.assert_array_equal(got.target, infer(ScoreTable(h[k]), cons[k]).target)
         assert mixed > 20
@@ -286,7 +285,7 @@ class TestInferLpOnRescue:
         infer = get_procedure("lp")
         count = 0
         for scores, cons in rescue_observations(n, m, episodes=4, steps=40):
-            assert unit_demand(cons)
+            assert cons.unit_demand
             np.testing.assert_array_equal(infer(scores, cons).target,
                                           simplex_rounded(scores, cons).target)
             count += 1

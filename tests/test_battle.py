@@ -24,7 +24,7 @@ from swarmplan.battle import (
     weakest_closest_no_overkill_no_change,
     weakest_closest_no_overkill_smart,
 )
-from swarmplan.battle.sim import _resolve_collisions, effective_range
+from swarmplan.battle.sim import CONTACT_EPS, _Window
 
 
 def make_spec(**overrides):
@@ -99,9 +99,11 @@ class TestSpawn:
             st = spawn_battle(load_scenario("m10v10", seed=s))
             for u in st.ours:
                 for e in st.theirs:
+                    # Reach is edge to edge: melee units connect at contact.
+                    contact = u.spec.radius + e.spec.radius + CONTACT_EPS
                     d = np.linalg.norm(u.pos - e.pos)
-                    assert d > effective_range(u, e)
-                    assert d > effective_range(e, u)
+                    assert d > max(u.spec.attack_range, contact)
+                    assert d > max(e.spec.attack_range, contact)
 
     def test_y_spread_exceeds_x_spread(self):
         xs, ys = [], []
@@ -216,13 +218,20 @@ class TestStepBattle:
             prev = cur
 
 
+def resolve_collisions(state):
+    """The separation pass that `step_battle` runs after each frame."""
+    window = _Window(state)
+    window.resolve_collisions()
+    window.write_back()
+
+
 class TestCollisions:
     def test_ground_overlap_separated(self):
-        a = duel_state().ours[0]
-        b = duel_state().ours[0]
+        st = duel_state(n=2)
+        a, b = st.ours
         a.pos = np.array([50.0, 50.0])
         b.pos = np.array([50.5, 50.0])
-        _resolve_collisions([a, b])
+        resolve_collisions(st)
         assert np.linalg.norm(a.pos - b.pos) >= 1.5 - 1e-9
 
     def test_flying_never_pushed(self):
@@ -231,7 +240,7 @@ class TestCollisions:
         a.pos = np.array([50.0, 50.0])
         b.pos = np.array([50.1, 50.0])
         pa, pb = a.pos.copy(), b.pos.copy()
-        _resolve_collisions([a, b])
+        resolve_collisions(st)
         np.testing.assert_array_equal(a.pos, pa)
         np.testing.assert_array_equal(b.pos, pb)
 

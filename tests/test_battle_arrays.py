@@ -6,7 +6,7 @@ import pytest
 
 from swarmplan.battle import BattleConfig, UnitSpec, spawn_battle
 from swarmplan.battle import sim
-from swarmplan.battle.sim import _resolve_collisions, pair_distances, vec_norm
+from swarmplan.battle.sim import _Window, pair_distances, vec_norm
 
 
 def random_deltas(rng, k):
@@ -63,8 +63,8 @@ def reference_collisions(units):
 
 
 def crowd(rng, k):
-    """k units packed into a small patch: mixed radii, some flying, some
-    dead, some stacked on the same spot."""
+    """A battle whose k units of ours are packed into a small patch: mixed
+    radii, some flying, some dead, some stacked on the same spot."""
     specs = [UnitSpec(name=f"u{r}{f}", max_health=10.0, damage_per_attack=1.0,
                       cooldown_frames=5, attack_range=1.0, speed=0.5,
                       is_flying=f, type_id=0, radius=r)
@@ -72,7 +72,8 @@ def crowd(rng, k):
     picks = rng.integers(len(specs), size=k)
     picks[rng.random(k) < 0.7] = 2  # mostly ground, radius 0.75
     cfg = BattleConfig(ours=[specs[i] for i in picks], theirs=[specs[0]], seed=0)
-    units = spawn_battle(cfg).ours
+    state = spawn_battle(cfg)
+    units = state.ours
     spread = rng.choice([0.5, 2.0, 6.0, 20.0])
     for u in units:
         u.pos = 50.0 + rng.uniform(0.0, spread, 2)
@@ -80,7 +81,7 @@ def crowd(rng, k):
             u.health = 0.0
     for _ in range(int(rng.integers(0, 3))):
         units[int(rng.integers(k))].pos = units[0].pos.copy()
-    return units
+    return state
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -93,12 +94,15 @@ def test_collisions_match_per_pair_loop(monkeypatch, seed, slack, screen):
         monkeypatch.setattr(sim, "_SCREEN", screen)
     rng = np.random.default_rng(seed)
     for _ in range(60):
-        units = crowd(rng, int(rng.integers(2, 45)))
+        state = crowd(rng, int(rng.integers(2, 45)))
+        units = state.ours + state.theirs
         start = [u.pos.copy() for u in units]
         reference_collisions(units)
         expect = [u.pos for u in units]
         for u, p in zip(units, start):
             u.pos = p.copy()
-        _resolve_collisions(units)
+        window = _Window(state)  # the pass that step_battle runs
+        window.resolve_collisions()
+        window.write_back()
         for u, e in zip(units, expect):
             np.testing.assert_array_equal(u.pos, e)

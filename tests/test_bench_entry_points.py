@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from swarmplan import learn, nets, rescue
+from swarmplan import harness, learn, nets, rescue
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WORKLOAD_HOOKS = ("swarmplan.learn.train:a2c_update",
@@ -68,3 +68,29 @@ def test_traced_training_sees_the_rescue_layers(tracing):
     for name in ("rescue.step", "rescue.extract_features", "rescue.build_constraints",
                  "learn.a2c_grads", "learn.noise.sample"):
         assert tracer.calls(name) > 0, name
+
+
+def test_rescue_evaluation_plays_every_chunk_through_the_hook(tracing):
+    """The eval workload times `RolloutWorker.collect_chunk`: every chunk
+    that `harness.evaluate_rescue_model` plays must pass through it."""
+    chunks = []
+
+    def counting(fn):
+        def collect_chunk(worker):
+            chunk = fn(worker)
+            chunks.append(chunk)
+            return chunk
+        return collect_chunk
+
+    patches = tracing.Patches()
+    assert patches.install("swarmplan.learn:RolloutWorker.collect_chunk", counting)
+    try:
+        seeds = (1000, 1001, 1002)
+        summary = harness.evaluate_rescue_model(
+            nets.init_scoring_model(2, 3, with_g=False, seed=0), "lp", learn.A2CConfig(),
+            3, 5, seeds=seeds)
+    finally:
+        patches.remove()
+    assert sum(chunk.terminal_tail for chunk in chunks) == len(seeds)
+    # lengths are reported as completion times, one less than the steps played
+    assert sum(len(chunk) for chunk in chunks) == round((summary.mean + 1) * len(seeds))

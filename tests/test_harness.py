@@ -340,9 +340,19 @@ def test_cli_oracle(capsys):
     assert code == 0 and out["size"] == "2x4" and out["makespan"] >= 1
 
 
+def assert_cli_error(capsys, *argv, says=""):
+    """The command exits 2 with one `error: ...` line and no traceback."""
+    assert main(list(argv)) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: " + says), argv
+    assert captured.err.count("\n") == 1, argv
+
+
 def test_cli_oracle_rejects_battle(capsys):
-    assert main(["oracle", "--env", "battle", "--size", "2x4",
-                 "--seed", "0"]) == 2
+    assert_cli_error(capsys, "oracle", "--env", "battle", "--size", "2x4", "--seed", "0")
+    # beyond the exact solver's 8x15 budget
+    for size in ("9x4", "2x16"):
+        assert_cli_error(capsys, "oracle", "--size", size, "--seed", "0")
 
 
 def test_cli_eval_checkpoint(tmp_path, capsys):
@@ -375,6 +385,14 @@ def test_cli_eval_checkpoint(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(tmp_path / "missing.bin"),
                  "--scenario", "2x4"]) == 2
     assert "missing.bin" in capsys.readouterr().err
+    # malformed seeds files and unknown battle scenarios exit 2 as well
+    save_models(ckpt, model, critic)
+    for text in ("[2000, 20", '[1, "x"]'):  # not JSON; not integers
+        seeds_file.write_text(text)
+        assert_cli_error(capsys, "eval", "--checkpoint", str(ckpt), "--scenario", "2x4",
+                         "--seeds-file", str(seeds_file))
+    assert_cli_error(capsys, "eval", "--checkpoint", str(ckpt), "--env", "battle",
+                     "--scenario", "nosuch")
 
 
 def test_cli_train_and_battle_bench(tmp_path, capsys):
@@ -388,3 +406,18 @@ def test_cli_train_and_battle_bench(tmp_path, capsys):
     code, out = run_cli(capsys, "battle-bench", "--scenario", "m5v5",
                         "--policy", "c", "--episodes", "3")
     assert code == 0 and out["metric"] == "return" and 0 <= out["win_rate"] <= 1
+    assert_cli_error(capsys, "battle-bench", "--scenario", "nosuch", "--policy", "c")
+    for episodes in ("0", "-3"):
+        assert_cli_error(capsys, "battle-bench", "--scenario", "m5v5", "--policy", "c",
+                         "--episodes", episodes)
+
+
+def test_cli_battle_bench_checks_the_checkpoint_like_eval(tmp_path, capsys):
+    ckpt = tmp_path / "rescue.bin"
+    save_models(ckpt, init_scoring_model(2, 3, with_g=False, seed=0),
+                init_critic(2, 3, seed=1))
+    says = "checkpoint expects features (2, 3, 0), scenario provides (8, 8, 2)"
+    assert_cli_error(capsys, "battle-bench", "--scenario", "m5v5", "--policy",
+                     "checkpoint", "--checkpoint", str(ckpt), "--episodes", "2", says=says)
+    assert_cli_error(capsys, "eval", "--checkpoint", str(ckpt), "--env", "battle",
+                     "--scenario", "m5v5", says=says)

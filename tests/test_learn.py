@@ -770,7 +770,7 @@ def test_train_writes_metrics_csv(tmp_path):
     critic = init_critic(2, 3, seed=1)
     path = tmp_path / "metrics.csv"
     result = train(model, critic, FixedEnv, "lp", small_cfg(),
-                   total_updates=3, eval_every=2, eval_episodes=2,
+                   total_updates=3, eval_every=2, eval_seeds=(10_000, 10_001),
                    metrics_path=path)
     assert result.updates == 3
     with open(path) as fh:
@@ -806,9 +806,10 @@ def test_evaluate_policy_is_deterministic_given_seeds():
     model = init_scoring_model(2, 3, with_g=False, seed=4)
     cfg = small_cfg()
     make = lambda: RescueMetaEnv(RescueConfig(2, 2, seed=0, max_steps=60))
-    a = evaluate_policy(make, model, "lp", cfg, episodes=3, seed_base=500)
-    b = evaluate_policy(make, model, "lp", cfg, episodes=3, seed_base=500)
-    assert a == b
+    a = evaluate_policy(make, model, "lp", cfg, seeds=(500, 501, 502))
+    b = evaluate_policy(make, model, "lp", cfg, seeds=(500, 501, 502))
+    assert len(a) == 3 and all(env.state.all_picked for env, _, _ in a)
+    assert [(ret, length) for _, ret, length in a] == [(ret, length) for _, ret, length in b]
 
 
 def test_training_improves_fixed_env_value_estimate():
