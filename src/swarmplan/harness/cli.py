@@ -27,14 +27,20 @@ from .evaluate import BATTLE_EVAL_SEED_BASE, RESCUE_EVAL_SEEDS, evaluate, oracle
 from .sweep import hyperparameter_search, run_experiment
 
 
+BATTLE_EPISODES = 100  # battles that `eval --env battle` and `battle-bench` play by default
+
+
 def _emit(obj):
     json.dump(obj, sys.stdout, indent=2)
     sys.stdout.write("\n")
 
 
-def _load_seeds(path):
+def _load_seeds(path, environment):
+    """The seeds in `path`, or the environment's default set: the rescue
+    evaluation seeds, or the battles that `battle-bench` plays."""
     if path is None:
-        return RESCUE_EVAL_SEEDS
+        return RESCUE_EVAL_SEEDS if environment == "rescue" else range(
+            BATTLE_EVAL_SEED_BASE, BATTLE_EVAL_SEED_BASE + BATTLE_EPISODES)
     with open(path) as fh:
         try:
             seeds = json.load(fh)
@@ -54,7 +60,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     model, critic, meta = load_models(args.checkpoint)
-    seeds = _load_seeds(args.seeds_file)
+    seeds = _load_seeds(args.seeds_file, args.env)
     summary = evaluate(model, args.env, args.scenario, seeds,
                        inference=args.inference, a2c=A2CConfig())
     _emit({"checkpoint": args.checkpoint, "scenario": args.scenario,
@@ -122,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=HEURISTICS + ("checkpoint",))
     p.add_argument("--checkpoint")
     p.add_argument("--inference", choices=INFERENCES, default="lp")
-    p.add_argument("--episodes", type=int, default=100)
+    p.add_argument("--episodes", type=int, default=BATTLE_EPISODES)
     p.add_argument("--seed-base", type=int, default=BATTLE_EVAL_SEED_BASE)
     p.set_defaults(fn=cmd_battle_bench)
     return parser

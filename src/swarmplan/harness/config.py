@@ -13,7 +13,12 @@ Schema (version 1)::
         "total_updates": int, "seed": int, "eval_every": int}}
 
 Sweep files carry the same envelope with a "sweep" object alongside
-"experiment". A key that names no field, a missing required key and an
+"experiment"::
+
+    "sweep": {"samples": int, "seed": int, "budget_updates": int}
+
+The search laws are fixed (`sweep.sample_config`), so a sweep file sets
+none of them. A key that names no field, a missing required key and an
 out-of-range a2c value are rejected with a HarnessError.
 """
 from __future__ import annotations
@@ -23,7 +28,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from ..learn import OPTIMIZERS, A2CConfig, LearnError
+from ..learn import A2CConfig, LearnError
 
 SCHEMA_VERSION = 1
 ENVIRONMENTS = ("rescue", "battle")
@@ -106,53 +111,16 @@ class ExperimentConfig:
 
 @dataclass
 class SweepSpec:
-    """Random-search laws over the tunable A2CConfig fields.
-
-    Learning rates are 10^-c with c uniform on [lr_exp_low, lr_exp_high];
-    lambda is 10^c with c uniform on lam_exp; sigma is uniform on
-    [sigma_low, sigma_high] (the high end depends on the environment);
-    p and n_steps are uniform integers; the optimizer is drawn uniformly.
-    """
+    """How many configs the random search draws, from which seed, and how
+    many updates each trains; `sweep.sample_config` holds the laws."""
 
     samples: int = 8
     seed: int = 0
     budget_updates: int = 50
-    lr_exp_low: float = 0.0
-    lr_exp_high: float = 5.0
-    sigma_low: float = 0.1
-    sigma_high: float = 2.0
-    lam_exp_low: float = -3.0
-    lam_exp_high: float = 3.0
-    p_low: int = 1
-    p_high: int = 10
-    n_steps_low: int = 2
-    n_steps_high: int = 10
-    optimizers: tuple = OPTIMIZERS
 
     def __post_init__(self):
         if self.samples < 1 or self.budget_updates < 0:
             raise HarnessError("samples must be >= 1 and budget_updates >= 0")
-        if not (0 < self.sigma_low <= self.sigma_high):
-            raise HarnessError("need 0 < sigma_low <= sigma_high")
-        if not (1 <= self.p_low <= self.p_high):
-            raise HarnessError("need 1 <= p_low <= p_high")
-        if not (2 <= self.n_steps_low <= self.n_steps_high):
-            raise HarnessError("need 2 <= n_steps_low <= n_steps_high")
-        self.optimizers = tuple(self.optimizers)
-        for name in self.optimizers:
-            if name not in OPTIMIZERS:
-                raise HarnessError(f"unknown optimizer {name!r}")
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["optimizers"] = list(self.optimizers)
-        return out
-
-    @classmethod
-    def for_environment(cls, environment: str, **kw) -> "SweepSpec":
-        """Documented defaults: sigma high is 2 for rescue, 3 for battle."""
-        kw.setdefault("sigma_high", 3.0 if environment == "battle" else 2.0)
-        return cls(**kw)
 
 
 def _load_envelope(path) -> dict:
@@ -188,4 +156,4 @@ def load_sweep(path):
         raise HarnessError("sweep file needs 'sweep' and 'experiment' objects")
     base = ExperimentConfig.from_dict(data["experiment"])
     _check_keys(SweepSpec, data["sweep"], "sweep")
-    return SweepSpec.for_environment(base.environment, **data["sweep"]), base
+    return SweepSpec(**data["sweep"]), base

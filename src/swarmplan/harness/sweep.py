@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from ..battle import load_scenario
-from ..learn import A2CConfig, BattleMetaEnv, RescueMetaEnv, train
+from ..learn import OPTIMIZERS, A2CConfig, BattleMetaEnv, RescueMetaEnv, train
 from ..nets import init_critic, init_scoring_model, save_models
 from ..rescue import RescueConfig
 from .config import ExperimentConfig, HarnessError, SweepSpec, parse_rescue_size, save_experiment
@@ -61,17 +61,23 @@ def generalization_sweep(policy, environment: str, test_scenarios, eval_seeds,
     return rows
 
 
-def sample_config(spec: SweepSpec, base: A2CConfig, rng) -> A2CConfig:
-    """One random-search draw over the tunable fields of A2CConfig."""
+def sample_config(environment: str, base: A2CConfig, rng) -> A2CConfig:
+    """One random-search draw over the tunable fields of A2CConfig.
+
+    Both learning rates are 10^-c with c uniform on [0, 5]; sigma is
+    uniform on [0.1, 2] for rescue and [0.1, 3] for battle; lambda is
+    10^c with c uniform on [-3, 3]; p is uniform on 1..10, n_steps on
+    2..10, and the optimizer is sgd or adam with equal odds.
+    """
     return dataclasses.replace(
         base,
-        lr_policy=float(10.0 ** -rng.uniform(spec.lr_exp_low, spec.lr_exp_high)),
-        lr_value=float(10.0 ** -rng.uniform(spec.lr_exp_low, spec.lr_exp_high)),
-        sigma=float(rng.uniform(spec.sigma_low, spec.sigma_high)),
-        lam=float(10.0 ** rng.uniform(spec.lam_exp_low, spec.lam_exp_high)),
-        p=int(rng.integers(spec.p_low, spec.p_high + 1)),
-        n_steps=int(rng.integers(spec.n_steps_low, spec.n_steps_high + 1)),
-        optimizer=str(rng.choice(spec.optimizers)),
+        lr_policy=float(10.0 ** -rng.uniform(0.0, 5.0)),
+        lr_value=float(10.0 ** -rng.uniform(0.0, 5.0)),
+        sigma=float(rng.uniform(0.1, 3.0 if environment == "battle" else 2.0)),
+        lam=float(10.0 ** rng.uniform(-3.0, 3.0)),
+        p=int(rng.integers(1, 11)),
+        n_steps=int(rng.integers(2, 11)),
+        optimizer=str(rng.choice(OPTIMIZERS)),
     )
 
 
@@ -141,7 +147,7 @@ def hyperparameter_search(spec: SweepSpec, base: ExperimentConfig):
     results = []
     root = Path(base.output_dir)
     for k in range(spec.samples):
-        a2c = sample_config(spec, base.a2c, rng)
+        a2c = sample_config(base.environment, base.a2c, rng)
         run_cfg = dataclasses.replace(
             base, a2c=a2c, output_dir=str(root / f"run_{k:03d}"),
             seed=base.seed + k, total_updates=spec.budget_updates)
@@ -161,5 +167,5 @@ def hyperparameter_search(spec: SweepSpec, base: ExperimentConfig):
     ranked += [r for r in results if "score" not in r]
     root.mkdir(parents=True, exist_ok=True)
     (root / "sweep_results.json").write_text(
-        json.dumps({"spec": spec.to_dict(), "ranked": ranked}, indent=2) + "\n")
+        json.dumps({"spec": dataclasses.asdict(spec), "ranked": ranked}, indent=2) + "\n")
     return ranked

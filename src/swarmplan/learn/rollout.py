@@ -3,10 +3,13 @@
 An observation is (agent features, task features, optional pair extras,
 constraints) in every domain. A collector owns rollout lanes, each an
 environment with its own rng, noise windows and episode, and steps them
-in lockstep under one model snapshot: the lanes of equal size are scored
-with one pass of each net, matched in one stack (unit-demand LP) and
-advanced by one `step_lanes` call of their environment class. Rescue
-lanes share one lane-axis `GridState`; battle lanes step one at a time.
+in lockstep under one model snapshot. A training run sees one instance
+size, so every lane of a collector holds the same (n, m), and a lane
+that resets to another raises `LearnError`. Each lockstep step scores
+all its lanes with one pass of each net, matches them in one stack
+(unit-demand LP) and advances them by one `step_lanes` call of their
+environment class. Rescue lanes share one lane-axis `GridState`; battle
+lanes step one at a time.
 Lanes emit chunks of up to N steps holding the observations, sampled
 score tables, assignments, rewards and terminal flags that the update
 rescores. A `RolloutWorker` is the one-lane collector.
@@ -145,11 +148,12 @@ class RolloutLanes:
     """Several environments ("lanes") stepped in lockstep; emits chunks.
 
     Each lane keeps its environment, rng, noise windows and episode
-    across rounds. A round collects one chunk from each of the first
-    `count` lanes, in lane order, stepping together every lane still
-    inside its chunk. Chunks never cross episode boundaries: a 10-step
-    episode with N=4 yields chunks of 4, 4 and 2 steps, and a lane whose
-    chunk ended early waits for the rest of the round.
+    across rounds; all lanes hold one (n, m). A round collects one chunk
+    from each of the first `count` lanes, in lane order, stepping
+    together every lane still inside its chunk. Chunks never cross
+    episode boundaries: a 10-step episode with N=4 yields chunks of 4, 4
+    and 2 steps, and a lane whose chunk ended early waits for the rest
+    of the round.
     """
 
     def __init__(self, envs, inference: str, cfg: A2CConfig, rngs,
@@ -168,6 +172,7 @@ class RolloutLanes:
         self.obs = [None] * len(self.envs)
         self.h_windows = [None] * len(self.envs)
         self.g_windows = [None] * len(self.envs)
+        self.size = None  # the (n, m) of every lane, from the first reset on
 
     def set_model(self, model: ScoringModel):
         """Install an immutable parameter snapshot for upcoming steps."""
@@ -178,6 +183,10 @@ class RolloutLanes:
         seed = int(self.rngs[k].integers(2 ** 31 - 1)) if seeds is None else next(seeds)
         self.obs[k] = obs = self.envs[k].reset(seed=seed)
         n, m = obs.agent_feats.shape[0], obs.task_feats.shape[0]
+        self.size = self.size or (n, m)
+        if (n, m) != self.size:
+            raise LearnError(f"lane {k} reset to (n, m) = {(n, m)}; "
+                             f"the collector holds {self.size}")
         self.h_windows[k] = NoiseWindows((n, m), self.cfg.p)
         if self.uses_g:
             self.g_windows[k] = NoiseWindows((m, m), self.cfg.p)
@@ -186,10 +195,10 @@ class RolloutLanes:
         return [windows[k].sample(mean, self.cfg.sigma, self.rngs[k])
                 for k, mean in zip(lanes, means)]
 
-    def _score_group(self, lanes) -> list:
-        """Score, perturb and assign lanes whose observations have equal
-        shapes; returns their (sampled h, sampled g, assignment) in lane
-        order."""
+    def _step(self, lanes) -> list:
+        """One lockstep step of `lanes`: one scoring pass, one stacked
+        assignment and one `step_lanes` call; returns their records in
+        lane order."""
         obs = [self.obs[k] for k in lanes]
         extras = None if obs[0].pair_extras is None else np.array(
             [o.pair_extras for o in obs])
@@ -209,28 +218,14 @@ class RolloutLanes:
             stacked_g = np.array(sampled_g)
         assignments = infer_stack(self.inference, np.array(sampled_h), stacked_g,
                                   [o.cons for o in obs])
-        return list(zip(sampled_h, sampled_g, assignments))
-
-    def _step(self, lanes) -> list:
-        """One lockstep step of `lanes`; returns their records in order.
-
-        The lanes of each observation shape are scored together and then
-        advanced by one `step_lanes` call of their environment class."""
-        groups = {}
-        for k in lanes:
-            obs = self.obs[k]
-            groups.setdefault((obs.agent_feats.shape, obs.task_feats.shape), []).append(k)
-        records = {}
-        for group in groups.values():
-            scored = self._score_group(group)
-            envs = [self.envs[k] for k in group]
-            stepped = type(envs[0]).step_lanes(envs, [a for _, _, a in scored])
-            for k, (sampled_h, sampled_g, assignment), (next_obs, reward, done) in zip(
-                    group, scored, stepped):
-                records[k] = StepRecord(self.obs[k], sampled_h, sampled_g,
-                                        assignment, reward, done)
-                self.obs[k] = next_obs
-        return [records[k] for k in lanes]
+        envs = [self.envs[k] for k in lanes]
+        records = []
+        for k, o, s_h, s_g, assignment, (next_obs, reward, done) in zip(
+                lanes, obs, sampled_h, sampled_g, assignments,
+                type(envs[0]).step_lanes(envs, assignments)):
+            records.append(StepRecord(o, s_h, s_g, assignment, reward, done))
+            self.obs[k] = next_obs
+        return records
 
     def collect_round(self, count: int | None = None) -> list:
         """One chunk from each of the first `count` lanes (all by default)."""

@@ -13,21 +13,22 @@ Freezing R and A at the evaluation point makes the analytic gradient
 exactly the gradient of `frozen_objective`, which is what the
 finite-difference tests check.
 
-An update is one batched pass over the whole batch: every step's
-agent-task pair rows go through h_net together (task-task rows through
-g_net when the steps sampled g), and the critic rows of every step's
-observation, plus the bootstrap observations of non-terminal chunks,
-built from their feature arrays, go through the critic together with a
-segment mean per state. The targets come from that
-forward pass, and each net then runs one backward pass. Batched sums
-round differently from per-step sums, so results agree with a per-step
-loop to rounding, not bit for bit. `frozen_objective` stays a per-step
-loop: it is the independent reference for the gradient checks.
+An update is one batched pass over the whole batch. A batch holds one
+(n, m), and its steps either all sampled g or none did; anything else
+raises `LearnError`. Its observations are stacked once:
+`score_pair_stack` scores every step's pairs in one pass of each net,
+and one `critic_rows` matrix holds the critic rows of every step and of
+the bootstrap observations of non-terminal chunks, which go through the
+critic together with a segment mean per state. The targets come from
+that forward pass; `score_pairs_backward` and `critic_values_backward`
+then run one backward pass of each net. Batched sums round differently
+from per-step sums, so results agree with a per-step loop to rounding,
+not bit for bit. `frozen_objective` stays a per-step loop: it is the
+independent reference for the gradient checks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -38,12 +39,11 @@ from ..nets import (
     critic_values,
     critic_values_backward,
     grads_to_vector,
-    mlp_backward_batch,
-    mlp_forward_batch,
+    score_pair_stack,
     score_pairs,
+    score_pairs_backward,
     zero_grads,
 )
-from ..nets.scoring import _pair_inputs, _task_pair_inputs
 from .config import A2CConfig, LearnError, OPTIMIZERS
 from .rollout import Chunk, gaussian_loglik
 
@@ -148,88 +148,54 @@ class _BatchPass:
     steps: list            # the steps of all chunks, in batch order
     values: np.ndarray     # V of each step, then of each bootstrap state
     log_l: np.ndarray      # log l of each step under the current networks
-    policy: list           # (net, cache, sampled - predicted, step of each row)
+    diffs: list            # sampled - predicted h (S, n, m), then g (S, m, m) if sampled
+    cache: tuple           # score_pair_stack's caches
     critic_cache: tuple
 
 
-def _stacked_runs(items, key, rows):
-    """rows(run) of each maximal run of consecutive items with equal key,
-    stacked in item order."""
-    blocks = [rows(list(run)) for _, run in groupby(items, key)]
-    return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-
-
-def _h_rows(model, steps):
-    """h_net rows of `steps` in step order, one `_pair_inputs` call per run
-    of steps with equal (n, m)."""
-    def rows(run):
-        obs = [step.obs for step in run]
-        extras = None if obs[0].pair_extras is None else np.stack(
-            [o.pair_extras for o in obs])
-        return _pair_inputs(model, np.stack([o.agent_feats for o in obs]),
-                            np.stack([o.task_feats for o in obs]), extras)[0]
-    return _stacked_runs(steps, lambda step: step.sampled_h.shape, rows)
-
-
-def _g_rows(steps):
-    """g_net rows of `steps` in step order, one call per run of equal m."""
-    return _stacked_runs(steps, lambda step: step.sampled_g.shape, lambda run:
-                         _task_pair_inputs(np.stack([step.obs.task_feats for step in run])))
-
-
-def _critic_inputs(critic, observations):
-    """Critic rows of `observations` in order, one `critic_rows` call per run
-    of equal (n, m), and the entity count of each observation."""
-    X = _stacked_runs(observations, lambda obs: (obs.agent_feats.shape, obs.task_feats.shape),
-                      lambda run: critic_rows(critic, np.stack([obs.agent_feats for obs in run]),
-                                              np.stack([obs.task_feats for obs in run])))
-    return X, [obs.agent_feats.shape[0] + obs.task_feats.shape[0] for obs in observations]
-
-
 def _state_value(critic, obs) -> float:
-    return float(critic_values(critic, *_critic_inputs(critic, [obs]))[0])
+    X = critic_rows(critic, obs.agent_feats[None], obs.task_feats[None])
+    return float(critic_values(critic, X, [len(X)])[0])
 
 
-def _pair_pass(net, X, samples, step_ids, num_steps: int, sigma: float):
-    """One forward of `net` over the stacked pair rows X of several steps.
-
-    Returns the policy entry for `_BatchPass` and the per-step Gaussian
-    log-likelihood of the sampled tables (0 for steps without rows).
-    """
-    out, cache = mlp_forward_batch(net, X)
-    diff = np.concatenate([np.ravel(sample) for sample in samples]) - out[:, 0]
-    seg = np.repeat(step_ids, [sample.size for sample in samples])
-    sq = np.bincount(seg, weights=diff * diff, minlength=num_steps)
-    k = np.bincount(seg, minlength=num_steps)
-    log_l = -sq / (2.0 * sigma) - 0.5 * k * np.log(2.0 * np.pi * sigma)
-    return (net, cache, diff, seg), log_l
+def _loglik(diff, sigma: float) -> np.ndarray:
+    """Gaussian log-likelihood of each step from its (S, ...) sample - mean."""
+    S, k = len(diff), diff[0].size
+    sq = np.bincount(np.repeat(np.arange(S), k), weights=(diff * diff).ravel(), minlength=S)
+    return -sq / (2.0 * sigma) - 0.5 * k * np.log(2.0 * np.pi * sigma)
 
 
 def _batch_forward(model: ScoringModel, critic: CriticParams, chunks,
                    sigma: float) -> _BatchPass:
-    steps = [step for chunk in chunks for step in chunk.steps]
-    S = len(steps)
-    h_part, log_l = _pair_pass(model.h_net, _h_rows(model, steps),
-                               [step.sampled_h for step in steps],
-                               np.arange(S), S, sigma)
-    policy = [h_part]
-    g_ids = [t for t, step in enumerate(steps) if step.sampled_g is not None]
-    if g_ids:
-        if model.g_net is None:
-            raise LearnError("rollout sampled g but the model has no g_net")
-        g_steps = [steps[t] for t in g_ids]
-        g_part, g_log_l = _pair_pass(model.g_net, _g_rows(g_steps),
-                                     [step.sampled_g for step in g_steps],
-                                     np.array(g_ids), S, sigma)
-        policy.append(g_part)
-        log_l = log_l + g_log_l
     for chunk in chunks:
         _check_bootstrap(chunk)
+    steps = [step for chunk in chunks for step in chunk.steps]
     observations = [step.obs for step in steps] + [
         chunk.bootstrap for chunk in chunks if not chunk.terminal_tail]
-    values, critic_cache = critic_values(critic, *_critic_inputs(critic, observations),
-                                         with_cache=True)
-    return _BatchPass(steps, values, log_l, policy, critic_cache)
+    sizes = {(obs.agent_feats.shape[0], obs.task_feats.shape[0]) for obs in observations}
+    if len(sizes) > 1:
+        raise LearnError(f"a batch holds one (n, m), got {sorted(sizes)}")
+    (n, m), = sizes
+    g_flags = {step.sampled_g is not None for step in steps}
+    if len(g_flags) > 1:
+        raise LearnError("a batch's steps either all sampled g or none did")
+    uses_g = True in g_flags
+    if uses_g and model.g_net is None:
+        raise LearnError("rollout sampled g but the model has no g_net")
+    S = len(steps)
+    agents = np.stack([obs.agent_feats for obs in observations])
+    tasks = np.stack([obs.task_feats for obs in observations])
+    extras = None if steps[0].obs.pair_extras is None else np.stack(
+        [step.obs.pair_extras for step in steps])
+    h, g, cache = score_pair_stack(model, agents[:S], tasks[:S], extras, with_cache=True)
+    diffs = [np.array([step.sampled_h for step in steps]) - h]
+    log_l = _loglik(diffs[0], sigma)
+    if uses_g:
+        diffs.append(np.array([step.sampled_g for step in steps]) - g)
+        log_l = log_l + _loglik(diffs[1], sigma)
+    values, critic_cache = critic_values(critic, critic_rows(critic, agents, tasks),
+                                         [n + m] * len(observations), with_cache=True)
+    return _BatchPass(steps, values, log_l, diffs, cache, critic_cache)
 
 
 def _targets(batch: _BatchPass, chunks, cfg: A2CConfig) -> FrozenTargets:
@@ -300,12 +266,12 @@ def a2c_grads(model: ScoringModel, critic: CriticParams, chunks,
     value_up[:S] = -np.sign(R - V) / S
     embed_grads, head_grads = critic_values_backward(critic, batch.critic_cache,
                                                      value_up)
-    scale = -cfg.lam * A / (cfg.sigma * S)
-    policy = [mlp_backward_batch(net, cache, (scale[seg] * diff)[:, None])[0]
-              for net, cache, diff, seg in batch.policy]
-    g_grads = policy[1] if len(policy) > 1 else (
-        zero_grads(model.g_net) if model.g_net is not None else None)
-    grads = {"h": policy[0], "g": g_grads, "embed": embed_grads, "head": head_grads}
+    scale = (-cfg.lam * A / (cfg.sigma * S))[:, None, None]
+    h_grads, g_grads = score_pairs_backward(model, batch.cache,
+                                            *[scale * diff for diff in batch.diffs])
+    if g_grads is None and model.g_net is not None:
+        g_grads = zero_grads(model.g_net)
+    grads = {"h": h_grads, "g": g_grads, "embed": embed_grads, "head": head_grads}
     norm_sq = sum(float(np.sum(grads_to_vector(acc) ** 2))
                   for acc in grads.values() if acc is not None)
     diag = UpdateDiagnostics(

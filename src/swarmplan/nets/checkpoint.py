@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .critic import CriticParams
-from .mlp import MlpParams
+from .mlp import MlpParams, NetError
 from .scoring import ScoringModel
 
 FORMAT_VERSION = 1
@@ -104,8 +104,13 @@ def save_models(path, model: ScoringModel, critic: CriticParams | None = None,
 
 
 def load_models(path):
-    """Returns (ScoringModel, CriticParams or None, meta)."""
+    """Returns (ScoringModel, CriticParams or None, meta). Non-finite weights,
+    layers that do not chain and feature widths that disagree with the nets
+    raise CheckpointError: parameters from outside are checked here."""
     arrays, meta = load_arrays(path)
+    bad = [name for name, a in arrays.items() if not np.isfinite(a).all()]
+    if bad:
+        raise CheckpointError(f"non-finite weights in {', '.join(bad)}")
     try:
         h_net = _mlp_from_arrays("h_net", arrays)
         g_net = _mlp_from_arrays("g_net", arrays) if meta.get("has_g") else None
@@ -122,4 +127,6 @@ def load_models(path):
             )
     except KeyError as exc:
         raise CheckpointError(f"checkpoint has no {exc} entry") from exc
+    except NetError as exc:
+        raise CheckpointError(f"bad checkpoint: {exc}") from exc
     return model, critic, meta

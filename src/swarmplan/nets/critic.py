@@ -109,6 +109,8 @@ def critic_value(params: CriticParams, entities, with_cache: bool = False):
         feats = np.asarray(feats, dtype=float)
         if feats.shape[0] > params.feature_dim:
             raise NetError(f"entity features length {feats.shape[0]} > {params.feature_dim}")
+        if not np.isfinite(feats).all():
+            raise NetError("non-finite entity features")
         row[kind] = 1.0
         row[params.num_kinds:params.num_kinds + feats.shape[0]] = feats
     values, cache = critic_values(params, X, [len(entities)], with_cache=True)

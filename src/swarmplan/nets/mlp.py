@@ -14,7 +14,8 @@ HIDDEN = 32
 
 
 class NetError(ValueError):
-    """Shape mismatch or non-finite input to a network operation."""
+    """Shape mismatch in a network operation, or non-finite entity features
+    given to `critic_value`. Weights are checked where checkpoints load."""
 
 
 @dataclass
@@ -29,8 +30,6 @@ class MlpParams:
                 raise NetError(f"layer {k}: weight {W.shape} / bias {b.shape} mismatch")
             if k > 0 and W.shape[1] != self.layers[k - 1][0].shape[0]:
                 raise NetError(f"layer {k} input {W.shape[1]} != previous output")
-            if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
-                raise NetError(f"layer {k} has non-finite parameters")
 
     @property
     def in_dim(self) -> int:
@@ -55,12 +54,11 @@ def init_mlp(sizes, rng) -> MlpParams:
 
 
 def mlp_forward_batch(params: MlpParams, X: np.ndarray):
-    """Evaluate a batch of inputs X (B, in) -> (Y (B, out), cache)."""
+    """Evaluate a batch of inputs X (B, in) -> (Y (B, out), cache). Only the
+    shape is checked; `ScoreTable` and the rollout reject non-finite scores."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.in_dim:
         raise NetError(f"input shape {X.shape} incompatible with in_dim {params.in_dim}")
-    if not np.all(np.isfinite(X)):
-        raise NetError("non-finite input")
     cache = []
     act = X
     last = len(params.layers) - 1

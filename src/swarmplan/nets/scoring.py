@@ -74,11 +74,15 @@ def _pair_rows(left, right, extras=None):
     return X.reshape(B * n * m, a + b + e)
 
 
-def _pair_inputs(model, agent_feats, task_feats, pair_extras):
-    """h_net input rows of a stack of B instances with equal (n, m).
+def score_pair_stack(model: ScoringModel, agent_feats, task_feats, pair_extras=None,
+                     with_cache: bool = False):
+    """h (B, n, m) and g (B, m, m), or None without a g_net, of a stack of
+    B instances with equal (n, m); each net runs once over all their rows.
 
     agent_feats is (B, n, da), task_feats (B, m, dt) and pair_extras
-    (B, n, m, de) or None. Returns the (B * n * m, d) rows and (B, n, m).
+    (B, n, m, de) or None. The tables are not checked for finiteness;
+    `ScoreTable` checks one instance. with_cache=True also returns the
+    caches for score_pairs_backward.
     """
     A = np.asarray(agent_feats, dtype=float)
     T = np.asarray(task_feats, dtype=float)
@@ -94,29 +98,10 @@ def _pair_inputs(model, agent_feats, task_feats, pair_extras):
             raise NetError(f"pair extras shape {E.shape[1:]} != ({n}, {m}, {model.pair_extra_dim})")
     elif pair_extras is not None:
         raise NetError("model takes no pair extras")
-    return _pair_rows(A, T, E), (B, n, m)
-
-
-def _task_pair_inputs(task_feats):
-    """g_net input rows of a stack of task features (B, m, dt)."""
-    T = np.asarray(task_feats, dtype=float)
-    return _pair_rows(T, T)
-
-
-def score_pair_stack(model: ScoringModel, agent_feats, task_feats, pair_extras=None,
-                     with_cache: bool = False):
-    """h (B, n, m) and g (B, m, m), or None without a g_net, of a stack of
-    B instances with equal (n, m); each net runs once over all their rows.
-
-    Inputs carry a leading batch axis (see `_pair_inputs`). The tables
-    are not checked for finiteness; `ScoreTable` checks one instance.
-    with_cache=True also returns the caches for score_pairs_backward.
-    """
-    X_h, (B, n, m) = _pair_inputs(model, agent_feats, task_feats, pair_extras)
-    h_out, h_cache = mlp_forward_batch(model.h_net, X_h)
+    h_out, h_cache = mlp_forward_batch(model.h_net, _pair_rows(A, T, E))
     g = g_cache = None
     if model.g_net is not None:
-        g_out, g_cache = mlp_forward_batch(model.g_net, _task_pair_inputs(task_feats))
+        g_out, g_cache = mlp_forward_batch(model.g_net, _pair_rows(T, T))
         g = g_out.reshape(B, m, m)
     h = h_out.reshape(B, n, m)
     if with_cache:

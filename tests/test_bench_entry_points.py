@@ -94,3 +94,27 @@ def test_rescue_evaluation_plays_every_chunk_through_the_hook(tracing):
     assert sum(chunk.terminal_tail for chunk in chunks) == len(seeds)
     # lengths are reported as completion times, one less than the steps played
     assert sum(len(chunk) for chunk in chunks) == round((summary.mean + 1) * len(seeds))
+
+
+def test_training_backpropagates_through_the_traced_hook(tracing):
+    """The train workload's `nets.backward` layer times
+    `score_pairs_backward`: each A2C update calls it once."""
+    calls = []
+
+    def counting(fn):
+        def score_pairs_backward(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return score_pairs_backward
+
+    patches = tracing.Patches()
+    assert patches.install("swarmplan.nets:score_pairs_backward", counting)
+    try:
+        learn.train(nets.init_scoring_model(2, 3, with_g=False, seed=0),
+                    nets.init_critic(2, 3, seed=1),
+                    lambda: learn.RescueMetaEnv(rescue.RescueConfig(2, 4, seed=0)),
+                    "lp", learn.A2CConfig(n_steps=4, workers=2, batch_chunks=4),
+                    total_updates=3, seed=5)
+    finally:
+        patches.remove()
+    assert len(calls) == 3

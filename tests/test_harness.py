@@ -1,4 +1,5 @@
 """Tests for configuration, evaluation sets, sweeps and the CLI."""
+import dataclasses
 import json
 import struct
 
@@ -27,7 +28,7 @@ from swarmplan.harness import (
 )
 from swarmplan.harness.cli import main
 from swarmplan.learn import A2CConfig, BattleMetaEnv
-from swarmplan.nets import init_critic, init_scoring_model, save_models
+from swarmplan.nets import init_critic, init_scoring_model, save_arrays, save_models
 
 SMALL_SEEDS = tuple(range(2000, 2010))
 
@@ -132,7 +133,7 @@ def test_config_files_with_out_of_range_a2c_values_fail_cleanly(tmp_path, capsys
     assert capsys.readouterr().err == "error: a2c: gamma must be in [0, 1)\n"
 
 
-def test_sweep_file_takes_the_environment_sigma_default(tmp_path):
+def test_sweep_file_takes_the_environment_sigma_default(tmp_path, capsys):
     path = tmp_path / "sweep.json"
     for environment, scenario, sigma_high in (("rescue", "2x4", 2.0),
                                               ("battle", "m5v5", 3.0)):
@@ -140,19 +141,28 @@ def test_sweep_file_takes_the_environment_sigma_default(tmp_path):
         path.write_text(json.dumps({"version": 1, "sweep": {"samples": 2},
                                     "experiment": experiment.to_dict()}))
         spec, base = load_sweep(path)
-        assert (spec.samples, spec.sigma_high) == (2, sigma_high)
-        assert base == experiment
+        assert spec == SweepSpec(samples=2) and base == experiment
+        rng = np.random.default_rng(3)
+        sigmas = [sample_config(base.environment, base.a2c, rng).sigma for _ in range(200)]
+        assert sigma_high - 0.1 < max(sigmas) <= sigma_high
+    # the laws are constants: a file that sets one is rejected
+    path.write_text(json.dumps({"version": 1, "sweep": {"samples": 2, "sigma_high": 3.0},
+                                "experiment": experiment.to_dict()}))
+    assert_cli_error(capsys, "sweep", "--spec", str(path), says="unknown sweep keys: sigma_high")
 
 
 def test_sweep_spec_validation_and_environment_defaults():
-    assert SweepSpec.for_environment("rescue").sigma_high == 2.0
-    assert SweepSpec.for_environment("battle").sigma_high == 3.0
+    assert [f.name for f in dataclasses.fields(SweepSpec)] == [
+        "samples", "seed", "budget_updates"]
     with pytest.raises(HarnessError):
         SweepSpec(samples=0)
     with pytest.raises(HarnessError):
-        SweepSpec(sigma_low=0.0)
-    with pytest.raises(HarnessError):
-        SweepSpec(optimizers=("rmsprop",))
+        SweepSpec(budget_updates=-1)
+    for environment, sigma_high in (("rescue", 2.0), ("battle", 3.0)):
+        rng = np.random.default_rng(4)
+        draws = [sample_config(environment, A2CConfig(), rng) for _ in range(200)]
+        assert 0.1 <= min(c.sigma for c in draws)
+        assert sigma_high - 0.1 < max(c.sigma for c in draws) <= sigma_high
 
 
 # ---------------------------------------------------------------------------
@@ -160,26 +170,23 @@ def test_sweep_spec_validation_and_environment_defaults():
 
 
 def test_sample_config_identical_seed_identical_draws():
-    spec = SweepSpec(seed=5)
     base = A2CConfig()
-    a = [sample_config(spec, base, np.random.default_rng(5)) for _ in range(3)]
-    b = [sample_config(spec, base, np.random.default_rng(5)) for _ in range(3)]
+    a = [sample_config("rescue", base, np.random.default_rng(5)) for _ in range(3)]
+    b = [sample_config("rescue", base, np.random.default_rng(5)) for _ in range(3)]
     assert a[0] == b[0]  # first draw matches exactly
 
 
 def test_sampled_learning_rates_span_three_orders_of_magnitude():
-    spec = SweepSpec()
     rng = np.random.default_rng(0)
-    lrs = [sample_config(spec, A2CConfig(), rng).lr_value for _ in range(100)]
+    lrs = [sample_config("rescue", A2CConfig(), rng).lr_value for _ in range(100)]
     assert max(lrs) / min(lrs) >= 1e3
     assert all(10.0 ** -5 <= lr <= 1.0 for lr in lrs)
 
 
 def test_sample_config_respects_ranges():
-    spec = SweepSpec()
     rng = np.random.default_rng(1)
     for _ in range(50):
-        cfg = sample_config(spec, A2CConfig(), rng)
+        cfg = sample_config("rescue", A2CConfig(), rng)
         assert 0.1 <= cfg.sigma <= 2.0
         assert 1 <= cfg.p <= 10
         assert 2 <= cfg.n_steps <= 10
@@ -393,6 +400,52 @@ def test_cli_eval_checkpoint(tmp_path, capsys):
                          "--seeds-file", str(seeds_file))
     assert_cli_error(capsys, "eval", "--checkpoint", str(ckpt), "--env", "battle",
                      "--scenario", "nosuch")
+
+
+def test_cli_eval_rejects_malformed_weights(tmp_path, capsys):
+    """Checkpoints whose weights are not finite, whose layers do not chain
+    or whose feature widths disagree with h_net exit 2 like other
+    malformed files."""
+    ckpt = tmp_path / "model.bin"
+    model = init_scoring_model(2, 3, with_g=False, seed=0)
+    model.h_net.layers[0][0][1, 2] = np.inf
+    save_models(ckpt, model)
+    assert_cli_error(capsys, "eval", "--checkpoint", str(ckpt), "--scenario", "2x4",
+                     says="non-finite weights in h_net.layer0.W")
+    meta = {"feature_dim_agent": 2, "feature_dim_task": 3, "pair_extra_dim": 0}
+    save_arrays(ckpt, {"h_net.layer0.W": np.zeros((4, 5)), "h_net.layer0.b": np.zeros(4),
+                       "h_net.layer1.W": np.zeros((1, 3)), "h_net.layer1.b": np.zeros(1)},
+                meta)
+    assert_cli_error(capsys, "eval", "--checkpoint", str(ckpt), "--scenario", "2x4",
+                     says="bad checkpoint: layer 1 input 3 != previous output")
+    save_models(ckpt, init_scoring_model(2, 3, with_g=False, seed=0),
+                extra_meta={"feature_dim_agent": 4})
+    assert_cli_error(capsys, "eval", "--checkpoint", str(ckpt), "--scenario", "2x4",
+                     says="bad checkpoint: h_net expects input 5, features give 7")
+
+
+def test_cli_eval_default_seeds_follow_the_environment(tmp_path, capsys, monkeypatch):
+    """Without --seeds-file, rescue plays the rescue evaluation set and
+    battle the 100 battles from 5000 that `battle-bench` plays."""
+    import swarmplan.harness.cli as cli
+    seen = []
+
+    class Summary:
+        def to_dict(self):
+            return {}
+
+    def recording_evaluate(policy, environment, scenario, seeds, **kw):
+        seen.append((environment, list(seeds)))
+        return Summary()
+
+    monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+    ckpt = tmp_path / "model.bin"
+    save_models(ckpt, init_scoring_model(2, 3, with_g=False, seed=0))
+    assert main(["eval", "--checkpoint", str(ckpt), "--scenario", "2x4"]) == 0
+    assert main(["eval", "--checkpoint", str(ckpt), "--scenario", "m5v5",
+                 "--env", "battle"]) == 0
+    capsys.readouterr()
+    assert seen == [("rescue", list(RESCUE_EVAL_SEEDS)), ("battle", list(range(5000, 5100)))]
 
 
 def test_cli_train_and_battle_bench(tmp_path, capsys):

@@ -48,6 +48,7 @@ from swarmplan.nets import (
     ScoringModel,
     add_grads,
     critic_backward,
+    critic_rows,
     critic_value,
     grads_to_vector,
     init_critic,
@@ -324,12 +325,21 @@ def test_quad_lanes_on_battle_match_one_lane_workers():
     assert all(step.sampled_g is not None for chunk in got for step in chunk.steps)
 
 
-def test_lanes_of_different_sizes_match_one_lane_workers():
-    """Lanes of unequal (n, m) are scored and matched in separate stacks."""
-    sizes = [(2, 4), (3, 5), (2, 4), (3, 5)]
-    makes = [lambda n=n, m=m: RescueMetaEnv(RescueConfig(n, m, seed=0)) for n, m in sizes]
-    got = _lanes_match_workers(makes, "lp", init_scoring_model(2, 3, with_g=False, seed=3))
-    assert [chunk.steps[0].sampled_h.shape for chunk in got] == sizes
+def test_lanes_of_different_sizes_raise():
+    """A collector holds one (n, m): lanes of another size, or a lane that
+    resets to another size, raise LearnError."""
+    model = init_scoring_model(2, 3, with_g=False, seed=3)
+    sizes = [(2, 4), (3, 5)]
+    lanes = RolloutLanes([RescueMetaEnv(RescueConfig(n, m, seed=0)) for n, m in sizes],
+                         "lp", small_cfg(), [np.random.default_rng(k) for k in range(2)])
+    lanes.set_model(model)
+    with pytest.raises(LearnError, match="lane 1 reset to"):
+        lanes.collect_round()
+    worker, _ = make_worker(FixedEnv(length=3))
+    assert worker.collect_chunk().terminal_tail
+    worker.envs[0].m = 4  # the next episode is 2x4
+    with pytest.raises(LearnError, match="lane 0 reset to"):
+        worker.collect_chunk()
 
 
 # ---------------------------------------------------------------------------
@@ -367,27 +377,22 @@ CRITIC_BATCHES = {
     "rescue-2x4": lambda: (_rescue_batch([(2, 4)] * 3)[2], None),
     "rescue-8x15": lambda: (_rescue_batch([(8, 15)])[2], None),
     "battle-m5v5": _battle_chunks,
-    "mixed-sizes-with-bootstrap": lambda: (_rescue_batch([(2, 4), (3, 5), (8, 15), (2, 4)])[2],
-                                           None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CRITIC_BATCHES))
 def test_critic_rows_equal_entity_rows(case):
-    """The update's critic rows, built from the feature arrays one run of
-    equal (n, m) at a time, equal the entity-by-entity rows bit for bit."""
-    from swarmplan.learn.update import _critic_inputs
+    """The update's critic rows, one `critic_rows` call on the stacked
+    feature arrays of a batch's states (bootstrap states included), equal
+    the entity-by-entity rows bit for bit."""
     chunks, critic = CRITIC_BATCHES[case]()
     critic = critic or init_critic(RescueMetaEnv.num_kinds, RescueMetaEnv.feature_dim, seed=2)
     observations = [step.obs for chunk in chunks for step in chunk.steps] + [
         chunk.bootstrap for chunk in chunks if not chunk.terminal_tail]
-    if case == "mixed-sizes-with-bootstrap":
-        assert len({obs.task_feats.shape for obs in observations}) == 3
-        assert any(not chunk.terminal_tail for chunk in chunks)
-    X, counts = _critic_inputs(critic, observations)
-    want_X, want_counts = reference_entity_matrix(critic, [entities(obs) for obs in observations])
+    X = critic_rows(critic, np.stack([obs.agent_feats for obs in observations]),
+                    np.stack([obs.task_feats for obs in observations]))
+    want_X, _ = reference_entity_matrix(critic, [entities(obs) for obs in observations])
     assert X.shape == want_X.shape and np.array_equal(X, want_X)
-    assert list(counts) == want_counts.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +618,6 @@ BATCHES = {
     "rescue-lp": lambda: _rescue_batch([(2, 4), (2, 4)]),
     "quad-with-g": lambda: collect_batch(inference="quad", length=10, chunks=3,
                                          seed=33),
-    "mixed-2x4-3x5": lambda: _rescue_batch([(2, 4), (3, 5)]),
     "terminal-and-bootstrap": lambda: collect_batch(length=6, chunks=4, seed=34),
 }
 
@@ -633,9 +637,6 @@ def test_batched_update_matches_per_step_loop(case):
     tails = {chunk.terminal_tail for chunk in chunks}
     if case == "terminal-and-bootstrap":
         assert tails == {True, False}
-    if case == "mixed-2x4-3x5":
-        assert {step.sampled_h.shape for chunk in chunks for step in chunk.steps} \
-            == {(2, 4), (3, 5)}
     if case == "quad-with-g":
         assert all(step.sampled_g is not None for chunk in chunks
                    for step in chunk.steps)
@@ -667,6 +668,36 @@ def test_batched_update_matches_per_step_loop(case):
     want_grads, _ = reference_grads(model, critic, chunks, cfg, frozen)
     grads, _ = a2c_grads(model, critic, chunks, cfg, frozen)
     _assert_grads_close(grads, want_grads)
+
+
+def _mixed_g_batch():
+    """Chunks of one size, some sampled with g (quad) and some without (lp)."""
+    model, critic, chunks, cfg = collect_batch(inference="quad", seed=36)
+    worker = RolloutWorker(FixedEnv(), "lp", cfg, np.random.default_rng(37))
+    worker.set_model(model)
+    return model, critic, chunks + [worker.collect_chunk()], cfg
+
+
+MIXED_BATCHES = {
+    "sizes-2x4-3x5": lambda: _rescue_batch([(2, 4), (3, 5)]),
+    "bootstrap-of-another-size": lambda: _rescue_batch([(2, 4)]),
+    "g-sampled-by-some-steps": _mixed_g_batch,
+}
+
+
+@pytest.mark.parametrize("entry", ["freeze_targets", "a2c_grads"])
+@pytest.mark.parametrize("case", sorted(MIXED_BATCHES))
+def test_batch_of_mixed_shapes_raises(case, entry):
+    """A batch holds one (n, m), and its steps all sampled g or none did."""
+    model, critic, chunks, cfg = MIXED_BATCHES[case]()
+    if case == "bootstrap-of-another-size":
+        chunk = next(chunk for chunk in chunks if not chunk.terminal_tail)
+        chunk.bootstrap = Observation(np.zeros((3, 2)), np.zeros((5, 3)), None,
+                                      chunk.bootstrap.cons)
+    says = "sampled g" if case.startswith("g-") else r"one \(n, m\)"
+    with pytest.raises(LearnError, match=says):
+        {"freeze_targets": freeze_targets, "a2c_grads": a2c_grads}[entry](
+            model, critic, chunks, cfg)
 
 
 def test_a2c_grads_rejects_mismatched_targets():

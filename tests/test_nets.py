@@ -7,6 +7,7 @@ to a relative error of 1e-4.
 import numpy as np
 import pytest
 
+from swarmplan.assign import AssignError
 from swarmplan.nets import (
     CheckpointError,
     CriticParams,
@@ -118,8 +119,6 @@ class TestMlpForward:
         params = init_mlp([3, 8, 1], rng)
         with pytest.raises(NetError):
             mlp_forward_batch(params, np.zeros((2, 4)))
-        with pytest.raises(NetError):
-            mlp_forward_batch(params, np.array([[np.nan, 0.0, 0.0]]))
 
     def test_param_validation(self):
         with pytest.raises(NetError):
@@ -127,8 +126,6 @@ class TestMlpForward:
         with pytest.raises(NetError):
             MlpParams([(np.zeros((2, 3)), np.zeros(2)),
                        (np.zeros((1, 3)), np.zeros(1))])  # chain mismatch
-        with pytest.raises(NetError):
-            MlpParams([(np.full((2, 3), np.inf), np.zeros(2))])
 
 
 class TestInit:
@@ -310,6 +307,12 @@ class TestScoring:
             _, cache = score_pairs(m2, np.zeros((2, 3)), np.zeros((2, 2)), with_cache=True)
             score_pairs_backward(m2, cache, np.zeros((2, 2)), np.zeros((2, 2)))
 
+    def test_non_finite_features_stop_at_the_score_table(self):
+        # The nets pass a NaN through; the ScoreTable that any solver reads rejects it.
+        model = init_scoring_model(3, 2, seed=0)
+        with pytest.raises(AssignError):
+            score_pairs(model, np.array([[np.nan, 0.0, 0.0]]), np.zeros((2, 2)))
+
 
 class TestCritic:
     def _entities(self, rng, counts=(3, 4)):
@@ -381,6 +384,8 @@ class TestCritic:
             critic_value(critic, [(2, np.zeros(3))])
         with pytest.raises(NetError):
             critic_value(critic, [(0, np.zeros(4))])
+        with pytest.raises(NetError):
+            critic_value(critic, [(0, np.array([0.0, np.inf]))])
 
 
 class TestCheckpoint:
@@ -430,6 +435,14 @@ class TestCheckpoint:
         m2, c2, meta = load_models(path)
         assert m2.g_net is None and c2 is None
         assert meta["has_g"] is False
+
+    def test_rejects_non_finite_weights(self, tmp_path):
+        model = init_scoring_model(2, 3, with_g=False, seed=14)
+        model.h_net.layers[1][0][0, 0] = np.inf
+        path = tmp_path / "inf.bin"
+        save_models(path, model)
+        with pytest.raises(CheckpointError, match="h_net.layer1.W"):
+            load_models(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"
