@@ -12,14 +12,19 @@ together with the seeds, the run length and the BLAS thread count.
 
 It also records the Frank-Wolfe counters of the `battle-80v82-quad`
 workload, which perfbench's traced spans do not see: for the workload's
-32 spawn states of the first seed, the median iteration count and the
-shares of solves stopped by the settle rule and by the iteration cap,
-from `quad_relax_solve(stats=...)` in a process of each checkout.
+32 spawn states of the first seed, the total iteration and pivot counts,
+the median iteration count and the shares of solves stopped by the
+settle rule and by the iteration cap, from `quad_relax_solve(stats=...)`
+in a process of each checkout.
 
 With `--baseline DIR` (another checkout, such as the parent commit) the
 same runs are made on DIR too, in pairs that alternate which side runs
 first, because the host's speed drifts over minutes. The file then also
-records, per metric, how many pairs the checkout under test won.
+records, per metric, how many pairs the checkout under test won, and,
+as ungated extras, the same-process `quad` decision A/Bs of
+`scripts/decision_ab.py` (trained model at m80v82, m10v10 and m5v5, the
+full-coverage tables and the quad workload's states) with one BLAS
+thread.
 """
 import argparse
 import json
@@ -54,6 +59,8 @@ for state in work.states:
     solves.append(stats)
 print(json.dumps({
     "states": len(solves),
+    "iters": sum(s["iters"] for s in solves),
+    "pivots": sum(s["pivots"] for s in solves),
     "iters_p50": statistics.median(s["iters"] for s in solves),
     "settled_share": statistics.fmean(s.get("settled", False) for s in solves),
     "cap_hit_share": statistics.fmean(s["hit_cap"] for s in solves),
@@ -82,6 +89,17 @@ def fw_counters(checkout: Path, seed: int) -> dict:
         raise RuntimeError(f"FW counters in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
     return {"seed": seed, **json.loads(proc.stdout)}
+
+
+def decision_ab(baseline: Path) -> dict:
+    """Same-process quad decision A/Bs against `baseline`, one BLAS thread."""
+    env = {**os.environ, **{var: "1" for var in BLAS_VARS}}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "decision_ab.py"),
+                           "--baseline", str(baseline)], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"decision A/B exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
 
 
 def summarize(values) -> dict:
@@ -139,6 +157,11 @@ def main(argv=None) -> int:
     started = time.time()
     out["fw_counters"] = {name: fw_counters(sides[name], args.seeds[0]) for name in sides}
     print(f"battle-80v82-quad FW counters: {out['fw_counters']}", flush=True)
+    if "baseline" in sides:
+        out["decision_ab"] = decision_ab(sides["baseline"])
+        print("same-process decision A/B, speed-up of medians: " + ", ".join(
+            f"{case} {r['speedup_of_medians']:.3g}" for case, r in out["decision_ab"].items()),
+            flush=True)
     for workload in WORKLOADS:
         records = {name: [] for name in sides}
         for i, seed in enumerate(args.seeds):

@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Same-process A/B of `quad` decisions between this checkout and another.
+
+    python3 scripts/decision_ab.py --baseline DIR
+
+Both checkouts' `swarmplan` packages are loaded into one process, and
+every decision runs on each side in turn, the side that goes first
+alternating from state to state and from round to round, so that drifts
+of the host's speed hit both sides alike. One round decides every state
+of a case once per side; a round is one pair, and ROUNDS rounds run.
+A decision is the scoring (`score_pairs`) plus the `quad` procedure on
+features and constraints built once; the full-coverage case times the
+procedure alone on fixed tables. The cases:
+
+  * `quad-workload`: the `battle-80v82-quad` workload's 32 seed-1 spawn
+    states under its random seed-0 model;
+  * `trained-m80v82`, `trained-m10v10`, `trained-m5v5`: the committed
+    trained model `tests/fixtures/quad_battle_model.bin` on spawn states
+    101000-101031 of each scenario;
+  * `full-coverage`: that model's full-coverage tables of
+    `tests/full_coverage.py`, where 45-51 of 80 units get a target.
+
+Prints one JSON object: per case, each side's decisions/s per round,
+their medians and quartiles, the rounds the checkout under test won,
+and whether both sides made the same decisions. The BLAS thread count
+is whatever the environment sets; pin it for a measurement.
+"""
+import argparse
+import importlib
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+from bench_file import summarize
+
+ROOT = Path(__file__).resolve().parent.parent
+MODEL = ROOT / "tests" / "fixtures" / "quad_battle_model.bin"
+ROUNDS = 10
+
+
+def load_side(checkout: Path) -> dict:
+    """Import `swarmplan` from `checkout`, keeping its modules apart from
+    the other side's: each copy's functions hold their own globals."""
+    for name in [k for k in sys.modules if k == "swarmplan" or k.startswith("swarmplan.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(checkout / "src"))
+    try:
+        mods = {name: importlib.import_module(f"swarmplan.{name}")
+                for name in ("assign", "battle", "nets")}
+    finally:
+        sys.path.pop(0)
+    return mods
+
+
+def build_cases(mods) -> dict:
+    """Per case: (model, [(agents, tasks, extras, cons)]) or, for fixed
+    tables, (None, [(table, cons)]), all built with one side's code; the
+    other side reads them as they are."""
+    battle, nets = mods["battle"], mods["nets"]
+    trained = nets.load_models(MODEL)[0]
+
+    def inputs(scenario, seeds):
+        out = []
+        for seed in seeds:
+            state = battle.spawn_battle(battle.load_scenario(scenario, seed=seed))
+            out.append((*battle.extract_battle_features(state),
+                        battle.build_battle_constraints(state)))
+        return out
+
+    workload = inputs("m80v82", range(1000, 1032))
+    agents, tasks, extras, _ = workload[0]
+    random_model = nets.init_scoring_model(agents.shape[1], tasks.shape[1],
+                                           pair_extra_dim=extras.shape[-1],
+                                           with_g=True, seed=0)
+    # the helper binds to the `swarmplan` in sys.modules, the side loaded last
+    sys.path.insert(0, str(ROOT / "tests"))
+    try:
+        import full_coverage
+    finally:
+        sys.path.pop(0)
+    tables = [full_coverage.full_coverage_instance(seed, trained)
+              for seed in full_coverage.SEEDS]
+    seeds = range(101000, 101032)
+    return {
+        "quad-workload": (random_model, workload),
+        "trained-m80v82": (trained, inputs("m80v82", seeds)),
+        "trained-m10v10": (trained, inputs("m10v10", seeds)),
+        "trained-m5v5": (trained, inputs("m5v5", seeds)),
+        "full-coverage": (None, tables),
+    }
+
+
+def decider(mods, model):
+    score, infer = mods["nets"].score_pairs, mods["assign"].get_procedure("quad")
+    if model is None:
+        return lambda table, cons: infer(table, cons).target
+    return lambda agents, tasks, extras, cons: infer(
+        score(model, agents, tasks, pair_extras=extras), cons).target
+
+
+def run_case(deciders: dict, items: list) -> dict:
+    sides = list(deciders)
+    rates = {name: [] for name in sides}
+    same = True
+    for r in range(ROUNDS):
+        seconds = dict.fromkeys(sides, 0.0)
+        for k, item in enumerate(items):
+            order = sides if (r + k) % 2 == 0 else sides[::-1]
+            targets = {}
+            for name in order:
+                start = time.perf_counter()
+                targets[name] = deciders[name](*item)
+                seconds[name] += time.perf_counter() - start
+            same &= len({t.tobytes() for t in targets.values()}) == 1
+        for name in sides:
+            rates[name].append(len(items) / seconds[name])
+    wins = sum(c > b for c, b in zip(rates["change"], rates["baseline"]))
+    return {"items": len(items), "rounds": ROUNDS, "same_decisions": bool(same),
+            "decisions_per_s": rates,
+            "summary": {name: summarize(rates[name]) for name in sides},
+            "speedup_of_medians": (statistics.median(rates["change"])
+                                   / statistics.median(rates["baseline"])),
+            "change_won": wins}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--baseline", type=Path, required=True)
+    args = parser.parse_args(argv)
+    sides = {"baseline": load_side(args.baseline.resolve()), "change": load_side(ROOT)}
+    cases = build_cases(sides["change"])
+    out = {}
+    for case, (model, items) in cases.items():
+        deciders = {name: decider(mods, model) for name, mods in sides.items()}
+        out[case] = run_case(deciders, items)
+        print(f"{case}: {out[case]['summary']}", file=sys.stderr, flush=True)
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -29,11 +29,8 @@ The digests do not depend on the BLAS thread count: the last test runs
 the criterion-9 decision once with one OpenBLAS thread and once with the
 default, each in its own process, and requires the same output.
 
-`fixtures/full_coverage_golden.json` pins the full-coverage tables: the
-trained model's h and g on m80v82 spawn states 101000-101003, with g set
-to 0 between tasks more than LOCAL_RADIUS apart. There 45-51 of 80 units
-get a target and Frank-Wolfe runs to its iteration cap, so its linear
-subproblems jump between distant vertices: these are the tables where
+`fixtures/full_coverage_golden.json` pins the full-coverage tables of
+`full_coverage.py` under the committed trained model, the regime where
 an LP that warm-starts from the previous vertex and one that starts
 cold differ most. Per state the file holds the sha256 of the
 `quad_relax_solve` beta and of the `round_quad` targets.
@@ -72,15 +69,13 @@ from swarmplan.battle import (
     load_scenario,
     spawn_battle,
 )
-from swarmplan.battle.sim import pair_distances
 from swarmplan.nets import init_scoring_model, load_models, score_pairs
+from full_coverage import SEEDS as FULL_COVERAGE_SEEDS, full_coverage_instance
 from lp_reference import PolytopeLp
 
 FIXTURE = Path(__file__).parent / "fixtures" / "assign_golden.json"
 TRAINED_MODEL = Path(__file__).parent / "fixtures" / "quad_battle_model.bin"
 FULL_COVERAGE = Path(__file__).parent / "fixtures" / "full_coverage_golden.json"
-FULL_COVERAGE_SEEDS = range(101000, 101004)
-LOCAL_RADIUS = 6.0  # task-task distance beyond which g is set to 0
 RANDOM_INSTANCES = 100
 BATTLES = (("m80v82", 0), ("m80v82", 1), ("m15v16", 0))
 
@@ -114,16 +109,6 @@ def battle_instance(scenario: str, seed: int, model=None):
         model = init_scoring_model(agents.shape[1], tasks.shape[1],
                                    pair_extra_dim=extras.shape[-1], with_g=True, seed=0)
     return score_pairs(model, agents, tasks, pair_extras=extras), build_battle_constraints(state)
-
-
-def full_coverage_instance(seed: int, model):
-    """`battle_instance` of the m80v82 spawn state `seed` under `model`,
-    with g[j, l] = 0 where tasks j and l are more than LOCAL_RADIUS apart."""
-    scores, cons = battle_instance("m80v82", seed, model)
-    theirs = spawn_battle(load_scenario("m80v82", seed=seed)).theirs
-    pos = np.array([unit.pos for unit in theirs])
-    return ScoreTable(scores.h, np.where(pair_distances(pos, pos) > LOCAL_RADIUS,
-                                         0.0, scores.g)), cons
 
 
 def full_coverage_digests(model) -> dict:
