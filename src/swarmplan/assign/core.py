@@ -9,10 +9,13 @@ The LP relaxation has two solvers, chosen by the constraints alone:
     makes it a transportation problem, which the network simplex in
     `network.py` solves on a spanning-tree basis, with no basis inverse.
 One-shot LPs (`lp_relax_solve`, `fw_linear_oracle`) take the first that
-applies. Frank-Wolfe keeps one solver object across its iterations, so
-it takes the network simplex for unit demand too: the matching cannot be
-warm-started. Any other mu (no environment builds one) gets AssignError
-from every LP procedure; the rounding and `feasible` take any mu.
+applies. Frank-Wolfe keeps one network simplex object across its
+iterations, for unit demand too, and every solve starts from the
+all-slack tree. The matching would be another oracle for unit demand,
+whose ties may pick other vertices; it is not used there, so the
+iterates stay as they are. Any other mu (no environment builds one) gets
+AssignError from every LP procedure; the rounding and `feasible` take
+any mu.
 
 Frank-Wolfe (`quad_relax_solve`) stops on the first of three rules: the
 relative FW gap falls below `FwConfig.gap_tol`; the objective has
@@ -102,9 +105,9 @@ def feasible(assign: Assignment, cons: ConstraintSet) -> bool:
 
 
 def _lp_solver(cons: ConstraintSet) -> TransportLp:
-    """A warm-startable network simplex for max <weights, beta> over the
-    polytope. Raises AssignError unless each agent contributes the same mu
-    to every task."""
+    """A network simplex for max <weights, beta> over the polytope, reused
+    by every solve on it. Raises AssignError unless each agent contributes
+    the same mu to every task."""
     if not (cons.mu == cons.mu[:, :1]).all():
         raise AssignError("the LP procedures need a row-constant mu (mu_ij = d_i)")
     return TransportLp(cons.mu[:, 0], cons.u)
@@ -337,7 +340,7 @@ def quad_relax_solve(
     beta = np.zeros((scores.n, scores.m))
     obj = 0.0  # objective at beta
     g_sym = scores.g + scores.g.T
-    lp = _lp_solver(cons)  # warm-started across FW iterations
+    lp = _lp_solver(cons)  # one object for every FW iteration
     hit_cap = settled = False
     checked = None  # objective at the last settle check
     for iters in range(1, cfg.max_iters + 1):

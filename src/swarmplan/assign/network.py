@@ -26,10 +26,15 @@ leaving arc is the first blocking arc met when the cycle is walked from
 its apex in the entering arc's direction. (Ahuja, Magnanti & Orlin
 state the mirror image: flow sent toward the root, last blocking arc.)
 Strongly feasible trees cannot cycle on degenerate pivots, so no Bland
-fallback is needed. The tree persists between solves, so the Frank-Wolfe
-linear subproblems warm-start from the previous optimum. Agents with
-d_i = 0 ship nothing and are left out of the flow: each takes its best
-task if that task's weight is positive.
+fallback is needed.
+
+Every solve starts from the all-slack tree, where every node potential
+is 0. Frank-Wolfe keeps one object per constraint set, but its linear
+subproblems jump between distant vertices (on a m80v82 decision they
+assign 80, 60, 21, 7, 0, 54, ... units), so a start from the previous
+optimum took more pivots than this cold start. Agents with d_i = 0 ship
+nothing and are left out of the flow: each takes its best task if that
+task's weight is positive.
 """
 from __future__ import annotations
 
@@ -41,7 +46,8 @@ _TOL = 1e-9
 
 
 class TransportLp:
-    """Reusable spanning-tree basis for a row-constant constraint set.
+    """Network simplex for one row-constant constraint set, reused by
+    every solve on that set.
 
     `d` holds each agent's contribution (the constant row of mu). Nodes:
     live agents (d_i > 0, in index order) 0..na-1, tasks na..na+m-1 and
@@ -50,8 +56,9 @@ class TransportLp:
     parent iff v is an agent; `flow[v]` is that arc's flow in x units.
     `order` lists the nodes in preorder, `pre` is its inverse and `size`
     holds subtree sizes: a is an ancestor of v iff
-    pre[a] <= pre[v] < pre[a] + size[a]. `pivots` counts the pivots of
-    every solve so far.
+    pre[a] <= pre[v] < pre[a] + size[a]. Each solve rebuilds these from
+    the all-slack tree and leaves its last tree in them. `pivots` counts
+    the pivots of every solve so far.
     """
 
     def __init__(self, d: np.ndarray, u: np.ndarray):
@@ -61,31 +68,10 @@ class TransportLp:
         self.live = np.flatnonzero(self.d > 0)
         self.dead = np.flatnonzero(self.d <= 0)
         self.dl = self.d[self.live]
-        self.na = na = self.live.size
-        self.root = root = na + self.m
-        # the all-slack tree: every agent and task hangs from the root
-        self.parent = [root] * root + [-1]
-        self.flow = self.dl.tolist() + self.u.tolist() + [0.0]
+        self.na = self.live.size
+        self.root = self.na + self.m
         self.supply = self.dl.tolist() + (-self.u).tolist() + [self.u.sum() - self.dl.sum()]
-        self.order = [root] + list(range(root))
-        self.pre = list(range(1, root + 1)) + [0]
-        self.size = [1] * root + [root + 1]
         self.pivots = 0
-
-    def _potentials(self, cost) -> np.ndarray:
-        """Node potentials (root 0) with phi_a - phi_b = cost of every tree
-        arc a -> b; cost holds the x costs w_ij / d_i of the agent-task arcs."""
-        na, root, parent = self.na, self.root, self.parent
-        phi = [0.0] * (root + 1)
-        for v in self.order[1:]:
-            p = parent[v]
-            if p == root:
-                phi[v] = 0.0
-            elif v < na:
-                phi[v] = phi[p] + cost[v, p - na]
-            else:
-                phi[v] = phi[p] - cost[p, v - na]
-        return np.array(phi)
 
     def _refresh_flows(self) -> np.ndarray:
         """Recompute every tree arc's flow from the supplies, leaves first."""
@@ -104,8 +90,8 @@ class TransportLp:
     def solve(self, weights: np.ndarray, max_pivots: int | None = None) -> np.ndarray:
         """max <weights, beta> over the polytope; returns beta (n, m).
 
-        Warm-starts from the tree left by the previous solve. Raises
-        SolverFailure if the pivot budget is exhausted.
+        Starts from the all-slack tree. Raises SolverFailure if the pivot
+        budget is exhausted.
         """
         weights = np.asarray(weights, dtype=float)
         n, m, na, root = self.n, self.m, self.na, self.root
@@ -123,9 +109,15 @@ class TransportLp:
 
         dl, d_col = self.dl, self.dl[:, None]
         cost = weights / d_col
-        phi = self._potentials(cost)
+        # the all-slack tree: every agent and task hangs from the root, and
+        # every slack arc costs 0, so every potential is 0
+        self.parent = parent = [root] * root + [-1]
+        self.flow = flow = dl.tolist() + self.u.tolist() + [0.0]
+        self.order = order = [root] + list(range(root))
+        self.pre = pre = list(range(1, root + 1)) + [0]
+        self.size = size = [1] * root + [root + 1]
+        phi = np.zeros(root + 1)
         phi_a, phi_t = phi[:na], phi[na:root]
-        parent, flow, size, order, pre = self.parent, self.flow, self.size, self.order, self.pre
         n_struct = na * m
         # reduced costs of beta (x costs times d_i) in the reference's
         # variable order: agent-task arcs, agent slacks, task slacks. The arcs' are

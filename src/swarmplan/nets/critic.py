@@ -78,10 +78,10 @@ def critic_values(params: CriticParams, X: np.ndarray, counts, with_cache: bool 
     counts = np.asarray(counts, dtype=int)
     if counts.size == 0 or counts.min() == 0:
         raise NetError("critic_value requires at least one entity")
-    emb, embed_cache = mlp_forward_batch(params.embed_net, X)
+    emb, embed_cache = mlp_forward_batch(params.embed_net, X, with_cache)
     offsets = np.cumsum(counts) - counts
     pooled = np.add.reduceat(emb, offsets, axis=0) / counts[:, None]
-    out, head_cache = mlp_forward_batch(params.head_net, pooled)
+    out, head_cache = mlp_forward_batch(params.head_net, pooled, with_cache)
     values = out[:, 0]
     if with_cache:
         return values, (embed_cache, head_cache, counts)
@@ -113,8 +113,10 @@ def critic_value(params: CriticParams, entities, with_cache: bool = False):
             raise NetError("non-finite entity features")
         row[kind] = 1.0
         row[params.num_kinds:params.num_kinds + feats.shape[0]] = feats
+    if not with_cache:
+        return float(critic_values(params, X, [len(entities)])[0])
     values, cache = critic_values(params, X, [len(entities)], with_cache=True)
-    return (float(values[0]), cache) if with_cache else float(values[0])
+    return float(values[0]), cache
 
 
 def critic_backward(params: CriticParams, cache, upstream: float = 1.0):

@@ -53,15 +53,27 @@ def init_mlp(sizes, rng) -> MlpParams:
     return MlpParams(layers)
 
 
-def mlp_forward_batch(params: MlpParams, X: np.ndarray):
+def mlp_forward_batch(params: MlpParams, X: np.ndarray, with_cache: bool = True):
     """Evaluate a batch of inputs X (B, in) -> (Y (B, out), cache). Only the
-    shape is checked; `ScoreTable` and the rollout reject non-finite scores."""
+    shape is checked; `ScoreTable` and the rollout reject non-finite scores.
+
+    with_cache=False returns no cache (None) and chains the layers in
+    place, so no layer's activations outlive the next: the same Y, bit
+    for bit, without fresh memory per layer.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.in_dim:
         raise NetError(f"input shape {X.shape} incompatible with in_dim {params.in_dim}")
-    cache = []
-    act = X
     last = len(params.layers) - 1
+    act = X
+    if not with_cache:
+        for k, (W, b) in enumerate(params.layers):
+            act = act @ W.T
+            act += b
+            if k != last:
+                np.maximum(act, 0.0, out=act)
+        return act, None
+    cache = []
     for k, (W, b) in enumerate(params.layers):
         pre = act @ W.T + b
         cache.append((act, pre))

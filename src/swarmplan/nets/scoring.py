@@ -98,10 +98,10 @@ def score_pair_stack(model: ScoringModel, agent_feats, task_feats, pair_extras=N
             raise NetError(f"pair extras shape {E.shape[1:]} != ({n}, {m}, {model.pair_extra_dim})")
     elif pair_extras is not None:
         raise NetError("model takes no pair extras")
-    h_out, h_cache = mlp_forward_batch(model.h_net, _pair_rows(A, T, E))
+    h_out, h_cache = mlp_forward_batch(model.h_net, _pair_rows(A, T, E), with_cache)
     g = g_cache = None
     if model.g_net is not None:
-        g_out, g_cache = mlp_forward_batch(model.g_net, _pair_rows(T, T))
+        g_out, g_cache = mlp_forward_batch(model.g_net, _pair_rows(T, T), with_cache)
         g = g_out.reshape(B, m, m)
     h = h_out.reshape(B, n, m)
     if with_cache:
@@ -117,11 +117,11 @@ def score_pairs(model: ScoringModel, agent_feats, task_feats, pair_extras=None,
     caches needed by score_pairs_backward.
     """
     extras = None if pair_extras is None else np.asarray(pair_extras)[None]
-    h, g, cache = score_pair_stack(model, np.asarray(agent_feats)[None],
-                                   np.asarray(task_feats)[None], extras, with_cache=True)
+    h, g, *cache = score_pair_stack(model, np.asarray(agent_feats)[None],
+                                    np.asarray(task_feats)[None], extras, with_cache)
     table = ScoreTable(h[0], None if g is None else g[0])
     if with_cache:
-        return table, cache
+        return table, cache[0]
     return table
 
 

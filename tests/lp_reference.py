@@ -17,8 +17,9 @@ entering column is nonzero, which stays a small share of the rows.
 
 Pricing is Dantzig's rule, falling back to Bland's rule after a run of
 degenerate pivots to guarantee termination. The solver object keeps its
-basis between solves, so repeated calls with different objectives (the
-Frank-Wolfe linear subproblems) warm-start from the previous optimum.
+basis between solves, so repeated calls with different objectives
+warm-start from the previous optimum (the network simplex starts every
+solve from the all-slack tree instead).
 """
 from __future__ import annotations
 

@@ -29,9 +29,10 @@ from swarmplan.assign import (
 from swarmplan.assign import core, procedures
 from swarmplan.assign.network import TransportLp
 from swarmplan.learn import RescueMetaEnv
-from swarmplan.nets import init_scoring_model, score_pairs
+from swarmplan.nets import init_scoring_model, load_models, score_pairs
 from swarmplan.rescue import RescueConfig
 from lp_reference import _REFACTOR_EVERY, PolytopeLp
+from test_assign_golden import TRAINED_MODEL, full_coverage_instance
 
 
 def unit_instance(rng, n, m, u_max=None):
@@ -397,8 +398,9 @@ class TestPolytopeLp:
         np.testing.assert_allclose(beta, best.to_matrix(m), atol=1e-12)
 
     def test_tree_objective_equals_simplex_cold_and_warm(self):
-        # Each instance: one cold solve, then five warm-started solves with
-        # new weights on the same two solver objects.
+        # Each instance: six solves with new weights on the same two solver
+        # objects. The simplex warm-starts each from the previous optimum;
+        # the tree starts each from the all-slack tree.
         rng = np.random.default_rng(7)
         for trial in range(200):
             cons = row_constant_instance(rng)
@@ -409,6 +411,32 @@ class TestPolytopeLp:
                 assert RelaxedAssignment(beta).check_invariants(cons)
                 assert float(np.sum(beta * weights)) == pytest.approx(
                     float(np.sum(simplex_lp.solve(weights) * weights)), abs=1e-9)
+
+    @pytest.mark.parametrize("case", ["untied", "tied", "m80v82"])
+    def test_solve_does_not_depend_on_the_previous_solve(self, case):
+        # A solve after another on one object equals the same solve on a
+        # fresh object, beta bit for bit and pivot for pivot. The m80v82
+        # case solves the first two Frank-Wolfe subproblems of a
+        # full-coverage table.
+        if case == "m80v82":
+            scores, cons = full_coverage_instance(101000, load_models(TRAINED_MODEL)[0])
+            vertex = SOLVERS["TransportLp"](cons).solve(scores.h)
+            grad = scores.h + ((scores.g + scores.g.T) @ vertex.sum(axis=0))[None, :]
+            instances = [(cons, scores.h, grad)]
+        else:
+            rng = np.random.default_rng(11)
+            instances = []
+            for _ in range(100):
+                cons = row_constant_instance(rng)
+                instances.append((cons, *(random_weights(rng, (cons.n, cons.m), case == "tied")
+                                          for _ in range(2))))
+        for cons, first, second in instances:
+            used, fresh = SOLVERS["TransportLp"](cons), SOLVERS["TransportLp"](cons)
+            used.solve(first)
+            before = used.pivots
+            beta = used.solve(second)
+            assert beta.tobytes() == fresh.solve(second).tobytes()
+            assert used.pivots - before == fresh.pivots
 
     def test_tree_stays_strongly_feasible_at_every_pivot(self):
         # Agent arcs point toward the root, so a strongly feasible tree
@@ -463,9 +491,9 @@ class TestPolytopeLp:
         assert feasible(rounded, general)
 
     def test_basis_inverse_stays_exact_across_a_refactor(self):
-        # Warm-started solves chained on one solver object, as Frank-Wolfe
-        # runs them, until the basis inverse has been refactored. The
-        # inverse carried by rank-1 updates must still invert the basis.
+        # Warm-started solves chained on one solver object until the
+        # basis inverse has been refactored. The inverse carried by
+        # rank-1 updates must still invert the basis.
         rng = np.random.default_rng(5)
         n, m = 12, 10
         cons = ConstraintSet(rng.uniform(0.2, 2.0, size=(n, m)), rng.uniform(0.5, 3.0, size=m))
