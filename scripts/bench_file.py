@@ -21,10 +21,10 @@ With `--baseline DIR` (another checkout, such as the parent commit) the
 same runs are made on DIR too, in pairs that alternate which side runs
 first, because the host's speed drifts over minutes. The file then also
 records, per metric, how many pairs the checkout under test won, and,
-as ungated extras, the same-process `quad` decision A/Bs of
-`scripts/decision_ab.py` (trained model at m80v82, m10v10 and m5v5, the
-full-coverage tables and the quad workload's states) with one BLAS
-thread.
+as ungated extras, the same-process A/Bs of `scripts/decision_ab.py`
+with one BLAS thread: `quad` decisions (trained model at m80v82, m10v10
+and m5v5, the full-coverage tables and the quad workload's states) and
+whole m80v82 wcnok battles.
 """
 import argparse
 import json
@@ -92,7 +92,7 @@ def fw_counters(checkout: Path, seed: int) -> dict:
 
 
 def decision_ab(baseline: Path) -> dict:
-    """Same-process quad decision A/Bs against `baseline`, one BLAS thread."""
+    """Same-process decision and battle A/Bs against `baseline`, one BLAS thread."""
     env = {**os.environ, **{var: "1" for var in BLAS_VARS}}
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "decision_ab.py"),
                            "--baseline", str(baseline)], cwd=ROOT, env=env,
@@ -159,7 +159,7 @@ def main(argv=None) -> int:
     print(f"battle-80v82-quad FW counters: {out['fw_counters']}", flush=True)
     if "baseline" in sides:
         out["decision_ab"] = decision_ab(sides["baseline"])
-        print("same-process decision A/B, speed-up of medians: " + ", ".join(
+        print("same-process A/B, speed-up of medians: " + ", ".join(
             f"{case} {r['speedup_of_medians']:.3g}" for case, r in out["decision_ab"].items()),
             flush=True)
     for workload in WORKLOADS:

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Same-process A/B of `quad` decisions between this checkout and another.
+"""Same-process A/B of `quad` decisions and wcnok battles between this
+checkout and another.
 
     python3 scripts/decision_ab.py --baseline DIR
 
 Both checkouts' `swarmplan` packages are loaded into one process, and
-every decision runs on each side in turn, the side that goes first
-alternating from state to state and from round to round, so that drifts
-of the host's speed hit both sides alike. One round decides every state
-of a case once per side; a round is one pair, and ROUNDS rounds run.
-A decision is the scoring (`score_pairs`) plus the `quad` procedure on
+every item runs on each side in turn, the side that goes first
+alternating from item to item and from round to round, so that drifts
+of the host's speed hit both sides alike. One round runs every item of
+a case once per side; a round is one pair, and ROUNDS rounds run. A
+decision is the scoring (`score_pairs`) plus the `quad` procedure on
 features and constraints built once; the full-coverage case times the
 procedure alone on fixed tables. The cases:
 
@@ -18,12 +19,17 @@ procedure alone on fixed tables. The cases:
     trained model `tests/fixtures/quad_battle_model.bin` on spawn states
     101000-101031 of each scenario;
   * `full-coverage`: that model's full-coverage tables of
-    `tests/full_coverage.py`, where 45-51 of 80 units get a target.
+    `tests/full_coverage.py`, where 45-51 of 80 units get a target;
+  * `wcnok-m80v82`: whole m80v82 battles from spawn seeds 1000-1003,
+    each side spawning its own and stepping it with its own
+    `heuristic_policy("wcnok")` and `step_battle` until the battle ends.
 
-Prints one JSON object: per case, each side's decisions/s per round,
-their medians and quartiles, the rounds the checkout under test won,
-and whether both sides made the same decisions. The BLAS thread count
-is whatever the environment sets; pin it for a measurement.
+Prints one JSON object: per case, what an item is, each side's items/s
+per round, their medians and quartiles, the rounds the checkout under
+test won, and whether both sides gave the same results: the same
+targets per decision, and per battle the same final frame, outcome and
+position and health of every unit. The BLAS thread count is whatever
+the environment sets; pin it for a measurement.
 """
 import argparse
 import importlib
@@ -55,9 +61,10 @@ def load_side(checkout: Path) -> dict:
 
 
 def build_cases(mods) -> dict:
-    """Per case: (model, [(agents, tasks, extras, cons)]) or, for fixed
-    tables, (None, [(table, cons)]), all built with one side's code; the
-    other side reads them as they are."""
+    """Per case: (item kind, runner, items). `runner(mods)` makes a
+    side's function of one item. The decision items, [(agents, tasks,
+    extras, cons)] or, for fixed tables, [(table, cons)], are built with
+    one side's code; the other side reads them as they are."""
     battle, nets = mods["battle"], mods["nets"]
     trained = nets.load_models(MODEL)[0]
 
@@ -84,41 +91,63 @@ def build_cases(mods) -> dict:
               for seed in full_coverage.SEEDS]
     seeds = range(101000, 101032)
     return {
-        "quad-workload": (random_model, workload),
-        "trained-m80v82": (trained, inputs("m80v82", seeds)),
-        "trained-m10v10": (trained, inputs("m10v10", seeds)),
-        "trained-m5v5": (trained, inputs("m5v5", seeds)),
-        "full-coverage": (None, tables),
+        "quad-workload": ("decision", decider(random_model), workload),
+        "trained-m80v82": ("decision", decider(trained), inputs("m80v82", seeds)),
+        "trained-m10v10": ("decision", decider(trained), inputs("m10v10", seeds)),
+        "trained-m5v5": ("decision", decider(trained), inputs("m5v5", seeds)),
+        "full-coverage": ("decision", decider(None), tables),
+        "wcnok-m80v82": ("battle", wcnok_battle, [(seed,) for seed in range(1000, 1004)]),
     }
 
 
-def decider(mods, model):
-    score, infer = mods["nets"].score_pairs, mods["assign"].get_procedure("quad")
-    if model is None:
-        return lambda table, cons: infer(table, cons).target
-    return lambda agents, tasks, extras, cons: infer(
-        score(model, agents, tasks, pair_extras=extras), cons).target
+def decider(model):
+    """The runner of `quad` decisions with `model`, or on fixed tables
+    when it is None; a decision's result is its targets' bytes."""
+    def runner(mods):
+        score, infer = mods["nets"].score_pairs, mods["assign"].get_procedure("quad")
+        if model is None:
+            return lambda table, cons: infer(table, cons).target.tobytes()
+        return lambda agents, tasks, extras, cons: infer(
+            score(model, agents, tasks, pair_extras=extras), cons).target.tobytes()
+    return runner
 
 
-def run_case(deciders: dict, items: list) -> dict:
-    sides = list(deciders)
+def wcnok_battle(mods):
+    """The runner of whole m80v82 wcnok battles from a spawn seed; a
+    battle's result is its final frame, outcome and every unit's
+    position and health."""
+    battle = mods["battle"]
+
+    def play(seed):
+        state = battle.spawn_battle(battle.load_scenario("m80v82", seed=seed))
+        policy = battle.heuristic_policy("wcnok")
+        while not state.done:
+            battle.step_battle(state, policy(state))
+        units = state.ours + state.theirs
+        return (state.frame, state.outcome,
+                [(*u.pos.tolist(), u.health) for u in units])
+    return play
+
+
+def run_case(kind: str, runners: dict, items: list) -> dict:
+    sides = list(runners)
     rates = {name: [] for name in sides}
     same = True
     for r in range(ROUNDS):
         seconds = dict.fromkeys(sides, 0.0)
         for k, item in enumerate(items):
             order = sides if (r + k) % 2 == 0 else sides[::-1]
-            targets = {}
+            results = {}
             for name in order:
                 start = time.perf_counter()
-                targets[name] = deciders[name](*item)
+                results[name] = runners[name](*item)
                 seconds[name] += time.perf_counter() - start
-            same &= len({t.tobytes() for t in targets.values()}) == 1
+            same &= results["change"] == results["baseline"]
         for name in sides:
             rates[name].append(len(items) / seconds[name])
     wins = sum(c > b for c, b in zip(rates["change"], rates["baseline"]))
-    return {"items": len(items), "rounds": ROUNDS, "same_decisions": bool(same),
-            "decisions_per_s": rates,
+    return {"item": kind, "items": len(items), "rounds": ROUNDS, "same_results": bool(same),
+            "items_per_s": rates,
             "summary": {name: summarize(rates[name]) for name in sides},
             "speedup_of_medians": (statistics.median(rates["change"])
                                    / statistics.median(rates["baseline"])),
@@ -132,9 +161,9 @@ def main(argv=None) -> int:
     sides = {"baseline": load_side(args.baseline.resolve()), "change": load_side(ROOT)}
     cases = build_cases(sides["change"])
     out = {}
-    for case, (model, items) in cases.items():
-        deciders = {name: decider(mods, model) for name, mods in sides.items()}
-        out[case] = run_case(deciders, items)
+    for case, (kind, runner, items) in cases.items():
+        out[case] = run_case(kind, {name: runner(mods) for name, mods in sides.items()},
+                             items)
         print(f"{case}: {out[case]['summary']}", file=sys.stderr, flush=True)
     print(json.dumps(out))
     return 0

@@ -10,11 +10,12 @@ assignment window is the normalized health swing
 
 A window is stepped on arrays holding every unit's state. Units act in
 unit order, separation pushes run pair by pair, and all distances go
-through `vec_norm`, so the result is the same, bit for bit, as stepping
-the units one at a time.
+through `vec_norm` or its scalar twin `_norm`, so the result is the
+same, bit for bit, as stepping the units one at a time.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -84,6 +85,8 @@ class BattleConfig:
             raise BattleError("assignment_period must be >= 1")
         if not 0 <= self.miss_probability < 1:
             raise BattleError("miss_probability must be in [0, 1)")
+        if self.seed < 0:
+            raise BattleError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -149,11 +152,34 @@ def vec_norm(delta) -> np.ndarray:
     """Euclidean length along the last axis.
 
     Every distance in the battle package goes through here, for single
-    vectors and for whole pair matrices alike. Its result equals
-    `np.linalg.norm` of each vector bit for bit, which `np.hypot` and
-    `sqrt(x*x + y*y)` do not, so traces do not depend on how distances
-    are batched."""
+    vectors and for whole pair matrices alike, or through `_norm`, its
+    scalar twin for plain floats. Its result equals `np.linalg.norm` of
+    each vector bit for bit, which `np.hypot` and `sqrt(x*x + y*y)` do
+    not, so traces do not depend on how distances are batched
+    (`tests/test_battle_arrays.py` pins both: against `np.linalg.norm`,
+    and `_norm` against it in `test_norm_matches_vec_norm_bitwise`)."""
     return np.sqrt(np.vecdot(delta, delta))
+
+
+# Dekker's split: a double times 2**27 + 1 splits into 26 + 27 bit halves.
+_SPLIT = 134217729.0
+
+
+def _norm(dx: float, dy: float) -> float:
+    """`vec_norm(np.array([dx, dy]))` on plain floats, without a numpy call.
+
+    numpy's dot of a 2-vector rounds once, as fma(dy, dy, dx*dx) does.
+    Here dy*dy = h + l exactly by Dekker's product (Dekker 1971), and
+    `math.fsum` rounds dx*dx + h + l once. That holds while the squares
+    stay in the normal range or underflow whole: the two agree bit for
+    bit on components up to about 1e153, subnormals and zeros included,
+    except those of about 1e-159 to 1e-152, where l underflows. Above
+    1e153 the split overflows and `fsum` raises `OverflowError`."""
+    t = _SPLIT * dy
+    hi = t - (t - dy)
+    lo = dy - hi
+    h = dy * dy
+    return math.sqrt(math.fsum((dx * dx, h, ((hi * hi - h) + 2.0 * hi * lo) + lo * lo)))
 
 
 def pair_distances(p, q) -> np.ndarray:
@@ -278,12 +304,21 @@ class _Window:
 
 
 # A separation pass visits the pairs of discs within _SLACK of contact
-# when it starts, plus any pair its pushes carried into contact. Those
-# are looked for among the pairs within _SCREEN of the widest contact,
-# or among all pairs once the pushes of a pass add up to more.
+# when it starts, plus any pair its pushes carried into contact. A pair's
+# distance at its turn is at least its start distance less how far each
+# of its discs strayed from its start so far (triangle inequality). So a
+# pass need only look among the pairs within _SCREEN of the widest
+# contact while no two discs together stray that far, and among all
+# pairs otherwise. _ROUNDING absorbs the rounding of the bounds.
 _SLACK = 1.0
 _SCREEN = 3.0
 _ROUNDING = 1e-9
+
+
+@functools.cache
+def _upper_pairs(n):
+    """Every pair (a, b), a < b, of n discs, in lexicographic order."""
+    return np.triu_indices(n, 1)
 
 
 def _separate(pos, radius):
@@ -292,28 +327,29 @@ def _separate(pos, radius):
     Pairs (a, b), a < b, are handled in lexicographic order and each one
     sees the pushes of the pairs before it (Gauss-Seidel). A pass visits
     only the pairs near contact at the start. A pair it skipped can only
-    have overlapped at its turn if its start gap, less how far both discs
-    were pushed in the pass, is below zero; such pairs are checked at
-    the positions they had at their turn, and if one did overlap, the
-    pass is redone with it."""
+    have overlapped at its turn if its start gap, less how far each disc
+    strayed from its start in the pass, is below zero; such pairs are
+    checked at the positions they had at their turn, and if one did
+    overlap, the pass is redone with it."""
     if len(pos) < 2:
         return
     start = pos.copy()
     z = start[:, 0] + 1j * start[:, 1]
-    rough = np.abs(z[None, :] - z[:, None])  # screens pairs; pushes use vec_norm
+    a_all, b_all = _upper_pairs(len(pos))
+    rough_all = np.abs(z[b_all] - z[a_all])  # screens pairs; pushes use exact norms
     screen = _SCREEN
     while True:
-        a, b = np.nonzero(rough < 2.0 * radius.max() + screen)
-        a, b = a[a < b], b[a < b]
+        near = rough_all < 2.0 * radius.max() + screen
+        a, b = a_all[near], b_all[near]
         touch = radius[a] + radius[b]
-        gap = rough[a, b] - touch
+        gap = rough_all[near] - touch
         visit = gap < _SLACK
         while True:
-            moved, trail = _sweep(pos, start, a[visit], b[visit],
-                                  vec_norm(start[b[visit]] - start[a[visit]]), touch[visit])
-            if 2.0 * moved.max() > screen - _ROUNDING:
+            strayed, trail = _sweep(pos, start, a[visit], b[visit],
+                                    vec_norm(start[b[visit]] - start[a[visit]]), touch[visit])
+            if 2.0 * strayed.max() > screen - _ROUNDING:
                 break
-            suspect = np.flatnonzero(~visit & (gap - moved[a] - moved[b] < _ROUNDING))
+            suspect = np.flatnonzero(~visit & (gap - strayed[a] - strayed[b] < _ROUNDING))
             hits = [k for k in suspect.tolist()
                     if _overlapped_at_turn(int(a[k]), int(b[k]), touch[k], start, trail)]
             if not hits:
@@ -329,16 +365,19 @@ def _overlapped_at_turn(p, q, min_dist, start, trail):
     dx, dy = xq - xp, yq - yp
     if math.hypot(dx, dy) >= min_dist + _ROUNDING:
         return False
-    return vec_norm(np.array([dx, dy])) < min_dist
+    return _norm(dx, dy) < min_dist
 
 
 def _position_at(k, turn, start, trail):
     """Disc k's position in a pass just before pair `turn` was reached."""
-    x, y = start[k]
-    for pair, px, py in trail.get(k, ()):
+    x, y = start[k].tolist()
+    for pair, a, b, xa, ya, xb, yb in trail:
         if pair >= turn:
             break
-        x, y = px, py
+        if a == k:
+            x, y = xa, ya
+        elif b == k:
+            x, y = xb, yb
     return x, y
 
 
@@ -346,21 +385,21 @@ def _sweep(pos, start, a_rows, b_rows, dist0, touch):
     """One separation pass over the pairs (a_rows[k], b_rows[k]) from
     `start`, whose start distances are dist0; writes the result to `pos`.
 
-    Returns how far each disc was pushed in total, and per pushed disc
-    its trail: the pair and its position after each push."""
-    xs, ys = start[:, 0].tolist(), start[:, 1].tolist()
-    moved = [0.0] * len(xs)
-    trail = {}
-    delta = np.empty(2)
+    Returns how far each disc strayed from its start at any point of the
+    pass, and its trail: every push in order, as (pair, a, b, xa, ya,
+    xb, yb) with both discs' positions after it."""
+    x0, y0 = start[:, 0].tolist(), start[:, 1].tolist()
+    xs, ys = x0[:], y0[:]
+    strayed = [0.0] * len(xs)
+    trail = []
     for a, b, dist, min_dist in zip(a_rows.tolist(), b_rows.tolist(),
                                     dist0.tolist(), touch.tolist()):
-        if moved[a] or moved[b]:
+        if strayed[a] or strayed[b]:
             dx, dy = xs[b] - xs[a], ys[b] - ys[a]
             # A cheap screen first; the exact length only near contact.
             if math.hypot(dx, dy) >= min_dist + _ROUNDING:
                 continue
-            delta[0], delta[1] = dx, dy
-            dist = float(vec_norm(delta))
+            dist = _norm(dx, dy)
         if dist >= min_dist:
             continue
         dx, dy = xs[b] - xs[a], ys[b] - ys[a]
@@ -369,15 +408,19 @@ def _sweep(pos, start, a_rows, b_rows, dist0, touch):
         else:
             ux, uy = dx / dist, dy / dist
         push = 0.5 * (min_dist - dist)
-        xs[a], ys[a] = xs[a] - ux * push, ys[a] - uy * push
-        xs[b], ys[b] = xs[b] + ux * push, ys[b] + uy * push
-        moved[a] += push
-        moved[b] += push
-        trail.setdefault(a, []).append(((a, b), xs[a], ys[a]))
-        trail.setdefault(b, []).append(((a, b), xs[b], ys[b]))
+        xs[a] = xa = xs[a] - ux * push
+        ys[a] = ya = ys[a] - uy * push
+        xs[b] = xb = xs[b] + ux * push
+        ys[b] = yb = ys[b] + uy * push
+        da, db = math.hypot(xa - x0[a], ya - y0[a]), math.hypot(xb - x0[b], yb - y0[b])
+        if da > strayed[a]:
+            strayed[a] = da
+        if db > strayed[b]:
+            strayed[b] = db
+        trail.append(((a, b), a, b, xa, ya, xb, yb))
     pos[:, 0] = xs
     pos[:, 1] = ys
-    return np.array(moved), trail
+    return np.array(strayed), trail
 
 
 def step_battle(state: BattleState, our_assignment):

@@ -45,10 +45,14 @@ def _load_seeds(path, environment):
         try:
             seeds = json.load(fh)
             if isinstance(seeds, list) and seeds:
-                return [int(s) for s in seeds]
+                seeds = [int(s) for s in seeds]
         except (TypeError, ValueError) as exc:
             raise HarnessError(f"seeds file {path}: {exc}") from exc
-    raise HarnessError("seeds file must hold a nonempty JSON list")
+    if not isinstance(seeds, list) or not seeds:
+        raise HarnessError("seeds file must hold a nonempty JSON list")
+    if min(seeds) < 0:
+        raise HarnessError(f"seeds file {path}: seeds must be >= 0")
+    return seeds
 
 
 def cmd_train(args):

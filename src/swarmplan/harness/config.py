@@ -81,6 +81,8 @@ class ExperimentConfig:
         self.eval_seeds = tuple(int(s) for s in self.eval_seeds)
         if not self.eval_seeds:
             raise HarnessError("eval_seeds must be nonempty")
+        if min(self.seed, *self.eval_seeds) < 0:
+            raise HarnessError("seed and eval_seeds must be >= 0")
         if self.total_updates < 0 or self.eval_every < 0:
             raise HarnessError("budgets must be >= 0")
 

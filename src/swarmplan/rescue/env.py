@@ -36,6 +36,8 @@ class RescueConfig:
             raise RescueError("need at least one ambulance and one victim")
         if self.grid_size < 1 or self.max_steps < 1:
             raise RescueError("grid_size and max_steps must be positive")
+        if self.seed < 0:
+            raise RescueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(eq=False)

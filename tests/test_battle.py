@@ -69,6 +69,8 @@ class TestSpecsAndScenarios:
             BattleConfig(ours=[spec], theirs=[spec], assignment_period=0)
         with pytest.raises(BattleError):
             BattleConfig(ours=[spec], theirs=[spec], miss_probability=1.0)
+        with pytest.raises(BattleError, match="seed"):
+            BattleConfig(ours=[spec], theirs=[spec], seed=-1)
 
     def test_load_scenario(self):
         cfg = load_scenario("m5v5", seed=4)

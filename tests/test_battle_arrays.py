@@ -6,7 +6,7 @@ import pytest
 
 from swarmplan.battle import BattleConfig, UnitSpec, spawn_battle
 from swarmplan.battle import sim
-from swarmplan.battle.sim import _Window, pair_distances, vec_norm
+from swarmplan.battle.sim import _norm, _Window, pair_distances, vec_norm
 
 
 def random_deltas(rng, k):
@@ -28,6 +28,26 @@ def test_vec_norm_matches_linalg_norm_bitwise(seed):
     np.testing.assert_array_equal(vec_norm(deltas), expect)
     for d, e in zip(deltas[:500], expect[:500]):
         assert vec_norm(d) == e
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_norm_matches_vec_norm_bitwise(seed):
+    # The scales of every battle distance, both signs, zeros, and
+    # subnormal components, whose squares underflow on both sides.
+    rng = np.random.default_rng(seed)
+    k = 60000
+    deltas = rng.normal(size=(k, 2)) * 10.0 ** rng.uniform(-6.0, 3.0, size=(k, 1))
+    deltas[rng.random(k) < 0.05, 0] = 0.0
+    deltas[rng.random(k) < 0.05, 1] = 0.0
+    deltas[rng.random(k) < 0.01] = 0.0
+    tiny = rng.random(k) < 0.02
+    deltas[tiny] = rng.normal(size=(int(tiny.sum()), 2)) * 10.0 ** rng.uniform(
+        -323.0, -308.0, size=(int(tiny.sum()), 1))
+    expect = vec_norm(deltas).tolist()
+    for (dx, dy), e in zip(deltas.tolist(), expect):
+        assert _norm(dx, dy) == e, (dx, dy)
+    for dx, dy in ([0.0, 0.0], [-0.0, 0.0], [3.0, -4.0], [5e-324, 0.0], [1e-310, -3e-320]):
+        assert _norm(dx, dy) == vec_norm(np.array([dx, dy])) == _norm(-dx, -dy)
 
 
 def test_vec_norm_signs_and_zero():
@@ -92,6 +112,25 @@ def test_collisions_match_per_pair_loop(monkeypatch, seed, slack, screen):
     if slack is not None:
         monkeypatch.setattr(sim, "_SLACK", slack)
         monkeypatch.setattr(sim, "_SCREEN", screen)
+    seen = {"hits": 0, "widened passes": 0}
+    outgrown = []  # start positions of separations whose pushes outgrew the screen
+    overlapped_at_turn, sweep = sim._overlapped_at_turn, sim._sweep
+
+    def counting_overlapped_at_turn(*args):
+        hit = overlapped_at_turn(*args)
+        seen["hits"] += hit
+        return hit
+
+    def counting_sweep(pos, start, *pairs):
+        widened = bool(outgrown) and outgrown[-1] is start
+        seen["widened passes"] += widened
+        strayed, trail = sweep(pos, start, *pairs)
+        if not widened and 2.0 * strayed.max() > sim._SCREEN - sim._ROUNDING:
+            outgrown.append(start)
+        return strayed, trail
+
+    monkeypatch.setattr(sim, "_overlapped_at_turn", counting_overlapped_at_turn)
+    monkeypatch.setattr(sim, "_sweep", counting_sweep)
     rng = np.random.default_rng(seed)
     for _ in range(60):
         state = crowd(rng, int(rng.integers(2, 45)))
@@ -106,3 +145,5 @@ def test_collisions_match_per_pair_loop(monkeypatch, seed, slack, screen):
         window.write_back()
         for u, e in zip(units, expect):
             np.testing.assert_array_equal(u.pos, e)
+    if slack is not None:
+        assert seen["hits"] > 0 and seen["widened passes"] > 0, seen

@@ -474,3 +474,25 @@ def test_cli_battle_bench_checks_the_checkpoint_like_eval(tmp_path, capsys):
                      "checkpoint", "--checkpoint", str(ckpt), "--episodes", "2", says=says)
     assert_cli_error(capsys, "eval", "--checkpoint", str(ckpt), "--env", "battle",
                      "--scenario", "m5v5", says=says)
+
+
+def test_cli_negative_seeds_fail_cleanly(tmp_path, capsys):
+    assert_cli_error(capsys, "oracle", "--size", "2x4", "--seed", "-1",
+                     says="seed must be >= 0")
+    assert_cli_error(capsys, "battle-bench", "--scenario", "m5v5", "--policy", "wcnok",
+                     "--episodes", "1", "--seed-base", "-3", says="seed must be >= 0")
+    ckpt = tmp_path / "model.bin"
+    save_models(ckpt, init_scoring_model(2, 3, with_g=False, seed=0),
+                init_critic(2, 3, seed=1))
+    seeds_file = tmp_path / "seeds.json"
+    for seeds in ([-1], [2000, -5]):
+        seeds_file.write_text(json.dumps(seeds))
+        assert_cli_error(capsys, "eval", "--checkpoint", str(ckpt), "--scenario", "2x4",
+                         "--seeds-file", str(seeds_file), says=f"seeds file {seeds_file}")
+    path, saved = _saved_config(tmp_path)
+    for key, value in (("seed", -1), ("eval_seeds", [2000, -4])):
+        doc = json.loads(json.dumps(saved))
+        doc["experiment"][key] = value
+        path.write_text(json.dumps(doc))
+        assert_cli_error(capsys, "train", "--config", str(path),
+                         says="seed and eval_seeds must be >= 0")

@@ -146,6 +146,10 @@ class TestStep:
         with pytest.raises(RescueError):
             make_state([(0, 0)], [(-1, 1)])
 
+    def test_negative_seed_raises(self):
+        with pytest.raises(RescueError, match="seed"):
+            RescueConfig(2, 4, seed=-1)
+
     def test_spawn_overlap_swept_first_step(self):
         st = make_state([(2, 2)], [(2, 2), (9, 9)])
         assert not st.picked.any()  # shown open until the first step
