@@ -22,14 +22,20 @@ procedure alone on fixed tables. The cases:
     `tests/full_coverage.py`, where 45-51 of 80 units get a target;
   * `wcnok-m80v82`: whole m80v82 battles from spawn seeds 1000-1003,
     each side spawning its own and stepping it with its own
-    `heuristic_policy("wcnok")` and `step_battle` until the battle ends.
+    `heuristic_policy("wcnok")` and `step_battle` until the battle ends,
+    building the features and constraints of every window as
+    `BattleMetaEnv` does;
+  * `spawn-m80v82`: the 32 seed-1 spawns of the `battle-80v82-quad`
+    workload's set-up (scenario load and `spawn_battle`), each with its
+    features.
 
 Prints one JSON object: per case, what an item is, each side's items/s
 per round, their medians and quartiles, the rounds the checkout under
 test won, and whether both sides gave the same results: the same
-targets per decision, and per battle the same final frame, outcome and
-position and health of every unit. The BLAS thread count is whatever
-the environment sets; pin it for a measurement.
+targets per decision, per battle the same final frame, outcome and
+position and health of every unit, and per spawn the same features.
+The BLAS thread count is whatever the environment sets; pin it for a
+measurement.
 """
 import argparse
 import importlib
@@ -97,6 +103,7 @@ def build_cases(mods) -> dict:
         "trained-m5v5": ("decision", decider(trained), inputs("m5v5", seeds)),
         "full-coverage": ("decision", decider(None), tables),
         "wcnok-m80v82": ("battle", wcnok_battle, [(seed,) for seed in range(1000, 1004)]),
+        "spawn-m80v82": ("spawn", spawn_setup, [(seed,) for seed in range(1000, 1032)]),
     }
 
 
@@ -113,20 +120,37 @@ def decider(model):
 
 
 def wcnok_battle(mods):
-    """The runner of whole m80v82 wcnok battles from a spawn seed; a
-    battle's result is its final frame, outcome and every unit's
-    position and health."""
+    """The runner of whole m80v82 wcnok battles from a spawn seed, each
+    window observed as `BattleMetaEnv` observes it; a battle's result is
+    its final frame, outcome and every unit's position and health."""
     battle = mods["battle"]
+
+    def observe(state):
+        battle.extract_battle_features(state)
+        battle.build_battle_constraints(state)
 
     def play(seed):
         state = battle.spawn_battle(battle.load_scenario("m80v82", seed=seed))
+        observe(state)
         policy = battle.heuristic_policy("wcnok")
         while not state.done:
             battle.step_battle(state, policy(state))
+            observe(state)
         units = state.ours + state.theirs
         return (state.frame, state.outcome,
                 [(*u.pos.tolist(), u.health) for u in units])
     return play
+
+
+def spawn_setup(mods):
+    """The runner of one m80v82 spawn and its features from a seed; its
+    result is the features' bytes."""
+    battle = mods["battle"]
+
+    def spawn(seed):
+        state = battle.spawn_battle(battle.load_scenario("m80v82", seed=seed))
+        return b"".join(a.tobytes() for a in battle.extract_battle_features(state))
+    return spawn
 
 
 def run_case(kind: str, runners: dict, items: list) -> dict:

@@ -16,22 +16,19 @@ HEURISTICS = ("c", "wc", "wcnok", "wcnoknc", "wcnoks", "rand_nc")
 
 
 def _living_enemy_ids(state):
-    return [j for j, u in enumerate(state.theirs) if u.alive]
-
-
-def _positions(units):
-    return np.array([u.pos for u in units], dtype=float)
+    return np.flatnonzero(state.health[state.n:] > 0.0).tolist()
 
 
 def closest_heuristic(state: BattleState) -> Assignment:
     """Each unit independently picks its nearest living enemy."""
-    target = np.full(len(state.ours), UNASSIGNED, dtype=int)
-    living = np.array([e.alive for e in state.theirs])
+    n, health, pos = state.n, state.health, state.pos
+    target = np.full(n, UNASSIGNED, dtype=int)
+    living = health[n:] > 0.0
     if living.any():
-        dist = pair_distances(_positions(state.ours), _positions(state.theirs))
+        dist = pair_distances(pos[:n], pos[n:])
         # argmin keeps the first of equal distances: the lowest uid.
         nearest = np.where(living, dist, np.inf).argmin(axis=1)
-        alive = np.array([u.alive for u in state.ours])
+        alive = health[:n] > 0.0
         target[alive] = nearest[alive]
     return Assignment(target)
 
@@ -41,24 +38,20 @@ def _weakest_order(state, enemies):
     distance to our living centroid as tie-break, then id."""
     if not enemies:
         return []
-    alive = [u for u in state.ours if u.alive]
-    centroid = (np.mean([u.pos for u in alive], axis=0) if alive
-                else np.zeros(2))
-    units = [state.theirs[j] for j in enemies]
-    dist = vec_norm(_positions(units) - centroid).tolist()
-    keys = [(u.health, d, u.uid, j) for u, d, j in zip(units, dist, enemies)]
-    return [key[-1] for key in sorted(keys)]
+    n = state.n
+    alive = state.health[:n] > 0.0
+    centroid = np.mean(state.pos[:n][alive], axis=0) if alive.any() else np.zeros(2)
+    rows = n + np.array(enemies)
+    dist = vec_norm(state.pos[rows] - centroid).tolist()
+    return [j for _, _, j in sorted(zip(state.health[rows].tolist(), dist, enemies))]
 
 
 def weakest_closest(state: BattleState) -> Assignment:
     """Everyone piles onto the single weakest (then closest) enemy."""
     enemies = _living_enemy_ids(state)
-    target = np.full(len(state.ours), UNASSIGNED, dtype=int)
+    target = np.full(state.n, UNASSIGNED, dtype=int)
     if enemies:
-        j = _weakest_order(state, enemies)[0]
-        for i, unit in enumerate(state.ours):
-            if unit.alive:
-                target[i] = j
+        target[state.health[:state.n] > 0.0] = _weakest_order(state, enemies)[0]
     return Assignment(target)
 
 
@@ -66,45 +59,48 @@ def _fill_no_overkill(state, target, agents):
     """Assign `agents` (our indices) over weakest-first enemies, adding a
     unit only while the damage already booked against the enemy is
     strictly below its health. Mutates and returns `target`."""
+    n = state.n
+    damage, alive = state.damage[:n].tolist(), (state.health[:n] > 0.0).tolist()
+    health = state.health[n:].tolist()
     enemies = _weakest_order(state, _living_enemy_ids(state))
     booked = {j: 0.0 for j in enemies}
     # Damage already committed by units outside `agents` (persistence).
     for i, j in enumerate(target):
         if j != UNASSIGNED and j in booked:
-            booked[j] += state.ours[i].spec.damage_per_attack
+            booked[j] += damage[i]
     # Booked damage only grows, so the first enemy still open for one
     # agent is the earliest candidate for the next.
     first_open = 0
     for i in agents:
-        unit = state.ours[i]
-        if not unit.alive:
+        if not alive[i]:
             continue
         while (first_open < len(enemies)
-               and booked[enemies[first_open]] >= state.theirs[enemies[first_open]].health):
+               and booked[enemies[first_open]] >= health[enemies[first_open]]):
             first_open += 1
         if first_open < len(enemies):
             j = enemies[first_open]
             target[i] = j
-            booked[j] += unit.spec.damage_per_attack
+            booked[j] += damage[i]
     return target
 
 
 def weakest_closest_no_overkill(state: BattleState) -> Assignment:
-    target = np.full(len(state.ours), UNASSIGNED, dtype=int)
-    return Assignment(_fill_no_overkill(state, target, range(len(state.ours))))
+    target = np.full(state.n, UNASSIGNED, dtype=int)
+    return Assignment(_fill_no_overkill(state, target, range(state.n)))
 
 
 def _persistent(state, prev, drop_rule):
     """Keep previous targets except where drop_rule says to re-pick, then
     fill the dropped units with the no-overkill rule."""
-    target = np.full(len(state.ours), UNASSIGNED, dtype=int)
+    n = state.n
+    alive = (state.health > 0.0).tolist()
+    target = np.full(n, UNASSIGNED, dtype=int)
     fresh = []
-    for i, unit in enumerate(state.ours):
+    for i in range(n):
         j = int(prev[i]) if prev is not None else UNASSIGNED
-        if (unit.alive and j != UNASSIGNED and state.theirs[j].alive
-                and not drop_rule(i, j)):
+        if alive[i] and j != UNASSIGNED and alive[n + j] and not drop_rule(i, j):
             target[i] = j
-        elif unit.alive:
+        elif alive[i]:
             fresh.append(i)
     return Assignment(_fill_no_overkill(state, target, fresh))
 
@@ -121,16 +117,16 @@ def weakest_closest_no_overkill_smart(state: BattleState, prev=None) -> Assignme
     already covers its health."""
     if prev is None:
         return weakest_closest_no_overkill(state)
+    n, m = state.n, len(state.health) - state.n
+    damage, health = state.damage[:n].tolist(), state.health.tolist()
     committed = {}
-    for i, unit in enumerate(state.ours):
+    for i in range(n):
         j = int(prev[i])
-        if unit.alive and j != UNASSIGNED and 0 <= j < len(state.theirs) \
-                and state.theirs[j].alive:
-            committed[j] = committed.get(j, 0.0) + unit.spec.damage_per_attack
+        if health[i] > 0.0 and 0 <= j < m and health[n + j] > 0.0:
+            committed[j] = committed.get(j, 0.0) + damage[i]
 
     def overkills(i, j):
-        others = committed.get(j, 0.0) - state.ours[i].spec.damage_per_attack
-        return others >= state.theirs[j].health
+        return committed.get(j, 0.0) - damage[i] >= health[n + j]
 
     return _persistent(state, prev, overkills)
 
@@ -138,12 +134,13 @@ def weakest_closest_no_overkill_smart(state: BattleState, prev=None) -> Assignme
 def random_no_change(state: BattleState, rng, prev=None) -> Assignment:
     """Random initial target per unit, kept until it dies."""
     enemies = _living_enemy_ids(state)
-    target = np.full(len(state.ours), UNASSIGNED, dtype=int)
-    for i, unit in enumerate(state.ours):
-        if not unit.alive or not enemies:
+    n, alive = state.n, (state.health > 0.0).tolist()
+    target = np.full(n, UNASSIGNED, dtype=int)
+    for i in range(n):
+        if not alive[i] or not enemies:
             continue
         j = int(prev[i]) if prev is not None else UNASSIGNED
-        if j != UNASSIGNED and state.theirs[j].alive:
+        if j != UNASSIGNED and alive[n + j]:
             target[i] = j
         else:
             target[i] = enemies[int(rng.integers(len(enemies)))]

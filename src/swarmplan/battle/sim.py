@@ -8,17 +8,18 @@ battles are stochastic but bit-reproducible under a seed. Reward per
 assignment window is the normalized health swing
 (our delta + enemy damage taken) / our initial total health.
 
-A window is stepped on arrays holding every unit's state. Units act in
-unit order, separation pushes run pair by pair, and all distances go
-through `vec_norm` or its scalar twin `_norm`, so the result is the
-same, bit for bit, as stepping the units one at a time.
+`BattleState` holds both teams as arrays, the only state of record, and
+`step_battle` runs on them directly. Units act in row order, separation
+pushes run pair by pair, and all distances go through `vec_norm` or its
+scalar twin `_norm`, so the result is the same, bit for bit, as stepping
+the units one at a time. A `Unit` is a view of one row.
 """
 from __future__ import annotations
 
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,20 +54,54 @@ class UnitSpec:
             raise BattleError(f"spec {self.name}: all numeric fields must be positive")
 
 
-@dataclass
+def _row_of(column: str, cast, settable: bool = False):
+    """A `Unit` property reading, and if settable writing, its row of a
+    state array."""
+    def get(unit):
+        return cast(getattr(unit._state, column)[unit._row])
+
+    def set_(unit, value):
+        getattr(unit._state, column)[unit._row] = value
+    return property(get, set_ if settable else None)
+
+
 class Unit:
-    spec: UnitSpec
-    pos: np.ndarray
-    velocity: np.ndarray
-    health: float
-    cooldown_remaining: int
-    team: int
-    uid: int
-    current_target: int | None = None
+    """One row of a `BattleState`, seen as a unit; it holds no state of
+    its own. Setting `pos` or `health` writes the state's arrays."""
+
+    __slots__ = ("_state", "_row")
+
+    def __init__(self, state: BattleState, row: int):
+        self._state, self._row = state, row
+
+    pos = _row_of("pos", np.copy, settable=True)
+    health = _row_of("health", float, settable=True)
+    velocity = _row_of("vel", np.copy)
+    cooldown_remaining = _row_of("cooldown", int)
+
+    @property
+    def uid(self) -> int:
+        return self._row
+
+    @property
+    def spec(self) -> UnitSpec:
+        return self._state.specs[self._row]
+
+    @property
+    def team(self) -> int:
+        return TEAM_OURS if self._row < self._state.n else TEAM_THEIRS
 
     @property
     def alive(self) -> bool:
         return self.health > 0.0
+
+    @property
+    def current_target(self) -> int | None:
+        """The target's index in the other team, or None."""
+        row = int(self._state.target[self._row])
+        if row < 0:
+            return None
+        return row - self._state.n if self.team == TEAM_OURS else row
 
 
 @dataclass
@@ -89,63 +124,9 @@ class BattleConfig:
             raise BattleError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass
-class BattleState:
-    config: BattleConfig
-    ours: list
-    theirs: list
-    frame: int
-    rng: np.random.Generator
-    our_health0: float
-    opp_waypoint: np.ndarray
-    prev_targets: np.ndarray  # our last-window targets, for features
-    type_ids: list            # distinct type ids in the scenario, sorted
-    outcome: str | None = None
-
-    @property
-    def done(self) -> bool:
-        return self.outcome is not None
-
-    def team_health(self, team: int) -> float:
-        units = self.ours if team == TEAM_OURS else self.theirs
-        return sum(u.health for u in units)
-
-
 OUR_ANCHOR = np.array([25.0, 50.0])
 THEIR_ANCHOR = np.array([75.0, 50.0])
 SPAWN_STD = np.array([4.0, 10.0])  # Y-spread > X-spread
-
-
-def spawn_battle(config: BattleConfig) -> BattleState:
-    rng = np.random.default_rng(config.seed)
-    max_range = max(s.attack_range for s in config.ours + config.theirs)
-    # The teams face each other along X, so only X-spread can close the
-    # gap between the anchors; spawns are clamped to 3 sigma.
-    x_spread = 3.0 * float(SPAWN_STD[0])
-    x_gap = abs(THEIR_ANCHOR[0] - OUR_ANCHOR[0])
-    if x_gap - 2 * x_spread <= max_range:
-        raise BattleError("anchors too close: units could spawn within fire range")
-
-    def make_team(specs, anchor, team, uid0):
-        units = []
-        for k, spec in enumerate(specs):
-            offset = np.clip(rng.normal(0.0, 1.0, 2) * SPAWN_STD,
-                             -3.0 * SPAWN_STD, 3.0 * SPAWN_STD)
-            pos = np.clip(anchor + offset, 1.0, ARENA - 1.0)
-            units.append(Unit(spec, pos, np.zeros(2), spec.max_health,
-                              0, team, uid0 + k))
-        return units
-
-    ours = make_team(config.ours, OUR_ANCHOR, TEAM_OURS, 0)
-    theirs = make_team(config.theirs, THEIR_ANCHOR, TEAM_THEIRS, len(ours))
-    type_ids = sorted({s.type_id for s in config.ours + config.theirs})
-    return BattleState(
-        config, ours, theirs, 0, rng,
-        sum(u.health for u in ours),
-        opp_waypoint=OUR_ANCHOR.copy(),
-        prev_targets=np.full(len(ours), -1, dtype=int),
-        type_ids=type_ids,
-    )
 
 
 def vec_norm(delta) -> np.ndarray:
@@ -190,35 +171,56 @@ def pair_distances(p, q) -> np.ndarray:
     return vec_norm(delta)
 
 
-class _Window:
-    """Both teams as arrays for one assignment window.
+class BattleState:
+    """Both teams as arrays, the only state of record.
 
-    Row k < n is `ours[k]`, row n + j is `theirs[j]`; `target` holds row
-    indices, -1 for none. The `Unit` objects stay the state of record:
-    rows are read from them when a window starts and written back when
-    it ends."""
+    Row k < n is our unit k and row n + j their unit j. `pos`, `vel`,
+    `health`, `cooldown` and `target` (a row index, -1 for none) change
+    as the battle runs; the spec columns (`radius`, `range`, `speed`,
+    `ground`, `damage`, `cooldown_frames`, `max_health` and the type
+    one-hot `one_hot`, over the sorted `type_ids`) are set at spawn."""
 
-    def __init__(self, state: BattleState):
-        self.units = units = state.ours + state.theirs
-        self.n = len(state.ours)
-        specs = [u.spec for u in units]
-        self.pos = np.array([u.pos for u in units], dtype=float)
-        self.vel = np.array([u.velocity for u in units], dtype=float)
-        self.health = np.array([u.health for u in units], dtype=float)
-        self.cooldown = np.array([u.cooldown_remaining for u in units], dtype=np.int64)
-        self.radius = np.array([s.radius for s in specs])
-        self.range = np.array([s.attack_range for s in specs])
-        self.speed = np.array([s.speed for s in specs])
-        self.ground = ~np.array([s.is_flying for s in specs])
-        self.damage = [s.damage_per_attack for s in specs]
-        self.cooldown_frames = [s.cooldown_frames for s in specs]
-        self.alive_at_start = np.flatnonzero(self.health > 0.0)
-        n = self.n
-        self.target = np.full(len(units), -1, dtype=np.int64)
-        self.target[:n] = np.where(state.prev_targets >= 0, n + state.prev_targets, -1)
-        self._acquire_opponent_targets()
-        # Reach of each unit to its window target (meaningless without one).
-        self.reach = np.maximum(self.range, self.radius + self.radius[self.target] + CONTACT_EPS)
+    def __init__(self, config: BattleConfig, pos: np.ndarray, rng: np.random.Generator):
+        self.config, self.rng = config, rng
+        self.specs = specs = config.ours + config.theirs
+        self.n = len(config.ours)
+        self.radius, self.range, self.speed, self.damage, self.max_health = np.array(
+            [[s.radius for s in specs], [s.attack_range for s in specs],
+             [s.speed for s in specs], [s.damage_per_attack for s in specs],
+             [s.max_health for s in specs]], dtype=float)
+        self.ground = np.array([not s.is_flying for s in specs])
+        self.cooldown_frames = np.array([s.cooldown_frames for s in specs], dtype=np.int64)
+        self.type_ids = sorted({s.type_id for s in specs})
+        self.one_hot = np.array([[s.type_id == t for t in self.type_ids] for s in specs],
+                                dtype=float)
+        self.pos = pos
+        self.vel = np.zeros_like(pos)
+        self.health = self.max_health.copy()
+        self.cooldown = np.zeros(len(specs), dtype=np.int64)
+        self.target = np.full(len(specs), -1, dtype=np.int64)
+        self.frame = 0
+        self.our_health0 = self.team_health(TEAM_OURS)
+        self.opp_waypoint = OUR_ANCHOR.copy()
+        self.outcome: str | None = None
+
+    # Built on first use: a spawned state makes no view, and so no
+    # reference cycle, unless a caller asks for one.
+    @functools.cached_property
+    def ours(self) -> list:
+        return [Unit(self, k) for k in range(self.n)]
+
+    @functools.cached_property
+    def theirs(self) -> list:
+        return [Unit(self, k) for k in range(self.n, len(self.specs))]
+
+    @property
+    def done(self) -> bool:
+        return self.outcome is not None
+
+    def team_health(self, team: int) -> float:
+        # A Python sum in row order: np.sum would round pairwise.
+        rows = self.health[:self.n] if team == TEAM_OURS else self.health[self.n:]
+        return sum(rows.tolist())
 
     def _acquire_opponent_targets(self):
         """Opponent target acquisition, run once per assignment window so
@@ -230,18 +232,16 @@ class _Window:
         reach = np.maximum(self.range[n:, None],
                            self.radius[n:, None] + self.radius[None, :n] + CONTACT_EPS)
         ok = (dist <= reach) & (self.health[None, :n] > 0.0)
-        nearest = np.where(ok.any(axis=1), np.where(ok, dist, np.inf).argmin(axis=1), -1)
-        self.target[n:] = nearest
-        for unit, i in zip(self.units[n:], nearest.tolist()):
-            unit.current_target = None if i < 0 else i
+        self.target[n:] = np.where(ok.any(axis=1), np.where(ok, dist, np.inf).argmin(axis=1), -1)
 
-    def team_turn(self, lo: int, hi: int, waypoint, rng, miss_probability: float):
+    def _team_turn(self, lo: int, hi: int, reach, waypoint):
         """Rows lo..hi-1 act as if one after another in row order.
 
         A unit with a live target in reach attacks when its cooldown is
         over, otherwise it holds; out of reach, it walks toward the target
         until in reach. Without a live target, our units (waypoint None)
-        stand idle and opponents walk toward the waypoint."""
+        stand idle and opponents walk toward the waypoint. `reach` holds
+        each row's reach to its window target."""
         H, P, V, CD = self.health, self.pos, self.vel, self.cooldown
         rows = lo + np.flatnonzero(H[lo:hi] > 0.0)
         V[rows] = 0.0
@@ -251,13 +251,14 @@ class _Window:
         i, t = rows[has], tgt[has]
         delta = P[t] - P[i]
         dist = vec_norm(delta)
-        reach = self.reach[i]
+        reach = reach[i]
         near = dist <= reach
         # Attacks land one at a time in row order, so the miss rolls keep
         # their order in the rng stream and a target killed by an earlier
         # attacker is gone for every later unit.
         killed_by = np.full(len(H), len(H))
         fire = near & (CD[i] == 0)
+        rng, miss_probability = self.rng, self.config.miss_probability
         for a, b in zip(i[fire].tolist(), t[fire].tolist()):
             if H[b] <= 0.0:
                 continue
@@ -284,23 +285,28 @@ class _Window:
         self.pos[rows] += self.vel[rows]
 
     def resolve_collisions(self):
+        """The separation pass of living ground units, run after each frame."""
         ground = np.flatnonzero((self.health > 0.0) & self.ground)
         if len(ground) > 1:
             pos = self.pos[ground]
             _separate(pos, self.radius[ground])
             self.pos[ground] = pos
 
-    def write_back(self):
-        # Units dead at the start neither act nor get pushed.
-        rows = self.alive_at_start
-        for k, pos, vel, health, cooldown in zip(
-                rows.tolist(), self.pos[rows].tolist(), self.vel[rows].tolist(),
-                self.health[rows].tolist(), self.cooldown[rows].tolist()):
-            u = self.units[k]
-            u.pos = np.array(pos)
-            u.velocity = np.array(vel)
-            u.health = health
-            u.cooldown_remaining = cooldown
+
+def spawn_battle(config: BattleConfig) -> BattleState:
+    rng = np.random.default_rng(config.seed)
+    max_range = max(s.attack_range for s in config.ours + config.theirs)
+    # The teams face each other along X, so only X-spread can close the
+    # gap between the anchors; spawns are clamped to 3 sigma.
+    x_spread = 3.0 * float(SPAWN_STD[0])
+    x_gap = abs(THEIR_ANCHOR[0] - OUR_ANCHOR[0])
+    if x_gap - 2 * x_spread <= max_range:
+        raise BattleError("anchors too close: units could spawn within fire range")
+    n, m = len(config.ours), len(config.theirs)
+    offset = np.clip(rng.normal(0.0, 1.0, (n + m, 2)) * SPAWN_STD,
+                     -3.0 * SPAWN_STD, 3.0 * SPAWN_STD)
+    anchor = np.repeat([OUR_ANCHOR, THEIR_ANCHOR], [n, m], axis=0)
+    return BattleState(config, np.clip(anchor + offset, 1.0, ARENA - 1.0), rng)
 
 
 # A separation pass visits the pairs of discs within _SLACK of contact
@@ -427,39 +433,37 @@ def step_battle(state: BattleState, our_assignment):
     """Advance one assignment window; returns (reward, done, outcome).
 
     `our_assignment.target[i]` indexes the enemy list; -1 or a dead enemy
-    leaves unit i idle for the window.
+    leaves unit i idle for the window. An invalid assignment raises
+    `BattleError` and leaves the state as it was.
     """
     if state.done:
         raise BattleError("battle already decided")
+    n, health = state.n, state.health
     target = np.asarray(our_assignment.target)
-    if target.shape[0] != len(state.ours):
-        raise BattleError(
-            f"assignment covers {target.shape[0]} units, team has {len(state.ours)}"
-        )
-    for i, unit in enumerate(state.ours):
-        j = int(target[i])
-        if j < -1 or j >= len(state.theirs):
-            raise BattleError(f"unit {i} assigned to invalid enemy {j}")
-        unit.current_target = j if j >= 0 and state.theirs[j].alive else None
-    state.prev_targets = np.array(
-        [-1 if u.current_target is None else u.current_target for u in state.ours]
-    )
+    if target.shape[0] != n:
+        raise BattleError(f"assignment covers {target.shape[0]} units, team has {n}")
+    bad = np.flatnonzero((target < -1) | (target >= len(health) - n))
+    if len(bad):
+        i = int(bad[0])
+        raise BattleError(f"unit {i} assigned to invalid enemy {int(target[i])}")
+    state.target[:n] = np.where((target >= 0) & (health[n + target] > 0.0), n + target, -1)
 
     our_before = state.team_health(TEAM_OURS)
     their_before = state.team_health(TEAM_THEIRS)
 
     cfg = state.config
-    w = _Window(state)
-    n, health = w.n, w.health
+    state._acquire_opponent_targets()
+    # Reach of each unit to its window target (meaningless without one).
+    reach = np.maximum(state.range, state.radius + state.radius[state.target] + CONTACT_EPS)
     for _ in range(cfg.assignment_period):
         if state.frame % OPPONENT_ORDER_PERIOD == 0:
             alive = health[:n] > 0.0
             if alive.any():
-                state.opp_waypoint = np.mean(w.pos[:n][alive], axis=0)
-        w.cooldown[(health > 0.0) & (w.cooldown > 0)] -= 1
-        w.team_turn(0, n, None, state.rng, cfg.miss_probability)
-        w.team_turn(n, len(health), state.opp_waypoint, state.rng, cfg.miss_probability)
-        w.resolve_collisions()
+                state.opp_waypoint = np.mean(state.pos[:n][alive], axis=0)
+        state.cooldown[(health > 0.0) & (state.cooldown > 0)] -= 1
+        state._team_turn(0, n, reach, None)
+        state._team_turn(n, len(health), reach, state.opp_waypoint)
+        state.resolve_collisions()
         state.frame += 1
         ours_alive = bool((health[:n] > 0.0).any())
         theirs_alive = bool((health[n:] > 0.0).any())
@@ -474,7 +478,6 @@ def step_battle(state: BattleState, our_assignment):
         if state.frame >= cfg.frame_cap:
             state.outcome = "draw"
             break
-    w.write_back()
 
     reward = (
         state.team_health(TEAM_OURS) - our_before
@@ -488,10 +491,10 @@ def build_battle_constraints(state: BattleState):
     damage per attack. Dead units contribute/absorb nothing."""
     from ..assign import ConstraintSet
 
-    damage = np.array([u.spec.damage_per_attack if u.alive else 0.0 for u in state.ours])
-    mu = np.repeat(damage[:, None], len(state.theirs), axis=1)
-    u_vec = np.array([e.health for e in state.theirs], dtype=float)
-    return ConstraintSet(mu, u_vec)
+    n = state.n
+    damage = np.where(state.health[:n] > 0.0, state.damage[:n], 0.0)
+    mu = np.repeat(damage[:, None], len(state.health) - n, axis=1)
+    return ConstraintSet(mu, state.health[n:].copy())
 
 
 def frame_record(state: BattleState) -> dict:
@@ -539,14 +542,21 @@ def load_scenario(name_or_path, seed: int = 0) -> BattleConfig:
         path = SCENARIO_DIR / f"{name_or_path}.json"
     if not path.exists():
         raise BattleError(f"scenario not found: {name_or_path}")
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except ValueError as exc:
+        raise BattleError(f"scenario {path} is not JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise BattleError(f"scenario {path} is not a JSON object")
     if data.get("version") != 1:
         raise BattleError(f"unsupported scenario version {data.get('version')}")
-    specs = {name: load_spec({"name": name, **entry})
-             for name, entry in data["specs"].items()}
     try:
+        specs = {name: load_spec({"name": name, **entry})
+                 for name, entry in data["specs"].items()}
         ours = [specs[n] for n in data["ours"]]
         theirs = [specs[n] for n in data["theirs"]]
-    except KeyError as exc:
-        raise BattleError(f"scenario references unknown spec {exc}") from exc
+    except BattleError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise BattleError(f"scenario {path}: missing or malformed entry {exc!r}") from exc
     return BattleConfig(ours=ours, theirs=theirs, seed=seed)

@@ -24,7 +24,7 @@ from swarmplan.battle import (
     weakest_closest_no_overkill_no_change,
     weakest_closest_no_overkill_smart,
 )
-from swarmplan.battle.sim import CONTACT_EPS, _Window
+from swarmplan.battle.sim import CONTACT_EPS
 
 
 def make_spec(**overrides):
@@ -199,6 +199,15 @@ class TestStepBattle:
         with pytest.raises(BattleError):
             step_battle(st, assign(st, [0, 0]))
 
+    def test_rejected_assignment_changes_nothing(self):
+        st = spawn_battle(load_scenario("m5v5", seed=0))
+        record, features = frame_record(st), extract_battle_features(st)
+        with pytest.raises(BattleError, match="unit 2"):
+            step_battle(st, assign(st, [0, 1, 7, 0, 0]))
+        assert frame_record(st) == record
+        for before, after in zip(features, extract_battle_features(st)):
+            np.testing.assert_array_equal(after, before)
+
     def test_frame_cap_draw(self):
         spec = make_spec()
         cfg = BattleConfig(ours=[spec], theirs=[spec], seed=0, frame_cap=12)
@@ -222,9 +231,7 @@ class TestStepBattle:
 
 def resolve_collisions(state):
     """The separation pass that `step_battle` runs after each frame."""
-    window = _Window(state)
-    window.resolve_collisions()
-    window.write_back()
+    state.resolve_collisions()
 
 
 class TestCollisions:

@@ -6,7 +6,7 @@ import pytest
 
 from swarmplan.battle import BattleConfig, UnitSpec, spawn_battle
 from swarmplan.battle import sim
-from swarmplan.battle.sim import _norm, _Window, pair_distances, vec_norm
+from swarmplan.battle.sim import _norm, pair_distances, vec_norm
 
 
 def random_deltas(rng, k):
@@ -140,9 +140,7 @@ def test_collisions_match_per_pair_loop(monkeypatch, seed, slack, screen):
         expect = [u.pos for u in units]
         for u, p in zip(units, start):
             u.pos = p.copy()
-        window = _Window(state)  # the pass that step_battle runs
-        window.resolve_collisions()
-        window.write_back()
+        state.resolve_collisions()  # the pass that step_battle runs
         for u, e in zip(units, expect):
             np.testing.assert_array_equal(u.pos, e)
     if slack is not None:

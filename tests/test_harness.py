@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from swarmplan.battle import load_scenario
+from swarmplan.battle.sim import SCENARIO_DIR
 from swarmplan.harness import (
     RESCUE_EVAL_SEEDS,
     EvalSummary,
@@ -463,6 +464,23 @@ def test_cli_train_and_battle_bench(tmp_path, capsys):
     for episodes in ("0", "-3"):
         assert_cli_error(capsys, "battle-bench", "--scenario", "m5v5", "--policy", "c",
                          "--episodes", episodes)
+
+
+def test_cli_malformed_scenario_files_exit_2(tmp_path, capsys):
+    """A scenario file that is not JSON, is not a JSON object or lacks a
+    spec field exits 2 with one error line, in battle-bench and eval."""
+    good = json.loads((SCENARIO_DIR / "m5v5.json").read_text())
+    no_damage = {**good, "specs": {"marine": {
+        k: v for k, v in good["specs"]["marine"].items() if k != "damage_per_attack"}}}
+    ckpt = tmp_path / "model.bin"
+    save_models(ckpt, init_scoring_model(2, 3, with_g=False, seed=0))
+    scenario = tmp_path / "scenario.json"
+    for text in ('{"version": 1, "specs"', "[1, 2]", json.dumps(no_damage)):
+        scenario.write_text(text)
+        assert_cli_error(capsys, "battle-bench", "--scenario", str(scenario),
+                         "--policy", "wcnok", "--episodes", "1")
+        assert_cli_error(capsys, "eval", "--checkpoint", str(ckpt), "--env", "battle",
+                         "--scenario", str(scenario))
 
 
 def test_cli_battle_bench_checks_the_checkpoint_like_eval(tmp_path, capsys):
