@@ -23,8 +23,9 @@ first, because the host's speed drifts over minutes. The file then also
 records, per metric, how many pairs the checkout under test won, and,
 as ungated extras, the same-process A/Bs of `scripts/decision_ab.py`
 with one BLAS thread: `quad` decisions (trained model at m80v82, m10v10
-and m5v5, the full-coverage tables and the quad workload's states),
-whole m80v82 wcnok battles and the quad workload's spawns.
+and m5v5, the full-coverage tables and the quad workload's states), the
+scoring alone on the quad workload's states, whole m80v82 wcnok battles
+and the quad workload's spawns.
 """
 import argparse
 import json

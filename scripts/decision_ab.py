@@ -15,6 +15,9 @@ procedure alone on fixed tables. The cases:
 
   * `quad-workload`: the `battle-80v82-quad` workload's 32 seed-1 spawn
     states under its random seed-0 model;
+  * `score-m80v82`: the scoring alone (`score_pairs`, h and g) on those
+    states and that model, which separates the scoring's share of a
+    decision's time from the LP's;
   * `trained-m80v82`, `trained-m10v10`, `trained-m5v5`: the committed
     trained model `tests/fixtures/quad_battle_model.bin` on spawn states
     101000-101031 of each scenario;
@@ -33,7 +36,8 @@ Prints one JSON object: per case, what an item is, each side's items/s
 per round, their medians and quartiles, the rounds the checkout under
 test won, and whether both sides gave the same results: the same
 targets per decision, per battle the same final frame, outcome and
-position and health of every unit, and per spawn the same features.
+position and health of every unit, per scoring the same h and g, and
+per spawn the same features.
 The BLAS thread count is whatever the environment sets; pin it for a
 measurement.
 """
@@ -98,6 +102,7 @@ def build_cases(mods) -> dict:
     seeds = range(101000, 101032)
     return {
         "quad-workload": ("decision", decider(random_model), workload),
+        "score-m80v82": ("scoring", scorer(random_model), workload),
         "trained-m80v82": ("decision", decider(trained), inputs("m80v82", seeds)),
         "trained-m10v10": ("decision", decider(trained), inputs("m10v10", seeds)),
         "trained-m5v5": ("decision", decider(trained), inputs("m5v5", seeds)),
@@ -116,6 +121,19 @@ def decider(model):
             return lambda table, cons: infer(table, cons).target.tobytes()
         return lambda agents, tasks, extras, cons: infer(
             score(model, agents, tasks, pair_extras=extras), cons).target.tobytes()
+    return runner
+
+
+def scorer(model):
+    """The runner of `score_pairs` with `model`; a scoring's result is the
+    bytes of its h and g."""
+    def runner(mods):
+        score = mods["nets"].score_pairs
+
+        def run(agents, tasks, extras, cons):
+            table = score(model, agents, tasks, pair_extras=extras)
+            return table.h.tobytes() + table.g.tobytes()
+        return run
     return runner
 
 

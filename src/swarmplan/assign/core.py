@@ -10,8 +10,8 @@ The LP relaxation has two solvers, chosen by the constraints alone:
     `network.py` solves on a spanning-tree basis, with no basis inverse.
 One-shot LPs (`lp_relax_solve`, `fw_linear_oracle`) take the first that
 applies. Frank-Wolfe keeps one network simplex object across its
-iterations, for unit demand too, and every solve starts from the
-all-slack tree. The matching would be another oracle for unit demand,
+iterations, for unit demand too, and every solve starts from a greedy
+tree built from its own weights. The matching would be another oracle for unit demand,
 whose ties may pick other vertices; it is not used there, so the
 iterates stay as they are. Any other mu (no environment builds one) gets
 AssignError from every LP procedure; the rounding and `feasible` take

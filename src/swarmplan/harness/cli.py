@@ -21,8 +21,8 @@ from ..battle import HEURISTICS, BattleError
 from ..learn import A2CConfig
 from ..nets import CheckpointError, load_models
 from ..rescue import RescueError
-from .config import (ENVIRONMENTS, INFERENCES, HarnessError, load_experiment, load_sweep,
-                     parse_rescue_size)
+from .config import (ENVIRONMENTS, INFERENCES, HarnessError, integer_seeds, load_experiment,
+                     load_sweep, parse_rescue_size)
 from .evaluate import BATTLE_EVAL_SEED_BASE, RESCUE_EVAL_SEEDS, evaluate, oracle_report
 from .sweep import hyperparameter_search, run_experiment
 
@@ -44,12 +44,11 @@ def _load_seeds(path, environment):
     with open(path) as fh:
         try:
             seeds = json.load(fh)
-            if isinstance(seeds, list) and seeds:
-                seeds = [int(s) for s in seeds]
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise HarnessError(f"seeds file {path}: {exc}") from exc
     if not isinstance(seeds, list) or not seeds:
         raise HarnessError("seeds file must hold a nonempty JSON list")
+    seeds = list(integer_seeds(seeds, f"seeds file {path}"))
     if min(seeds) < 0:
         raise HarnessError(f"seeds file {path}: seeds must be >= 0")
     return seeds

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -46,6 +47,20 @@ def _check_keys(cls, data: dict, what: str):
     unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise HarnessError(f"unknown {what} keys: {', '.join(unknown)}")
+
+
+def integer_seeds(values, what: str) -> tuple:
+    """`values` as a tuple of ints. An entry that is not an integer, a
+    bool included (JSON's true is no seed), raises HarnessError rather
+    than being truncated."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise HarnessError(f"{what}: {values!r} is not a list of integers") from None
+    for seed in values:
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise HarnessError(f"{what}: {seed!r} is not an integer")
+    return tuple(int(seed) for seed in values)
 
 
 def parse_rescue_size(scenario: str):
@@ -78,7 +93,8 @@ class ExperimentConfig:
             raise HarnessError(f"inference must be one of {INFERENCES}")
         if self.environment == "rescue":
             parse_rescue_size(self.scenario)
-        self.eval_seeds = tuple(int(s) for s in self.eval_seeds)
+        self.eval_seeds = integer_seeds(self.eval_seeds, "eval_seeds")
+        (self.seed,) = integer_seeds((self.seed,), "seed")
         if not self.eval_seeds:
             raise HarnessError("eval_seeds must be nonempty")
         if min(self.seed, *self.eval_seeds) < 0:

@@ -53,13 +53,20 @@ def init_mlp(sizes, rng) -> MlpParams:
     return MlpParams(layers)
 
 
+# the two hidden-layer buffers of `mlp_forward_batch(with_cache=False)`
+_hidden = [np.empty(0), np.empty(0)]
+
+
 def mlp_forward_batch(params: MlpParams, X: np.ndarray, with_cache: bool = True):
     """Evaluate a batch of inputs X (B, in) -> (Y (B, out), cache). Only the
     shape is checked; `ScoreTable` and the rollout reject non-finite scores.
 
-    with_cache=False returns no cache (None) and chains the layers in
-    place, so no layer's activations outlive the next: the same Y, bit
-    for bit, without fresh memory per layer.
+    with_cache=False returns no cache (None) and writes the hidden layers
+    into two module-level buffers, alternating between them and grown to
+    the largest batch seen, so that a pass maps no fresh pages. Y is a
+    fresh array, the same bit for bit as with the cache, and never shares
+    memory with a buffer. That path is not re-entrant: the package runs
+    in one thread.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.in_dim:
@@ -67,11 +74,17 @@ def mlp_forward_batch(params: MlpParams, X: np.ndarray, with_cache: bool = True)
     last = len(params.layers) - 1
     act = X
     if not with_cache:
-        for k, (W, b) in enumerate(params.layers):
-            act = act @ W.T
+        rows = X.shape[0]
+        for k, (W, b) in enumerate(params.layers[:-1]):
+            size = rows * W.shape[0]
+            if _hidden[k % 2].size < size:
+                _hidden[k % 2] = np.empty(size)
+            act = np.matmul(act, W.T, out=_hidden[k % 2][:size].reshape(rows, W.shape[0]))
             act += b
-            if k != last:
-                np.maximum(act, 0.0, out=act)
+            np.maximum(act, 0.0, out=act)
+        W, b = params.layers[-1]
+        act = act @ W.T
+        act += b
         return act, None
     cache = []
     for k, (W, b) in enumerate(params.layers):

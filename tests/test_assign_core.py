@@ -24,6 +24,7 @@ from swarmplan.assign import (
     quad_relax_solve,
     round_quad,
 )
+from swarmplan.assign.network import TransportLp
 from test_assign_golden import battle_instance
 
 
@@ -284,13 +285,27 @@ class TestQuadRelax:
         assert 0.0 < stats["rel_gap"] < 1.0
         np.testing.assert_array_equal(relaxed.beta, quad_relax_solve(scores, cons).beta)
 
-    def test_stats_report_convergence_before_the_cap(self):
-        scores = ScoreTable(np.ones((2, 2)), np.diag([1.0, 1.0]))
-        cons = ConstraintSet(np.ones((2, 2)), [2.0, 2.0])
+    def test_stats_report_convergence_before_the_cap(self, monkeypatch):
+        # `pivots` sums the pivots of the FW subproblems, one solve per
+        # iteration; the rel_gap solve after them is not counted. Every
+        # solve here takes two pivots from its greedy start tree.
+        counted = []
+        solve = TransportLp.solve
+
+        def counting_solve(lp, weights, max_pivots=None):
+            before = lp.pivots
+            beta = solve(lp, weights, max_pivots)
+            counted.append(lp.pivots - before)
+            return beta
+
+        monkeypatch.setattr(TransportLp, "solve", counting_solve)
+        scores = ScoreTable(np.array([[2.0, 1.9], [2.0, 0.0]]), np.diag([1.0, 1.0]))
+        cons = ConstraintSet(np.ones((2, 2)), [1.0, 1.0])
         stats = {}
         quad_relax_solve(scores, cons, stats=stats)
         assert stats["iters"] < 50 and not stats["hit_cap"] and not stats["settled"]
-        assert stats["pivots"] >= 2
+        assert min(counted) > 0 and len(counted) == stats["iters"] + 1
+        assert stats["pivots"] == sum(counted[:-1])
         assert stats["rel_gap"] == pytest.approx(0.0, abs=1e-9)
 
 

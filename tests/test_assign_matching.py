@@ -364,12 +364,14 @@ class TestPolytopeLp:
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_pivot_budget_raises(self, solver):
-        # both agents must enter the basis: at least two pivots
+        # The network simplex's greedy start puts agent 0 on task 0, where
+        # agent 1 belongs; both solvers need at least two pivots from there
         cons = ConstraintSet(np.ones((2, 2)), [1.0, 1.0])
+        weights = np.array([[2.0, 1.9], [2.0, 0.0]])
         with pytest.raises(SolverFailure):
-            SOLVERS[solver](cons).solve(np.eye(2), max_pivots=1)
-        beta = SOLVERS[solver](cons).solve(np.eye(2), max_pivots=3)
-        np.testing.assert_allclose(beta, np.eye(2), atol=1e-12)
+            SOLVERS[solver](cons).solve(weights, max_pivots=1)
+        beta = SOLVERS[solver](cons).solve(weights, max_pivots=4)
+        np.testing.assert_allclose(beta, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_degenerate_run_stays_optimal(self, solver):
@@ -400,7 +402,7 @@ class TestPolytopeLp:
     def test_tree_objective_equals_simplex_cold_and_warm(self):
         # Each instance: six solves with new weights on the same two solver
         # objects. The simplex warm-starts each from the previous optimum;
-        # the tree starts each from the all-slack tree.
+        # the tree starts each from a greedy tree built from its weights.
         rng = np.random.default_rng(7)
         for trial in range(200):
             cons = row_constant_instance(rng)
@@ -441,12 +443,13 @@ class TestPolytopeLp:
     def test_tree_stays_strongly_feasible_at_every_pivot(self):
         # Agent arcs point toward the root, so a strongly feasible tree
         # keeps flow on each of them. A budget of k pivots stops a solve
-        # after its k-th pivot and leaves that tree behind.
+        # after its k-th pivot and leaves that tree behind; a budget of 0
+        # leaves the greedy start tree.
         rng = np.random.default_rng(9)
         for _ in range(100):
             cons = row_constant_instance(rng)
             weights = random_weights(rng, (cons.n, cons.m), tied=True)
-            for budget in itertools.count(1):
+            for budget in itertools.count(0):
                 tree = SOLVERS["TransportLp"](cons)
                 try:
                     tree.solve(weights, max_pivots=budget)

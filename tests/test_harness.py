@@ -514,3 +514,28 @@ def test_cli_negative_seeds_fail_cleanly(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert_cli_error(capsys, "train", "--config", str(path),
                          says="seed and eval_seeds must be >= 0")
+
+
+def test_cli_non_integer_seeds_fail_cleanly(tmp_path, capsys):
+    """A seed must be a JSON integer: a float, a bool or a string exits 2
+    from `eval --seeds-file` and `train --config` instead of being
+    truncated to an integer."""
+    ckpt = tmp_path / "model.bin"
+    save_models(ckpt, init_scoring_model(2, 3, with_g=False, seed=0),
+                init_critic(2, 3, seed=1))
+    seeds_file = tmp_path / "seeds.json"
+    for seeds, bad in (([2000.7, True, "2002"], "2000.7"), ([2000, True], "True"),
+                       ([2000, "2002"], "'2002'"), ([2000.0], "2000.0")):
+        seeds_file.write_text(json.dumps(seeds))
+        assert_cli_error(capsys, "eval", "--checkpoint", str(ckpt), "--scenario", "2x4",
+                         "--seeds-file", str(seeds_file),
+                         says=f"seeds file {seeds_file}: {bad} is not an integer")
+    path, saved = _saved_config(tmp_path)
+    for key, value, says in (("eval_seeds", [10000.9, True], "eval_seeds: 10000.9"),
+                             ("eval_seeds", [10000, True], "eval_seeds: True"),
+                             ("eval_seeds", 10000, "eval_seeds: 10000 is not a list"),
+                             ("seed", 2.5, "seed: 2.5"), ("seed", False, "seed: False")):
+        doc = json.loads(json.dumps(saved))
+        doc["experiment"][key] = value
+        path.write_text(json.dumps(doc))
+        assert_cli_error(capsys, "train", "--config", str(path), says=says)

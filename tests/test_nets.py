@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from swarmplan.assign import AssignError
+from swarmplan.battle import extract_battle_features, load_scenario, spawn_battle
 from swarmplan.nets import (
     CheckpointError,
     CriticParams,
@@ -114,6 +115,19 @@ class TestMlpForward:
             yi, _ = mlp_forward(params, X[i])
             assert abs(Y[i, 0] - yi) <= 1e-12 * max(1.0, abs(yi))
 
+    def test_buffered_pass_equals_cached_pass(self):
+        # with_cache=False writes its hidden layers into reused buffers;
+        # 6,560 rows is the h_net batch of an m80v82 decision, and the
+        # last 64 rows run in buffers grown for it
+        rng = np.random.default_rng(2)
+        params = init_mlp([20, 32, 32, 1], rng)
+        for rows in (1, 64, 6560, 64):
+            X = rng.normal(size=(rows, 20))
+            buffered, cache = mlp_forward_batch(params, X, with_cache=False)
+            cached, _ = mlp_forward_batch(params, X, with_cache=True)
+            assert cache is None and buffered.shape == (rows, 1)
+            assert buffered.tobytes() == cached.tobytes()
+
     def test_rejects_bad_shapes(self):
         rng = np.random.default_rng(0)
         params = init_mlp([3, 8, 1], rng)
@@ -211,6 +225,25 @@ class TestScoring:
         T = rng.normal(size=(m, 2))
         E = rng.normal(size=(n, m, extra)) if extra else None
         return A, T, E
+
+    def test_consecutive_tables_share_no_memory(self):
+        # the second m80v82 scoring pass reuses the first one's hidden
+        # buffers but neither its tables nor their memory
+        tables = []
+        for seed in (0, 1):
+            agents, tasks, extras = extract_battle_features(
+                spawn_battle(load_scenario("m80v82", seed=seed)))
+            model = init_scoring_model(agents.shape[1], tasks.shape[1],
+                                       pair_extra_dim=extras.shape[-1], with_g=True, seed=0)
+            tables.append(score_pairs(model, agents, tasks, pair_extras=extras))
+            if seed == 0:
+                first = (tables[0].h.copy(), tables[0].g.copy())
+        for a in (tables[0].h, tables[0].g):
+            for b in (tables[1].h, tables[1].g):
+                assert not np.shares_memory(a, b)
+        assert tables[0].h.tobytes() == first[0].tobytes()
+        assert tables[0].g.tobytes() == first[1].tobytes()
+        assert tables[0].h.tobytes() != tables[1].h.tobytes()
 
     def test_h_matches_per_pair_oracle(self):
         rng = np.random.default_rng(21)
