@@ -34,12 +34,12 @@ Napier 1974, Management Science 20(5)): agents, best weight first, fill
 their best open tasks, and what they cannot place stays on their slack
 arcs. The tree is strongly feasible, and with no positive weight it is
 the all-slack tree. On m80v82 spawn states it halves the pivots of a
-start from the all-slack tree. Frank-Wolfe keeps one object per constraint set, but its
-linear subproblems jump between distant vertices (on a m80v82 decision
-they assign 80, 60, 21, 7, 0, 54, ... units), so a start from the
-previous optimum took more pivots than a cold start. Agents with
-d_i = 0 ship nothing and are left out of the flow: each takes its best
-task if that task's weight is positive.
+start from the all-slack tree. Frank-Wolfe keeps one object per
+constraint set, but its linear subproblems jump between distant
+vertices (on a m80v82 decision they assign 80, 60, 21, 7, 0, 54, ...
+units), so a start from the previous optimum took more pivots than a
+cold start. Agents with d_i = 0 ship nothing and are left out of the
+flow: each takes its best task if that task's weight is positive.
 """
 from __future__ import annotations
 
@@ -120,13 +120,12 @@ class TransportLp:
         if placing.size:
             ranked = placing[np.argsort(-weights.max(axis=1)[placing], kind="stable")]
             room = self.u.tolist()
-            closed = [r <= 0.0 for r in room]
             first, dl = first.tolist(), self.dl.tolist()
             for i in ranked.tolist():
                 rest, row, j = dl[i], open_w[i], first[i]
                 tol = _TOL * rest
                 while True:
-                    if closed[j]:
+                    if row[j] <= _TOL:  # task j has closed: take the next best
                         j = int(row.argmax())
                         if row[j] <= _TOL:
                             break
@@ -135,14 +134,12 @@ class TransportLp:
                         parent[t] = i
                         kids.setdefault(i, []).append(t)
                         rest -= r
-                        closed[j] = True
                         open_w[:, j] = -np.inf
                         continue
                     parent[i] = t
                     kids.setdefault(t, []).append(i)
                     room[j] = r - rest
-                    if r - rest <= tol:
-                        closed[j] = True
+                    if room[j] <= tol:
                         open_w[:, j] = -np.inf
                     break
 

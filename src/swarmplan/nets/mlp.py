@@ -71,7 +71,6 @@ def mlp_forward_batch(params: MlpParams, X: np.ndarray, with_cache: bool = True)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.in_dim:
         raise NetError(f"input shape {X.shape} incompatible with in_dim {params.in_dim}")
-    last = len(params.layers) - 1
     act = X
     if not with_cache:
         rows = X.shape[0]
@@ -86,6 +85,7 @@ def mlp_forward_batch(params: MlpParams, X: np.ndarray, with_cache: bool = True)
         act = act @ W.T
         act += b
         return act, None
+    last = len(params.layers) - 1
     cache = []
     for k, (W, b) in enumerate(params.layers):
         pre = act @ W.T + b
