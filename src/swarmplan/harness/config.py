@@ -18,8 +18,9 @@ Sweep files carry the same envelope with a "sweep" object alongside
     "sweep": {"samples": int, "seed": int, "budget_updates": int}
 
 The search laws are fixed (`sweep.sample_config`), so a sweep file sets
-none of them. A key that names no field, a missing required key and an
-out-of-range a2c value are rejected with a HarnessError.
+none of them. A key that names no field, a missing required key, an
+integer field that holds no JSON integer and an out-of-range a2c value
+are rejected with a HarnessError.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ ENVIRONMENTS = ("rescue", "battle")
 INFERENCES = ("amax", "lp", "quad")
 
 _RESCUE_SIZE = re.compile(r"^(\d+)x(\d+)$")
+_A2C_INTEGERS = ("p", "n_steps", "workers", "batch_chunks")
 
 
 class HarnessError(ValueError):
@@ -49,18 +51,22 @@ def _check_keys(cls, data: dict, what: str):
         raise HarnessError(f"unknown {what} keys: {', '.join(unknown)}")
 
 
+def integer(value, what: str) -> int:
+    """`value` as an int. A value that is not an integer, a bool included
+    (JSON's true is no count), raises HarnessError rather than being
+    truncated or failing later."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise HarnessError(f"{what}: {value!r} is not an integer")
+    return int(value)
+
+
 def integer_seeds(values, what: str) -> tuple:
-    """`values` as a tuple of ints. An entry that is not an integer, a
-    bool included (JSON's true is no seed), raises HarnessError rather
-    than being truncated."""
+    """`values` as a tuple of ints, each checked by `integer`."""
     try:
         values = tuple(values)
     except TypeError:
         raise HarnessError(f"{what}: {values!r} is not a list of integers") from None
-    for seed in values:
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-            raise HarnessError(f"{what}: {seed!r} is not an integer")
-    return tuple(int(seed) for seed in values)
+    return tuple(integer(seed, what) for seed in values)
 
 
 def parse_rescue_size(scenario: str):
@@ -94,7 +100,8 @@ class ExperimentConfig:
         if self.environment == "rescue":
             parse_rescue_size(self.scenario)
         self.eval_seeds = integer_seeds(self.eval_seeds, "eval_seeds")
-        (self.seed,) = integer_seeds((self.seed,), "seed")
+        for name in ("seed", "total_updates", "eval_every"):
+            setattr(self, name, integer(getattr(self, name), name))
         if not self.eval_seeds:
             raise HarnessError("eval_seeds must be nonempty")
         if min(self.seed, *self.eval_seeds) < 0:
@@ -120,6 +127,8 @@ class ExperimentConfig:
             raise HarnessError(f"missing experiment keys: {', '.join(missing)}")
         if isinstance(a2c, dict):
             _check_keys(A2CConfig, a2c, "a2c")
+            a2c = {name: integer(value, f"a2c.{name}") if name in _A2C_INTEGERS else value
+                   for name, value in a2c.items()}
             try:
                 a2c = A2CConfig(**a2c)
             except LearnError as exc:
@@ -137,6 +146,8 @@ class SweepSpec:
     budget_updates: int = 50
 
     def __post_init__(self):
+        for name in ("samples", "seed", "budget_updates"):
+            setattr(self, name, integer(getattr(self, name), name))
         if self.samples < 1 or self.budget_updates < 0:
             raise HarnessError("samples must be >= 1 and budget_updates >= 0")
 

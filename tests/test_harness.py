@@ -539,3 +539,26 @@ def test_cli_non_integer_seeds_fail_cleanly(tmp_path, capsys):
         doc["experiment"][key] = value
         path.write_text(json.dumps(doc))
         assert_cli_error(capsys, "train", "--config", str(path), says=says)
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("section,key", [
+    ("experiment", "total_updates"), ("experiment", "eval_every"),
+    ("a2c", "p"), ("a2c", "n_steps"), ("a2c", "workers"), ("a2c", "batch_chunks"),
+    ("sweep", "samples"), ("sweep", "seed"), ("sweep", "budget_updates")])
+def test_cli_non_integer_config_fields_fail_cleanly(tmp_path, capsys, section, key, value):
+    """Every integer field of an experiment, its a2c object or a sweep must
+    be a JSON integer: a float, a bool or a string exits 2 with one
+    `error:` line, from `train --config` or `sweep --spec`."""
+    path, doc = _saved_config(tmp_path)
+    if section == "sweep":
+        doc["sweep"] = {key: value}
+        argv, what = ("sweep", "--spec"), key
+    elif section == "a2c":
+        doc["experiment"]["a2c"][key] = value
+        argv, what = ("train", "--config"), f"a2c.{key}"
+    else:
+        doc["experiment"][key] = value
+        argv, what = ("train", "--config"), key
+    path.write_text(json.dumps(doc))
+    assert_cli_error(capsys, *argv, str(path), says=f"{what}: {value!r} is not an integer")
