@@ -2,7 +2,7 @@
 """Same-process A/B of `quad` decisions and wcnok battles between this
 checkout and another.
 
-    python3 scripts/decision_ab.py --baseline DIR
+    python3 scripts/decision_ab.py --baseline DIR [--cases NAME [NAME ...]]
 
 Both checkouts' `swarmplan` packages are loaded into one process, and
 every item runs on each side in turn, the side that goes first
@@ -11,7 +11,9 @@ of the host's speed hit both sides alike. One round runs every item of
 a case once per side; a round is one pair, and ROUNDS rounds run. A
 decision is the scoring (`score_pairs`) plus the `quad` procedure on
 features and constraints built once; the full-coverage case times the
-procedure alone on fixed tables. The cases:
+procedure alone on fixed tables. `--cases` runs the named cases only,
+in the order below, and builds no other case's items; by default every
+case runs. The cases:
 
   * `quad-workload`: the `battle-80v82-quad` workload's 32 seed-1 spawn
     states under its random seed-0 model;
@@ -42,6 +44,7 @@ The BLAS thread count is whatever the environment sets; pin it for a
 measurement.
 """
 import argparse
+import functools
 import importlib
 import json
 import statistics
@@ -70,13 +73,13 @@ def load_side(checkout: Path) -> dict:
     return mods
 
 
-def build_cases(mods) -> dict:
-    """Per case: (item kind, runner, items). `runner(mods)` makes a
+def build_cases(mods, names) -> dict:
+    """Per named case: (item kind, runner, items). `runner(mods)` makes a
     side's function of one item. The decision items, [(agents, tasks,
     extras, cons)] or, for fixed tables, [(table, cons)], are built with
     one side's code; the other side reads them as they are."""
     battle, nets = mods["battle"], mods["nets"]
-    trained = nets.load_models(MODEL)[0]
+    trained = functools.cache(lambda: nets.load_models(MODEL)[0])
 
     def inputs(scenario, seeds):
         out = []
@@ -86,30 +89,41 @@ def build_cases(mods) -> dict:
                         battle.build_battle_constraints(state)))
         return out
 
-    workload = inputs("m80v82", range(1000, 1032))
-    agents, tasks, extras, _ = workload[0]
-    random_model = nets.init_scoring_model(agents.shape[1], tasks.shape[1],
-                                           pair_extra_dim=extras.shape[-1],
-                                           with_g=True, seed=0)
-    # the helper binds to the `swarmplan` in sys.modules, the side loaded last
-    sys.path.insert(0, str(ROOT / "tests"))
-    try:
-        import full_coverage
-    finally:
-        sys.path.pop(0)
-    tables = [full_coverage.full_coverage_instance(seed, trained)
-              for seed in full_coverage.SEEDS]
+    workload = functools.cache(lambda: inputs("m80v82", range(1000, 1032)))
+
+    def random_model():
+        agents, tasks, extras, _ = workload()[0]
+        return nets.init_scoring_model(agents.shape[1], tasks.shape[1],
+                                       pair_extra_dim=extras.shape[-1], with_g=True, seed=0)
+
+    def tables():
+        # the helper binds to the `swarmplan` in sys.modules, the side loaded last
+        sys.path.insert(0, str(ROOT / "tests"))
+        try:
+            import full_coverage
+        finally:
+            sys.path.pop(0)
+        return [full_coverage.full_coverage_instance(seed, trained())
+                for seed in full_coverage.SEEDS]
+
     seeds = range(101000, 101032)
-    return {
-        "quad-workload": ("decision", decider(random_model), workload),
-        "score-m80v82": ("scoring", scorer(random_model), workload),
-        "trained-m80v82": ("decision", decider(trained), inputs("m80v82", seeds)),
-        "trained-m10v10": ("decision", decider(trained), inputs("m10v10", seeds)),
-        "trained-m5v5": ("decision", decider(trained), inputs("m5v5", seeds)),
-        "full-coverage": ("decision", decider(None), tables),
-        "wcnok-m80v82": ("battle", wcnok_battle, [(seed,) for seed in range(1000, 1004)]),
-        "spawn-m80v82": ("spawn", spawn_setup, [(seed,) for seed in range(1000, 1032)]),
+    make = {
+        "quad-workload": lambda: ("decision", decider(random_model()), workload()),
+        "score-m80v82": lambda: ("scoring", scorer(random_model()), workload()),
+        "trained-m80v82": lambda: ("decision", decider(trained()), inputs("m80v82", seeds)),
+        "trained-m10v10": lambda: ("decision", decider(trained()), inputs("m10v10", seeds)),
+        "trained-m5v5": lambda: ("decision", decider(trained()), inputs("m5v5", seeds)),
+        "full-coverage": lambda: ("decision", decider(None), tables()),
+        "wcnok-m80v82": lambda: ("battle", wcnok_battle,
+                                 [(seed,) for seed in range(1000, 1004)]),
+        "spawn-m80v82": lambda: ("spawn", spawn_setup,
+                                 [(seed,) for seed in range(1000, 1032)]),
     }
+    return {name: make[name]() for name in CASES if name in names}
+
+
+CASES = ("quad-workload", "score-m80v82", "trained-m80v82", "trained-m10v10",
+         "trained-m5v5", "full-coverage", "wcnok-m80v82", "spawn-m80v82")
 
 
 def decider(model):
@@ -154,9 +168,8 @@ def wcnok_battle(mods):
         while not state.done:
             battle.step_battle(state, policy(state))
             observe(state)
-        units = state.ours + state.theirs
         return (state.frame, state.outcome,
-                [(*u.pos.tolist(), u.health) for u in units])
+                [(x, y, h) for (x, y), h in zip(state.pos.tolist(), state.health.tolist())])
     return play
 
 
@@ -199,11 +212,12 @@ def run_case(kind: str, runners: dict, items: list) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--baseline", type=Path, required=True)
+    parser.add_argument("--cases", nargs="+", choices=CASES, default=CASES, metavar="NAME",
+                        help=f"the cases to run, of {', '.join(CASES)} (default: all)")
     args = parser.parse_args(argv)
     sides = {"baseline": load_side(args.baseline.resolve()), "change": load_side(ROOT)}
-    cases = build_cases(sides["change"])
     out = {}
-    for case, (kind, runner, items) in cases.items():
+    for case, (kind, runner, items) in build_cases(sides["change"], args.cases).items():
         out[case] = run_case(kind, {name: runner(mods) for name, mods in sides.items()},
                              items)
         print(f"{case}: {out[case]['summary']}", file=sys.stderr, flush=True)

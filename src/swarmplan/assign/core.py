@@ -22,11 +22,10 @@ relative FW gap falls below `FwConfig.gap_tol`; the objective has
 settled (reported as `settled`): it rose by at most SETTLE_RISE of
 1 + |objective| over the last SETTLE_PERIOD steps; or
 `FwConfig.max_iters` iterations. Plain FW zig-zags between vertices of
-the optimal face and rarely meets the gap tolerance at 80v82, where
-decisions used to run to the cap of 50. The rule watches the objective,
-not the rounded decision: with a trained g, the rounding of the iterate
-can hold for 20 steps while the objective still climbs, and then jump
-to a better vertex.
+the optimal face and rarely meets the gap tolerance at 80v82. The rule
+watches the objective, not the rounded decision: with a trained g, the
+rounding of the iterate can hold for 20 steps while the objective still
+climbs, and then jump to a better vertex.
 
 Conventions shared by every operation:
   * tie-breaks are deterministic (lowest index / highest score) so repeated
@@ -178,7 +177,7 @@ def _augment(cost, row_dual, col_dual, row4col, col4row, start):
             break
 
 
-def matching_assign(scores, cons):
+def matching_assign(scores: ScoreTable, cons: ConstraintSet) -> Assignment:
     """Exact LP optimum for unit-demand constraints (see `ConstraintSet.unit_demand`).
 
     Task j is repeated min(u_j, n) times and agent i gets a private
@@ -188,35 +187,21 @@ def matching_assign(scores, cons):
     augmenting paths (Jonker & Volgenant 1987, in Crouse's 2016
     rectangular form), warm started by row reduction: each agent takes its
     cheapest column unless an earlier agent holds it, and only the agents
-    that conflict are augmented. The warm start is numpy over the whole
-    stack; the augmenting paths run on Python lists (see `_augment`),
-    which beat numpy up to 32x60. The g table, if present, is ignored.
-
-    One ScoreTable and one ConstraintSet return an Assignment. A stack of
-    L lanes with equal (n, m), given as an (L, n, m) array of finite h
-    tables and a sequence of L ConstraintSets, returns an (L, n) array of
-    targets: the warm start runs once over the whole stack, and only the
-    lanes with a conflict build their cost matrix and augment from it. One
-    instance is the L = 1 case.
+    that conflict are augmented. The augmenting paths run on Python lists
+    (see `_augment`), which beat numpy up to 32x60. The g table, if
+    present, is ignored.
     """
-    if isinstance(scores, ScoreTable):
-        _check_dims(scores, cons)
-        return Assignment(matching_assign(scores.h[None], [cons])[0])
-    h = np.asarray(scores, dtype=float)
-    if h.ndim != 3 or h.shape[0] != len(cons):
-        raise AssignError(f"{len(cons)} lanes need h of shape (L, n, m), got {h.shape}")
-    for lane in cons:
-        if (lane.n, lane.m) != h.shape[1:]:
-            raise AssignError(f"score tables are {h.shape[1]}x{h.shape[2]} "
-                              f"but constraints are {lane.n}x{lane.m}")
-        if not lane.unit_demand:
-            raise AssignError("matching_assign needs mu == 1 and whole-number u")
-    return _match_lanes(h, np.array([lane.u for lane in cons]))
+    _check_dims(scores, cons)
+    if not cons.unit_demand:
+        raise AssignError("matching_assign needs mu == 1 and whole-number u")
+    return Assignment(_match_lanes(scores.h[None], cons.u[None])[0])
 
 
 def _match_lanes(h, u):
-    """`matching_assign` of finite (L, n, m) tables under unit-demand
-    capacities u (L, m), without input checks."""
+    """`matching_assign` of a stack of L finite (n, m) tables under
+    unit-demand capacities u (L, m), without input checks; returns the
+    (L, n) targets. The warm start runs once over the whole stack, and
+    only the lanes with a conflict build their cost matrix and augment."""
     open_h = np.where(u[:, None, :] >= 1.0, h, -np.inf)
     value = open_h.max(axis=2)
     # each agent's cheapest column: its best open task if that beats

@@ -33,13 +33,11 @@ crash start for transportation problems (Glover, Karney, Klingman &
 Napier 1974, Management Science 20(5)): agents, best weight first, fill
 their best open tasks, and what they cannot place stays on their slack
 arcs. The tree is strongly feasible, and with no positive weight it is
-the all-slack tree. On m80v82 spawn states it halves the pivots of a
-start from the all-slack tree. Frank-Wolfe keeps one object per
-constraint set, but its linear subproblems jump between distant
-vertices (on a m80v82 decision they assign 80, 60, 21, 7, 0, 54, ...
-units), so a start from the previous optimum took more pivots than a
-cold start. Agents with d_i = 0 ship nothing and are left out of the
-flow: each takes its best task if that task's weight is positive.
+the all-slack tree. Frank-Wolfe keeps one object per constraint set,
+but its linear subproblems jump between distant vertices, so no solve
+starts from the previous one's tree. Agents with d_i = 0 ship nothing
+and are left out of the flow: each takes its best task if that task's
+weight is positive.
 """
 from __future__ import annotations
 

@@ -4,11 +4,11 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    _check_dims,
     _match_lanes,
     amax_assign,
     greedy_round,
     lp_relax_solve,
+    matching_assign,
     quad_relax_solve,
     round_quad,
 )
@@ -21,8 +21,7 @@ def infer_amax(scores: ScoreTable, cons: ConstraintSet) -> Assignment:
 
 def infer_lp(scores: ScoreTable, cons: ConstraintSet) -> Assignment:
     if cons.unit_demand:  # the LP optimum is already a hard assignment
-        _check_dims(scores, cons)
-        return Assignment(_match_lanes(scores.h[None], cons.u[None])[0])
+        return matching_assign(scores, cons)
     return greedy_round(lp_relax_solve(scores, cons), scores, cons)
 
 
@@ -44,24 +43,16 @@ def infer_stack(name: str, h, g, cons) -> list:
 
     h is (L, n, m) and g (L, m, m) or None, all finite; cons holds the L
     ConstraintSets. Returns one Assignment per lane, the one the procedure
-    gives for that lane alone. The LP procedure reads each set's cached
-    unit-demand flag and solves its unit-demand lanes with one stacked
-    `matching_assign`.
+    gives for that lane alone. The LP procedure matches a stack whose
+    lanes are all unit demand (every rescue stack) in one pass of the
+    exact matching; any other stack runs lane by lane.
     """
     procedure = get_procedure(name)
-    out = [None] * len(cons)
-    if procedure is infer_lp:
-        unit = [k for k, lane in enumerate(cons) if lane.unit_demand]
-        if unit:
-            u = np.array([cons[k].u for k in unit])
-            # a mixed stack matches its unit-demand lanes only
-            lanes = h if len(unit) == len(cons) else h[unit]
-            for k, target in zip(unit, _match_lanes(lanes, u)):
-                out[k] = Assignment(target)
-    for k, lane in enumerate(cons):
-        if out[k] is None:
-            out[k] = procedure(ScoreTable(h[k], None if g is None else g[k]), lane)
-    return out
+    if procedure is infer_lp and cons and all(lane.unit_demand for lane in cons):
+        return [Assignment(target)
+                for target in _match_lanes(h, np.array([lane.u for lane in cons]))]
+    return [procedure(ScoreTable(h[k], None if g is None else g[k]), lane)
+            for k, lane in enumerate(cons)]
 
 
 def get_procedure(name: str):

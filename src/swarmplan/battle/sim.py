@@ -1,18 +1,19 @@
 """Simplified real-time combat simulator.
 
 Two teams of units fight on a continuous 100x100 arena. Our side picks a
-target per unit every `assignment_period` frames; the opponent follows a
+target per unit every `ASSIGNMENT_PERIOD` frames; the opponent follows a
 scripted attack-move toward our centroid refreshed every
-`OPPONENT_ORDER_PERIOD` frames. Attacks miss with probability 1/256, so
-battles are stochastic but bit-reproducible under a seed. Reward per
-assignment window is the normalized health swing
+`OPPONENT_ORDER_PERIOD` frames. Attacks miss with probability
+`MISS_PROBABILITY`, so battles are stochastic but bit-reproducible under
+a seed; a battle undecided after `FRAME_CAP` frames is a draw. Reward
+per assignment window is the normalized health swing
 (our delta + enemy damage taken) / our initial total health.
 
 `BattleState` holds both teams as arrays, the only state of record, and
 `step_battle` runs on them directly. Units act in row order, separation
 pushes run pair by pair, and all distances go through `vec_norm` or its
 scalar twin `_norm`, so the result is the same, bit for bit, as stepping
-the units one at a time. A `Unit` is a view of one row.
+the units one at a time. A `Unit` is a read-only view of one row.
 """
 from __future__ import annotations
 
@@ -25,8 +26,10 @@ from pathlib import Path
 import numpy as np
 
 ARENA = 100.0
+ASSIGNMENT_PERIOD = 6
 CONTACT_EPS = 0.3
 FRAME_CAP = 2000
+MISS_PROBABILITY = 1.0 / 256.0
 OPPONENT_ORDER_PERIOD = 60
 TEAM_OURS = 0
 TEAM_THEIRS = 1
@@ -54,54 +57,25 @@ class UnitSpec:
             raise BattleError(f"spec {self.name}: all numeric fields must be positive")
 
 
-def _row_of(column: str, cast, settable: bool = False):
-    """A `Unit` property reading, and if settable writing, its row of a
-    state array."""
-    def get(unit):
-        return cast(getattr(unit._state, column)[unit._row])
-
-    def set_(unit, value):
-        getattr(unit._state, column)[unit._row] = value
-    return property(get, set_ if settable else None)
-
-
 class Unit:
-    """One row of a `BattleState`, seen as a unit; it holds no state of
-    its own. Setting `pos` or `health` writes the state's arrays."""
+    """One row of a `BattleState`, read only; it holds no state of its own."""
 
     __slots__ = ("_state", "_row")
 
     def __init__(self, state: BattleState, row: int):
         self._state, self._row = state, row
 
-    pos = _row_of("pos", np.copy, settable=True)
-    health = _row_of("health", float, settable=True)
-    velocity = _row_of("vel", np.copy)
-    cooldown_remaining = _row_of("cooldown", int)
-
-    @property
-    def uid(self) -> int:
-        return self._row
-
     @property
     def spec(self) -> UnitSpec:
         return self._state.specs[self._row]
 
     @property
-    def team(self) -> int:
-        return TEAM_OURS if self._row < self._state.n else TEAM_THEIRS
+    def health(self) -> float:
+        return float(self._state.health[self._row])
 
     @property
     def alive(self) -> bool:
         return self.health > 0.0
-
-    @property
-    def current_target(self) -> int | None:
-        """The target's index in the other team, or None."""
-        row = int(self._state.target[self._row])
-        if row < 0:
-            return None
-        return row - self._state.n if self.team == TEAM_OURS else row
 
 
 @dataclass
@@ -109,17 +83,10 @@ class BattleConfig:
     ours: list          # list of UnitSpec
     theirs: list
     seed: int = 0
-    assignment_period: int = 6
-    miss_probability: float = 1.0 / 256.0
-    frame_cap: int = FRAME_CAP
 
     def __post_init__(self):
         if not self.ours or not self.theirs:
             raise BattleError("both teams need at least one unit")
-        if self.assignment_period < 1:
-            raise BattleError("assignment_period must be >= 1")
-        if not 0 <= self.miss_probability < 1:
-            raise BattleError("miss_probability must be in [0, 1)")
         if self.seed < 0:
             raise BattleError(f"seed must be >= 0, got {self.seed}")
 
@@ -258,7 +225,7 @@ class BattleState:
         # attacker is gone for every later unit.
         killed_by = np.full(len(H), len(H))
         fire = near & (CD[i] == 0)
-        rng, miss_probability = self.rng, self.config.miss_probability
+        rng, miss_probability = self.rng, MISS_PROBABILITY
         for a, b in zip(i[fire].tolist(), t[fire].tolist()):
             if H[b] <= 0.0:
                 continue
@@ -451,11 +418,10 @@ def step_battle(state: BattleState, our_assignment):
     our_before = state.team_health(TEAM_OURS)
     their_before = state.team_health(TEAM_THEIRS)
 
-    cfg = state.config
     state._acquire_opponent_targets()
     # Reach of each unit to its window target (meaningless without one).
     reach = np.maximum(state.range, state.radius + state.radius[state.target] + CONTACT_EPS)
-    for _ in range(cfg.assignment_period):
+    for _ in range(ASSIGNMENT_PERIOD):
         if state.frame % OPPONENT_ORDER_PERIOD == 0:
             alive = health[:n] > 0.0
             if alive.any():
@@ -475,7 +441,7 @@ def step_battle(state: BattleState, our_assignment):
             else:
                 state.outcome = "draw"
             break
-        if state.frame >= cfg.frame_cap:
+        if state.frame >= FRAME_CAP:
             state.outcome = "draw"
             break
 
@@ -498,20 +464,18 @@ def build_battle_constraints(state: BattleState):
 
 
 def frame_record(state: BattleState) -> dict:
-    """One replay record: everything needed to redraw the frame."""
-    def unit_row(u):
-        return {
-            "uid": u.uid,
-            "spec": u.spec.name,
-            "pos": [round(float(u.pos[0]), 6), round(float(u.pos[1]), 6)],
-            "health": round(float(u.health), 6),
-            "target": u.current_target,
-        }
-    return {
-        "frame": state.frame,
-        "ours": [unit_row(u) for u in state.ours],
-        "theirs": [unit_row(u) for u in state.theirs],
-    }
+    """One replay record: everything needed to redraw the frame. A unit's
+    uid is its row, and its target an index into the other team."""
+    n = state.n
+    rows = [{
+        "uid": k,
+        "spec": spec.name,
+        "pos": [round(x, 6), round(y, 6)],
+        "health": round(health, 6),
+        "target": None if t < 0 else t - n if k < n else t,
+    } for k, (spec, (x, y), health, t) in enumerate(
+        zip(state.specs, state.pos.tolist(), state.health.tolist(), state.target.tolist()))]
+    return {"frame": state.frame, "ours": rows[:n], "theirs": rows[n:]}
 
 
 # ---------------------------------------------------------------------------

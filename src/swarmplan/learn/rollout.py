@@ -265,10 +265,3 @@ class RolloutWorker(RolloutLanes):
     def collect_chunk(self) -> Chunk:
         return self.collect_round()[0]
 
-
-def worker_rollout(meta_env, model, inference, cfg, rng, num_chunks=1,
-                   episode_seeds=None):
-    """Convenience wrapper: collect `num_chunks` chunks with fixed params."""
-    worker = RolloutWorker(meta_env, inference, cfg, rng, episode_seeds)
-    worker.set_model(model)
-    return [worker.collect_chunk() for _ in range(num_chunks)]

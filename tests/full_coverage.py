@@ -31,7 +31,7 @@ def full_coverage_instance(seed: int, model):
     state = spawn_battle(load_scenario("m80v82", seed=seed))
     agents, tasks, extras = extract_battle_features(state)
     scores = score_pairs(model, agents, tasks, pair_extras=extras)
-    pos = np.array([unit.pos for unit in state.theirs])
+    pos = state.pos[state.n:]
     far = pair_distances(pos, pos) > LOCAL_RADIUS
     return (ScoreTable(scores.h, np.where(far, 0.0, scores.g)),
             build_battle_constraints(state))

@@ -53,7 +53,6 @@ from swarmplan.learn import (
     frozen_objective,
     play_episode,
     train,
-    worker_rollout,
 )
 from swarmplan.nets import (
     CriticParams,
@@ -244,8 +243,9 @@ def test_criterion_6_composite_objective_gradient():
     model = init_scoring_model(2, 3, with_g=False, seed=11)
     critic = init_critic(2, 3, seed=12)
     env = RescueMetaEnv(RescueConfig(2, 3, seed=0))
-    chunks = worker_rollout(env, model, "lp", cfg, np.random.default_rng(0),
-                            num_chunks=2)
+    worker = RolloutWorker(env, "lp", cfg, np.random.default_rng(0))
+    worker.set_model(model)
+    chunks = [worker.collect_chunk() for _ in range(2)]
     frozen = freeze_targets(model, critic, chunks, cfg)
     grads, _ = a2c_grads(model, critic, chunks, cfg, frozen)
     gvec = np.concatenate([grads_to_vector(grads["h"]),

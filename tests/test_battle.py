@@ -24,6 +24,7 @@ from swarmplan.battle import (
     weakest_closest_no_overkill_no_change,
     weakest_closest_no_overkill_smart,
 )
+from swarmplan.battle import sim
 from swarmplan.battle.sim import CONTACT_EPS
 
 
@@ -35,11 +36,9 @@ def make_spec(**overrides):
     return UnitSpec(**base)
 
 
-def duel_state(n=1, m=1, seed=0, miss=0.0, **spec_overrides):
+def duel_state(n=1, m=1, seed=0, **spec_overrides):
     spec = make_spec(**spec_overrides)
-    cfg = BattleConfig(ours=[spec] * n, theirs=[spec] * m, seed=seed,
-                       miss_probability=miss)
-    return spawn_battle(cfg)
+    return spawn_battle(BattleConfig(ours=[spec] * n, theirs=[spec] * m, seed=seed))
 
 
 def play(state, policy):
@@ -65,9 +64,9 @@ class TestSpecsAndScenarios:
         spec = make_spec()
         with pytest.raises(BattleError):
             BattleConfig(ours=[], theirs=[spec])
-        with pytest.raises(BattleError):
+        with pytest.raises(TypeError):  # module constants, not settable per battle
             BattleConfig(ours=[spec], theirs=[spec], assignment_period=0)
-        with pytest.raises(BattleError):
+        with pytest.raises(TypeError):
             BattleConfig(ours=[spec], theirs=[spec], miss_probability=1.0)
         with pytest.raises(BattleError, match="seed"):
             BattleConfig(ours=[spec], theirs=[spec], seed=-1)
@@ -93,17 +92,16 @@ class TestSpawn:
     def test_deterministic(self):
         a = spawn_battle(load_scenario("m5v5", seed=8))
         b = spawn_battle(load_scenario("m5v5", seed=8))
-        for ua, ub in zip(a.ours + a.theirs, b.ours + b.theirs):
-            np.testing.assert_array_equal(ua.pos, ub.pos)
+        np.testing.assert_array_equal(a.pos, b.pos)
 
     def test_no_spawn_in_fire_range(self):
         for s in range(50):
             st = spawn_battle(load_scenario("m10v10", seed=s))
-            for u in st.ours:
-                for e in st.theirs:
+            for i, u in enumerate(st.ours):
+                for j, e in enumerate(st.theirs):
                     # Reach is edge to edge: melee units connect at contact.
                     contact = u.spec.radius + e.spec.radius + CONTACT_EPS
-                    d = np.linalg.norm(u.pos - e.pos)
+                    d = np.linalg.norm(st.pos[i] - st.pos[st.n + j])
                     assert d > max(u.spec.attack_range, contact)
                     assert d > max(e.spec.attack_range, contact)
 
@@ -111,16 +109,15 @@ class TestSpawn:
         xs, ys = [], []
         for s in range(2000):
             st = spawn_battle(load_scenario("m5v5", seed=10000 + s))
-            for u in st.ours:
-                xs.append(u.pos[0])
-                ys.append(u.pos[1])
+            xs += st.pos[:st.n, 0].tolist()
+            ys += st.pos[:st.n, 1].tolist()
         assert np.var(ys) > 2 * np.var(xs)
 
     def test_full_health_and_zero_cooldown(self):
         st = spawn_battle(load_scenario("m5v5", seed=0))
         for u in st.ours + st.theirs:
             assert u.health == u.spec.max_health
-            assert u.cooldown_remaining == 0
+        assert (st.cooldown == 0).all()
 
 
 class TestStepBattle:
@@ -132,8 +129,7 @@ class TestStepBattle:
 
     def test_reward_formula(self):
         st = duel_state()
-        st.ours[0].health = 30.0   # our side lost 10 of initial 40
-        st.theirs[0].health = 20.0  # they lost 20
+        st.health[:] = [30.0, 20.0]  # our side lost 10 of initial 40, they lost 20
         # Idle window far apart: no further health change, reward reflects
         # the swing booked during the window only, so set the "before"
         # via a fresh window with manual damage.
@@ -144,17 +140,15 @@ class TestStepBattle:
                   + their_before - st.team_health(1)) / st.our_health0
         assert r == expect
 
-    def test_attack_cadence(self):
+    def test_attack_cadence(self, monkeypatch):
+        monkeypatch.setattr(sim, "MISS_PROBABILITY", 0.0)
         # Passive dummy: tiny range and speed, so it never fights back.
         attacker = make_spec()
         dummy = make_spec(attack_range=1e-6, speed=1e-9, radius=1e-6,
                           damage_per_attack=1e-9)
-        cfg = BattleConfig(ours=[attacker], theirs=[dummy], seed=0,
-                           miss_probability=0.0)
-        st = spawn_battle(cfg)
-        st.ours[0].pos = np.array([50.0, 50.0])
-        st.theirs[0].pos = np.array([55.0, 50.0])  # inside range 12
-        st.theirs[0].health = 1000.0  # pre-damage so it survives; spec max is 40
+        st = spawn_battle(BattleConfig(ours=[attacker], theirs=[dummy], seed=0))
+        st.pos[:] = [[50.0, 50.0], [55.0, 50.0]]  # inside range 12
+        st.health[1] = 1000.0  # pre-damage so it survives; spec max is 40
         healths = [st.theirs[0].health]
         for _ in range(10):  # 60 frames
             step_battle(st, assign(st, [0]))
@@ -188,9 +182,10 @@ class TestStepBattle:
 
     def test_dead_target_assignment_is_idle(self):
         st = duel_state(n=1, m=2)
-        st.theirs[0].health = 0.0
+        st.health[1] = 0.0
         step_battle(st, assign(st, [0]))
-        assert st.ours[0].current_target is None
+        assert st.target[0] == -1
+        assert frame_record(st)["ours"][0]["target"] is None
 
     def test_invalid_assignment_raises(self):
         st = duel_state()
@@ -208,10 +203,9 @@ class TestStepBattle:
         for before, after in zip(features, extract_battle_features(st)):
             np.testing.assert_array_equal(after, before)
 
-    def test_frame_cap_draw(self):
-        spec = make_spec()
-        cfg = BattleConfig(ours=[spec], theirs=[spec], seed=0, frame_cap=12)
-        st = spawn_battle(cfg)
+    def test_frame_cap_draw(self, monkeypatch):
+        monkeypatch.setattr(sim, "FRAME_CAP", 12)
+        st = duel_state()
         done = False
         while not done:
             _, done, outcome = step_battle(st, assign(st, [UNASSIGNED]))
@@ -221,10 +215,10 @@ class TestStepBattle:
     def test_no_healing(self):
         st = spawn_battle(load_scenario("m5v5", seed=6))
         pol = heuristic_policy("c")
-        prev = [u.health for u in st.ours + st.theirs]
+        prev = st.health.tolist()
         while not st.done:
             step_battle(st, pol(st))
-            cur = [u.health for u in st.ours + st.theirs]
+            cur = st.health.tolist()
             assert all(c <= p for c, p in zip(cur, prev))
             prev = cur
 
@@ -237,34 +231,28 @@ def resolve_collisions(state):
 class TestCollisions:
     def test_ground_overlap_separated(self):
         st = duel_state(n=2)
-        a, b = st.ours
-        a.pos = np.array([50.0, 50.0])
-        b.pos = np.array([50.5, 50.0])
+        st.pos[:2] = [[50.0, 50.0], [50.5, 50.0]]
         resolve_collisions(st)
-        assert np.linalg.norm(a.pos - b.pos) >= 1.5 - 1e-9
+        assert np.linalg.norm(st.pos[0] - st.pos[1]) >= 1.5 - 1e-9
 
     def test_flying_never_pushed(self):
         st = duel_state(is_flying=True)
-        a, b = st.ours[0], st.theirs[0]
-        a.pos = np.array([50.0, 50.0])
-        b.pos = np.array([50.1, 50.0])
-        pa, pb = a.pos.copy(), b.pos.copy()
+        st.pos[:] = [[50.0, 50.0], [50.1, 50.0]]
+        before = st.pos.copy()
         resolve_collisions(st)
-        np.testing.assert_array_equal(a.pos, pa)
-        np.testing.assert_array_equal(b.pos, pb)
+        np.testing.assert_array_equal(st.pos, before)
 
 
 class TestConstraints:
     def test_capacity_is_enemy_health(self):
         st = duel_state(n=2, m=3)
-        st.theirs[1].health = 7.5
-        st.theirs[2].health = 0.0
+        st.health[3:] = [7.5, 0.0]
         cons = build_battle_constraints(st)
         np.testing.assert_allclose(cons.u, [40.0, 7.5, 0.0])
 
     def test_contribution_is_damage(self):
         st = duel_state(n=2, m=2)
-        st.ours[1].health = 0.0
+        st.health[1] = 0.0
         cons = build_battle_constraints(st)
         np.testing.assert_allclose(cons.mu[0], [6.0, 6.0])
         np.testing.assert_allclose(cons.mu[1], [0.0, 0.0])
@@ -299,12 +287,12 @@ class TestFeatures:
     def test_distance_extra(self):
         st = duel_state()
         _, _, extras = extract_battle_features(st)
-        d = np.linalg.norm(st.ours[0].pos - st.theirs[0].pos)
+        d = np.linalg.norm(st.pos[0] - st.pos[1])
         assert extras[0, 0, 1] == pytest.approx(d / ARENA)
 
     def test_health_normalized(self):
         st = duel_state()
-        st.ours[0].health = 10.0
+        st.health[0] = 10.0
         agents, _, _ = extract_battle_features(st)
         assert agents[0, 4] == pytest.approx(0.25)
 
@@ -316,13 +304,9 @@ def grid_state(our_xy, their_xy, their_health=None, damages=None):
     specs_ours = [make_spec(damage_per_attack=d) for d in damages]
     cfg = BattleConfig(ours=specs_ours, theirs=[make_spec()] * m, seed=0)
     st = spawn_battle(cfg)
-    for u, xy in zip(st.ours, our_xy):
-        u.pos = np.array(xy, dtype=float)
-    for e, xy in zip(st.theirs, their_xy):
-        e.pos = np.array(xy, dtype=float)
+    st.pos[:] = np.array(our_xy + their_xy, dtype=float)
     if their_health:
-        for e, h in zip(st.theirs, their_health):
-            e.health = h
+        st.health[n:] = their_health
     return st
 
 
@@ -379,11 +363,10 @@ class TestHeuristics:
         first = weakest_closest_no_overkill_no_change(st, None).target
         assert first[0] == 1  # weakest
         # Re-evaluate with healths flipped: sticky target remains.
-        st.theirs[0].health = 5.0
-        st.theirs[1].health = 40.0
+        st.health[1:] = [5.0, 40.0]
         again = weakest_closest_no_overkill_no_change(st, first).target
         assert again[0] == 1
-        st.theirs[1].health = 0.0
+        st.health[2] = 0.0
         after_death = weakest_closest_no_overkill_no_change(st, again).target
         assert after_death[0] == 0
 
@@ -402,7 +385,7 @@ class TestHeuristics:
         first = random_no_change(st, rng).target
         again = random_no_change(st, rng, first).target
         assert again[0] == first[0]
-        st.theirs[first[0]].health = 0.0
+        st.health[1 + first[0]] = 0.0
         moved = random_no_change(st, rng, first).target
         assert moved[0] == 1 - first[0]
 

@@ -65,21 +65,24 @@ def test_pair_distances_match_per_pair_norm():
     np.testing.assert_array_equal(pair_distances(p, q), expect)
 
 
-def reference_collisions(units):
-    """The per-pair separation loop: later pairs see earlier pushes."""
-    ground = [u for u in units if u.alive and not u.spec.is_flying]
+def reference_collisions(state):
+    """The per-pair separation loop over a state's rows: later pairs see
+    earlier pushes."""
+    pos = state.pos
+    ground = [k for k, spec in enumerate(state.specs)
+              if state.health[k] > 0.0 and not spec.is_flying]
     for a in range(len(ground)):
         for b in range(a + 1, len(ground)):
-            ua, ub = ground[a], ground[b]
-            delta = ub.pos - ua.pos
+            ka, kb = ground[a], ground[b]
+            delta = pos[kb] - pos[ka]
             dist = float(np.linalg.norm(delta))
-            min_dist = ua.spec.radius + ub.spec.radius
+            min_dist = state.specs[ka].radius + state.specs[kb].radius
             if dist >= min_dist:
                 continue
             direction = np.array([1.0, 0.0]) if dist == 0.0 else delta / dist
             push = 0.5 * (min_dist - dist)
-            ua.pos = ua.pos - direction * push
-            ub.pos = ub.pos + direction * push
+            pos[ka] = pos[ka] - direction * push
+            pos[kb] = pos[kb] + direction * push
 
 
 def crowd(rng, k):
@@ -93,14 +96,13 @@ def crowd(rng, k):
     picks[rng.random(k) < 0.7] = 2  # mostly ground, radius 0.75
     cfg = BattleConfig(ours=[specs[i] for i in picks], theirs=[specs[0]], seed=0)
     state = spawn_battle(cfg)
-    units = state.ours
     spread = rng.choice([0.5, 2.0, 6.0, 20.0])
-    for u in units:
-        u.pos = 50.0 + rng.uniform(0.0, spread, 2)
+    for row in range(k):
+        state.pos[row] = 50.0 + rng.uniform(0.0, spread, 2)
         if rng.random() < 0.05:
-            u.health = 0.0
+            state.health[row] = 0.0
     for _ in range(int(rng.integers(0, 3))):
-        units[int(rng.integers(k))].pos = units[0].pos.copy()
+        state.pos[int(rng.integers(k))] = state.pos[0]
     return state
 
 
@@ -134,14 +136,11 @@ def test_collisions_match_per_pair_loop(monkeypatch, seed, slack, screen):
     rng = np.random.default_rng(seed)
     for _ in range(60):
         state = crowd(rng, int(rng.integers(2, 45)))
-        units = state.ours + state.theirs
-        start = [u.pos.copy() for u in units]
-        reference_collisions(units)
-        expect = [u.pos for u in units]
-        for u, p in zip(units, start):
-            u.pos = p.copy()
+        start = state.pos.copy()
+        reference_collisions(state)
+        expect = state.pos.copy()
+        state.pos[:] = start
         state.resolve_collisions()  # the pass that step_battle runs
-        for u, e in zip(units, expect):
-            np.testing.assert_array_equal(u.pos, e)
+        np.testing.assert_array_equal(state.pos, expect)
     if slack is not None:
         assert seen["hits"] > 0 and seen["widened passes"] > 0, seen

@@ -52,17 +52,16 @@ def battle_digest(scenario: str, kind: str, seed: int) -> str:
             digest.update(np.ascontiguousarray(a).tobytes())
 
     def snapshot():
-        units = state.ours + state.theirs
-        for u in units:
-            assert u.current_target is None or type(u.current_target) is int
-            assert u.pos.base is None and u.velocity.base is None
+        # Each unit's target as an index into the other team, -1 for none.
+        target = state.target.copy()
+        ours = target[:state.n]
+        ours[ours >= 0] -= state.n
         absorb(
-            np.array([u.pos for u in units], dtype=np.float64),
-            np.array([u.velocity for u in units], dtype=np.float64),
-            np.array([u.health for u in units], dtype=np.float64),
-            np.array([u.cooldown_remaining for u in units], dtype=np.int64),
-            np.array([-1 if u.current_target is None else u.current_target
-                      for u in units], dtype=np.int64),
+            np.asarray(state.pos, dtype=np.float64),
+            np.asarray(state.vel, dtype=np.float64),
+            np.asarray(state.health, dtype=np.float64),
+            np.asarray(state.cooldown, dtype=np.int64),
+            target,
             np.asarray(state.opp_waypoint, dtype=np.float64),
         )
         digest.update(repr(state.rng.bit_generator.state).encode())

@@ -39,7 +39,6 @@ from swarmplan.learn import (
     nstep_returns,
     play_episode,
     train,
-    worker_rollout,
     write_metrics,
 )
 from swarmplan.nets import (
@@ -368,8 +367,9 @@ def _battle_chunks():
     model = init_scoring_model(obs.agent_feats.shape[1], obs.task_feats.shape[1],
                                pair_extra_dim=obs.pair_extras.shape[-1], with_g=False,
                                seed=3)
-    chunks = worker_rollout(env, model, "lp", small_cfg(), np.random.default_rng(5),
-                            num_chunks=3)
+    worker = RolloutWorker(env, "lp", small_cfg(), np.random.default_rng(5))
+    worker.set_model(model)
+    chunks = [worker.collect_chunk() for _ in range(3)]
     return chunks, init_critic(BattleMetaEnv.num_kinds, env.feature_dim, seed=6)
 
 
@@ -609,8 +609,9 @@ def _rescue_batch(sizes, with_g=False, inference="lp"):
     chunks = []
     for k, (n, m) in enumerate(sizes):
         env = RescueMetaEnv(RescueConfig(n, m, seed=0))
-        chunks += worker_rollout(env, model, inference, cfg,
-                                 np.random.default_rng(40 + k), num_chunks=2)
+        worker = RolloutWorker(env, inference, cfg, np.random.default_rng(40 + k))
+        worker.set_model(model)
+        chunks += [worker.collect_chunk() for _ in range(2)]
     return model, critic, chunks, cfg
 
 

@@ -1,8 +1,9 @@
 """Golden targets for the exact unit-demand matching.
 
-`fixtures/matching_golden.json` holds the `matching_assign` targets of
+`fixtures/matching_golden.json` holds the targets of
 
-  * 300 random stacks of 1-4 lanes with mu = 1 and u in {0, 1, 2, 3}:
+  * 300 random stacks of 1-4 lanes, matched in one pass by the LP
+    procedure's `infer_stack`, with mu = 1 and u in {0, 1, 2, 3}:
     a third with n <= 8 and m <= 6, the rest with n up to 32 and m up
     to 60; the odd seeds draw half-integer scores, so tasks tie with
     each other and with staying idle;
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmplan.assign import ConstraintSet, infer_stack, matching_assign
+from swarmplan.assign import ConstraintSet, ScoreTable, infer_stack, matching_assign
 from test_assign_matching import rescue_observations
 
 FIXTURE = Path(__file__).parent / "fixtures" / "matching_golden.json"
@@ -47,6 +48,11 @@ def random_stack(seed: int):
     return h, [ConstraintSet(np.ones((n, m)), u[k]) for k in range(lanes)]
 
 
+def stack_targets(h, cons) -> list:
+    """The LP procedure's targets of every lane of a stack."""
+    return [a.target.tolist() for a in infer_stack("lp", h, None, cons)]
+
+
 def rescue_targets() -> list:
     """The targets of every step of the rescue episodes, in order."""
     return [matching_assign(scores, cons).target.tolist()
@@ -54,7 +60,7 @@ def rescue_targets() -> list:
 
 
 def golden_table() -> dict:
-    table = {f"random/{seed}": matching_assign(*random_stack(seed)).tolist()
+    table = {f"random/{seed}": stack_targets(*random_stack(seed))
              for seed in range(RANDOM_STACKS)}
     table[RESCUE_KEY] = rescue_targets()
     return table
@@ -73,9 +79,10 @@ def test_fixture_covers_every_case(golden):
 @pytest.mark.parametrize("seed", range(RANDOM_STACKS))
 def test_random_stack(golden, seed):
     h, cons = random_stack(seed)
-    assert matching_assign(h, cons).tolist() == golden[f"random/{seed}"]
-    lp = infer_stack("lp", h, None, cons)
-    assert [a.target.tolist() for a in lp] == golden[f"random/{seed}"]
+    assert stack_targets(h, cons) == golden[f"random/{seed}"]
+    lanes = [matching_assign(ScoreTable(h[k]), lane).target.tolist()
+             for k, lane in enumerate(cons)]
+    assert lanes == golden[f"random/{seed}"]
 
 
 def test_rescue_episodes(golden):
