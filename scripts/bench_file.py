@@ -24,8 +24,9 @@ records, per metric, how many pairs the checkout under test won, and,
 as ungated extras, the same-process A/Bs of `scripts/decision_ab.py`
 with one BLAS thread: `quad` decisions (trained model at m80v82, m10v10
 and m5v5, the full-coverage tables and the quad workload's states), the
-scoring alone on the quad workload's states, whole m80v82 wcnok battles
-and the quad workload's spawns.
+scoring alone on the quad workload's states, whole m80v82 wcnok battles,
+the quad workload's spawns and 24-update trainings of the
+`rescue-train-2x4` workload.
 """
 import argparse
 import json
@@ -93,7 +94,8 @@ def fw_counters(checkout: Path, seed: int) -> dict:
 
 
 def decision_ab(baseline: Path) -> dict:
-    """Same-process decision and battle A/Bs against `baseline`, one BLAS thread."""
+    """Same-process decision, battle and training A/Bs against `baseline`,
+    one BLAS thread."""
     env = {**os.environ, **{var: "1" for var in BLAS_VARS}}
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "decision_ab.py"),
                            "--baseline", str(baseline)], cwd=ROOT, env=env,

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Same-process A/B of `quad` decisions and wcnok battles between this
-checkout and another.
+"""Same-process A/B of `quad` decisions, wcnok battles and A2C training
+between this checkout and another.
 
     python3 scripts/decision_ab.py --baseline DIR [--cases NAME [NAME ...]]
 
@@ -32,18 +32,25 @@ case runs. The cases:
     `BattleMetaEnv` does;
   * `spawn-m80v82`: the 32 seed-1 spawns of the `battle-80v82-quad`
     workload's set-up (scenario load and `spawn_battle`), each with its
-    features.
+    features;
+  * `train-2x4`: the `rescue-train-2x4` workload's training, `learn.train`
+    of 24 updates with LP inference on rescue 2x4 from that workload's
+    initial networks and its `TRAIN_A2C` config (read from
+    `perfbench/workloads.py`, which is neither imported nor changed),
+    one item per seed 1000-1003.
 
 Prints one JSON object: per case, what an item is, each side's items/s
 per round, their medians and quartiles, the rounds the checkout under
 test won, and whether both sides gave the same results: the same
 targets per decision, per battle the same final frame, outcome and
-position and health of every unit, per scoring the same h and g, and
-per spawn the same features.
+position and health of every unit, per scoring the same h and g, per
+spawn the same features and per training the same bytes of every
+parameter.
 The BLAS thread count is whatever the environment sets; pin it for a
 measurement.
 """
 import argparse
+import ast
 import functools
 import importlib
 import json
@@ -57,6 +64,7 @@ from bench_file import summarize
 ROOT = Path(__file__).resolve().parent.parent
 MODEL = ROOT / "tests" / "fixtures" / "quad_battle_model.bin"
 ROUNDS = 10
+TRAIN_UPDATES = 24
 
 
 def load_side(checkout: Path) -> dict:
@@ -67,7 +75,7 @@ def load_side(checkout: Path) -> dict:
     sys.path.insert(0, str(checkout / "src"))
     try:
         mods = {name: importlib.import_module(f"swarmplan.{name}")
-                for name in ("assign", "battle", "nets")}
+                for name in ("assign", "battle", "learn", "nets", "rescue")}
     finally:
         sys.path.pop(0)
     return mods
@@ -118,12 +126,14 @@ def build_cases(mods, names) -> dict:
                                  [(seed,) for seed in range(1000, 1004)]),
         "spawn-m80v82": lambda: ("spawn", spawn_setup,
                                  [(seed,) for seed in range(1000, 1032)]),
+        "train-2x4": lambda: ("training", trainer(train_a2c()),
+                              [(seed,) for seed in range(1000, 1004)]),
     }
     return {name: make[name]() for name in CASES if name in names}
 
 
 CASES = ("quad-workload", "score-m80v82", "trained-m80v82", "trained-m10v10",
-         "trained-m5v5", "full-coverage", "wcnok-m80v82", "spawn-m80v82")
+         "trained-m5v5", "full-coverage", "wcnok-m80v82", "spawn-m80v82", "train-2x4")
 
 
 def decider(model):
@@ -182,6 +192,36 @@ def spawn_setup(mods):
         state = battle.spawn_battle(battle.load_scenario("m80v82", seed=seed))
         return b"".join(a.tobytes() for a in battle.extract_battle_features(state))
     return spawn
+
+
+def train_a2c() -> dict:
+    """The `rescue-train-2x4` workload's `TRAIN_A2C` keywords, parsed from
+    perfbench/workloads.py without importing it, since that module binds
+    to whichever `swarmplan` is loaded."""
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "TRAIN_A2C" for target in node.targets):
+            return {kw.arg: ast.literal_eval(kw.value) for kw in node.value.keywords}
+    raise LookupError("perfbench/workloads.py defines no TRAIN_A2C")
+
+
+def trainer(a2c):
+    """The runner of `rescue-train-2x4` trainings of TRAIN_UPDATES updates
+    from a seed; a training's result is the bytes of every parameter."""
+    def runner(mods):
+        learn, nets, rescue = mods["learn"], mods["nets"], mods["rescue"]
+
+        def run(seed):
+            model = nets.init_scoring_model(2, 3, with_g=False, seed=0)
+            critic = nets.init_critic(2, 3, seed=1)
+            learn.train(model, critic,
+                        lambda: learn.RescueMetaEnv(rescue.RescueConfig(2, 4, seed=0)),
+                        "lp", learn.A2CConfig(**a2c), total_updates=TRAIN_UPDATES, seed=seed)
+            return b"".join(nets.params_to_vector(net).tobytes()
+                            for net in (model.h_net, critic.embed_net, critic.head_net))
+        return run
+    return runner
 
 
 def run_case(kind: str, runners: dict, items: list) -> dict:

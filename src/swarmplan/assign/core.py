@@ -36,7 +36,6 @@ Conventions shared by every operation:
 from __future__ import annotations
 
 import bisect
-import itertools
 from math import inf
 
 import numpy as np
@@ -53,7 +52,6 @@ from .types import (
     ScoreTable,
 )
 
-BRUTE_FORCE_BUDGET = 10**7
 SETTLE_PERIOD = 3  # Frank-Wolfe steps between two settle checks
 SETTLE_RISE = 3e-4  # largest objective rise per period, over 1 + |objective|, that is settled
 
@@ -460,26 +458,3 @@ def round_quad(
     single-move polish, so grouping/spreading preferences encoded in g
     survive discretization."""
     return polish_assignment(greedy_round(relaxed, scores, cons), scores, cons)
-
-
-def brute_force_assign(scores: ScoreTable, cons: ConstraintSet) -> Assignment:
-    """Exhaustive maximizer over all feasible hard assignments (test oracle).
-
-    Enumerates every target vector in {unassigned, 0, .., m-1}^n; ties are
-    broken lexicographically with unassigned ordered first.
-    """
-    _check_dims(scores, cons)
-    n, m = scores.n, scores.m
-    if (m + 1) ** n > BRUTE_FORCE_BUDGET:
-        raise AssignError(f"instance too large for enumeration: (m+1)^n = {(m + 1) ** n}")
-    best_value = -np.inf
-    best_target = None
-    for combo in itertools.product(range(-1, m), repeat=n):
-        assign = Assignment(np.array(combo))
-        if not feasible(assign, cons):
-            continue
-        value = objective_value(assign, scores)
-        if value > best_value + 1e-12:
-            best_value = value
-            best_target = combo
-    return Assignment(np.array(best_target))

@@ -19,8 +19,9 @@ Sweep files carry the same envelope with a "sweep" object alongside
 
 The search laws are fixed (`sweep.sample_config`), so a sweep file sets
 none of them. A key that names no field, a missing required key, an
-integer field that holds no JSON integer and an out-of-range a2c value
-are rejected with a HarnessError.
+integer field that holds no JSON integer, a real-valued a2c field that
+holds no JSON number and an out-of-range a2c value are rejected with a
+HarnessError.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ INFERENCES = ("amax", "lp", "quad")
 
 _RESCUE_SIZE = re.compile(r"^(\d+)x(\d+)$")
 _A2C_INTEGERS = ("p", "n_steps", "workers", "batch_chunks")
+_A2C_NUMBERS = ("gamma", "sigma", "lam", "lr_policy", "lr_value")
 
 
 class HarnessError(ValueError):
@@ -58,6 +60,15 @@ def integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise HarnessError(f"{what}: {value!r} is not an integer")
     return int(value)
+
+
+def number(value, what: str) -> float:
+    """`value` as a float. A value that is not a real number, a bool
+    included, raises HarnessError rather than failing later; the range
+    is the caller's to check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise HarnessError(f"{what}: {value!r} is not a number")
+    return float(value)
 
 
 def integer_seeds(values, what: str) -> tuple:
@@ -127,7 +138,8 @@ class ExperimentConfig:
             raise HarnessError(f"missing experiment keys: {', '.join(missing)}")
         if isinstance(a2c, dict):
             _check_keys(A2CConfig, a2c, "a2c")
-            a2c = {name: integer(value, f"a2c.{name}") if name in _A2C_INTEGERS else value
+            a2c = {name: integer(value, f"a2c.{name}") if name in _A2C_INTEGERS
+                   else number(value, f"a2c.{name}") if name in _A2C_NUMBERS else value
                    for name, value in a2c.items()}
             try:
                 a2c = A2CConfig(**a2c)

@@ -1,6 +1,7 @@
 """Hyperparameters for the actor-critic learner."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 OPTIMIZERS = ("sgd", "adam")
@@ -26,8 +27,13 @@ class A2CConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
             raise LearnError("gamma must be in [0, 1)")
+        for name in ("sigma", "lam", "lr_policy", "lr_value"):
+            if not math.isfinite(getattr(self, name)):
+                raise LearnError(f"{name} must be finite")
         if self.sigma <= 0:
             raise LearnError("sigma must be > 0")
+        if min(self.lam, self.lr_policy, self.lr_value) < 0:
+            raise LearnError("lam, lr_policy and lr_value must be >= 0")
         if self.p < 1:
             raise LearnError("p must be >= 1")
         if self.n_steps < 2:

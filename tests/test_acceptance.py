@@ -19,7 +19,6 @@ from swarmplan.assign import (
     RelaxedAssignment,
     ScoreTable,
     amax_assign,
-    brute_force_assign,
     fw_line_search,
     fw_linear_oracle,
     get_procedure,
@@ -70,6 +69,7 @@ from swarmplan.nets import (
     vector_to_params,
 )
 from swarmplan.rescue import RescueConfig
+from brute_force import brute_force_assign
 
 # ---------------------------------------------------------------------------
 # criteria 1-2: rescue reference reproduction

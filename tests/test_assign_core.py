@@ -14,7 +14,6 @@ from swarmplan.assign import (
     RelaxedAssignment,
     ScoreTable,
     amax_assign,
-    brute_force_assign,
     feasible,
     fw_line_search,
     fw_linear_oracle,
@@ -25,6 +24,7 @@ from swarmplan.assign import (
     round_quad,
 )
 from swarmplan.assign.network import TransportLp
+from brute_force import brute_force_assign
 from test_assign_golden import battle_instance
 
 

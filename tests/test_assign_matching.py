@@ -15,7 +15,6 @@ from swarmplan.assign import (
     RelaxedAssignment,
     ScoreTable,
     SolverFailure,
-    brute_force_assign,
     feasible,
     fw_linear_oracle,
     get_procedure,
@@ -31,6 +30,7 @@ from swarmplan.assign.network import TransportLp
 from swarmplan.learn import RescueMetaEnv
 from swarmplan.nets import init_scoring_model, load_models, score_pairs
 from swarmplan.rescue import RescueConfig
+from brute_force import brute_force_assign
 from lp_reference import _REFACTOR_EVERY, PolytopeLp
 from test_assign_golden import TRAINED_MODEL, full_coverage_instance
 

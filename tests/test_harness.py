@@ -562,3 +562,42 @@ def test_cli_non_integer_config_fields_fail_cleanly(tmp_path, capsys, section, k
         argv, what = ("train", "--config"), key
     path.write_text(json.dumps(doc))
     assert_cli_error(capsys, *argv, str(path), says=f"{what}: {value!r} is not an integer")
+
+
+@pytest.mark.parametrize("key", ["gamma", "sigma", "lam", "lr_policy", "lr_value"])
+@pytest.mark.parametrize("value", ["0.001", True, None, [0.5]],
+                         ids=["string", "bool", "null", "list"])
+def test_cli_non_number_a2c_fields_fail_cleanly(tmp_path, capsys, key, value):
+    """Every real-valued a2c field must be a JSON number: a string, a bool,
+    a null or a list exits 2 with one `error:` line."""
+    path, doc = _saved_config(tmp_path)
+    doc["experiment"]["a2c"][key] = value
+    path.write_text(json.dumps(doc))
+    assert_cli_error(capsys, "train", "--config", str(path),
+                     says=f"a2c.{key}: {value!r} is not a number")
+
+
+@pytest.mark.parametrize("key,value,says", [
+    ("sigma", float("nan"), "sigma must be finite"),
+    ("sigma", float("inf"), "sigma must be finite"),
+    ("lam", float("nan"), "lam must be finite"),
+    ("lr_policy", float("-inf"), "lr_policy must be finite"),
+    ("lr_value", float("nan"), "lr_value must be finite"),
+    ("gamma", float("nan"), "gamma must be in [0, 1)"),
+    ("lr_value", -0.5, "lam, lr_policy and lr_value must be >= 0"),
+    ("lr_policy", -1e-3, "lam, lr_policy and lr_value must be >= 0"),
+    ("lam", -1, "lam, lr_policy and lr_value must be >= 0"),
+])
+def test_cli_out_of_range_real_a2c_fields_fail_cleanly(tmp_path, capsys, key, value, says):
+    """A non-finite real a2c field, a negative learning rate or a negative
+    policy-loss weight exits 2 with one `error:` line."""
+    path, doc = _saved_config(tmp_path)
+    doc["experiment"]["a2c"][key] = value
+    path.write_text(json.dumps(doc))
+    assert_cli_error(capsys, "train", "--config", str(path), says=f"a2c: {says}")
+
+
+def test_a2c_learning_rates_of_zero_stay_legal():
+    # a learning rate of 0 freezes that side of the learner
+    cfg = A2CConfig(lr_policy=0.0, lr_value=0.0, lam=0.0)
+    assert (cfg.lr_policy, cfg.lr_value, cfg.lam) == (0.0, 0.0, 0.0)

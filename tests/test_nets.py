@@ -16,7 +16,10 @@ from swarmplan.nets import (
     NetError,
     ScoringModel,
     critic_backward,
+    critic_rows,
     critic_value,
+    critic_values,
+    critic_values_backward,
     grads_to_vector,
     init_critic,
     init_mlp,
@@ -28,6 +31,7 @@ from swarmplan.nets import (
     params_to_vector,
     save_arrays,
     save_models,
+    score_pair_stack,
     score_pairs,
     score_pairs_backward,
     vector_to_params,
@@ -217,6 +221,121 @@ class TestMlpGradients:
         grads, dx = mlp_backward(params, cache, 1.0)
         assert grads[0][0][0, 0] == 0.0
         assert dx[0] == 0.0
+
+
+def reference_forward(params, X):
+    """The cached pass written out with fresh arrays: (Y, [(input, pre)])."""
+    act, cache = X, []
+    for k, (W, b) in enumerate(params.layers):
+        pre = act @ W.T + b
+        cache.append((act, pre))
+        act = pre if k == len(params.layers) - 1 else np.maximum(pre, 0.0)
+    return act, cache
+
+
+def reference_backward(params, cache, dY):
+    """The backward pass written out with fresh arrays: (grads, dX)."""
+    grads, d = [None] * len(params.layers), dY
+    for k in range(len(params.layers) - 1, -1, -1):
+        act_in, pre = cache[k]
+        if k != len(params.layers) - 1:
+            d = d * (pre > 0.0)
+        grads[k] = (d.T @ act_in, d.sum(axis=0))
+        d = d @ params.layers[k][0]
+    return grads, d
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_grads(a, b) -> bool:
+    return all(same_bits(gW, hW) and same_bits(gb, hb) for (gW, gb), (hW, hb) in zip(a, b))
+
+
+class TestMlpBuffers:
+    """Cached passes write hidden layers into buffers the network owns and
+    backward passes write deltas into module buffers; every result is the
+    same bit for bit as the fresh-array formulas above."""
+
+    @pytest.mark.parametrize("sizes", [[7, 32, 32, 1], [7, 32, 32, 32], [7, 1]],
+                             ids=["one-output", "32-output", "one-layer"])
+    def test_cached_pass_and_backward_match_the_formulas(self, sizes):
+        # 1,000 rows is about an update's batch at rescue 2x4 and 6,560 an
+        # m80v82 decision's; the last 64 rows run in buffers grown for it.
+        # Zero rows of dY are the bootstrap states' value gradients: a
+        # one-output layer must give +0.0 deltas there, as the matmul does,
+        # which the one-layer net's dX shows
+        rng = np.random.default_rng(len(sizes) + sizes[-1])
+        params = init_mlp(sizes, rng)
+        for rows in (1, 64, 1000, 6560, 64):
+            X = rng.normal(size=(rows, 7))
+            dY = rng.normal(size=(rows, sizes[-1]))
+            dY[::3] = 0.0
+            Y, cache = mlp_forward_batch(params, X)
+            ref_Y, ref_cache = reference_forward(params, X)
+            assert same_bits(Y, ref_Y)
+            assert len(cache) == len(ref_cache)
+            assert all(same_bits(act, ref_act) for act, (ref_act, _) in zip(cache, ref_cache))
+            grads, dX = mlp_backward_batch(params, cache, dY)
+            ref_grads, ref_dX = reference_backward(params, ref_cache, dY)
+            assert same_grads(grads, ref_grads) and same_bits(dX, ref_dX)
+
+    def test_h_and_critic_caches_stay_intact_together(self):
+        rng = np.random.default_rng(5)
+        model = init_scoring_model(2, 3, with_g=False, seed=0)
+        critic = init_critic(2, 3, seed=1)
+        A, T = rng.normal(size=(40, 2, 2)), rng.normal(size=(40, 4, 3))
+        h, _, (h_cache, _) = score_pair_stack(model, A, T, with_cache=True)
+        h_before = [act.copy() for act in h_cache]
+        X = critic_rows(critic, A, T)
+        values, critic_cache = critic_values(critic, X, [6] * 40, with_cache=True)
+        assert all(same_bits(a, b) for a, b in zip(h_cache, h_before))
+        dH = rng.normal(size=h.shape)
+        h_grads, _ = score_pairs_backward(model, (h_cache, None), dH)
+        _, ref_cache = reference_forward(model.h_net, h_before[0])
+        ref_grads, _ = reference_backward(model.h_net, ref_cache, dH.reshape(-1, 1))
+        assert same_grads(h_grads, ref_grads)
+        # the critic's caches survived the h backward pass
+        upstream = rng.normal(size=40)
+        embed_grads, head_grads = critic_values_backward(critic, critic_cache, upstream)
+        fresh = critic.copy()
+        _, again = critic_values(fresh, X, [6] * 40, with_cache=True)
+        ref_embed, ref_head = critic_values_backward(fresh, again, upstream)
+        assert same_grads(embed_grads, ref_embed) and same_grads(head_grads, ref_head)
+
+    def test_pass_without_cache_leaves_a_cache_valid(self):
+        rng = np.random.default_rng(6)
+        params = init_mlp([5, 32, 32, 1], rng)
+        X, dY = rng.normal(size=(300, 5)), rng.normal(size=(300, 1))
+        _, cache = mlp_forward_batch(params, X)
+        mlp_forward_batch(params, rng.normal(size=(900, 5)), with_cache=False)
+        grads, dX = mlp_backward_batch(params, cache, dY)
+        ref_grads, ref_dX = reference_backward(params, reference_forward(params, X)[1], dY)
+        assert same_grads(grads, ref_grads) and same_bits(dX, ref_dX)
+
+    def test_two_backward_passes_on_one_cache_agree(self):
+        rng = np.random.default_rng(7)
+        params = init_mlp([5, 32, 32, 1], rng)
+        _, cache = mlp_forward_batch(params, rng.normal(size=(200, 5)))
+        dY = rng.normal(size=(200, 1))
+        first, first_dX = mlp_backward_batch(params, cache, dY)
+        second, second_dX = mlp_backward_batch(params, cache, dY)
+        assert same_grads(first, second) and same_bits(first_dX, second_dX)
+
+    def test_copy_shares_no_buffer(self):
+        rng = np.random.default_rng(8)
+        params = init_mlp([5, 32, 32, 1], rng)
+        X = rng.normal(size=(100, 5))
+        _, cache = mlp_forward_batch(params, X)
+        clone = params.copy()
+        assert len(clone.buffers) == len(params.buffers) == 2
+        assert not any(np.shares_memory(a, b)
+                       for a in clone.buffers for b in params.buffers)
+        # a cached pass of the copy leaves the source's cache alone
+        before = [act.copy() for act in cache]
+        mlp_forward_batch(clone, rng.normal(size=(100, 5)))
+        assert all(same_bits(a, b) for a, b in zip(cache, before))
 
 
 class TestScoring:
