@@ -95,14 +95,21 @@ def fw_counters(checkout: Path, seed: int) -> dict:
 
 def decision_ab(baseline: Path) -> dict:
     """Same-process decision, battle and training A/Bs against `baseline`,
-    one BLAS thread."""
+    one BLAS thread. The training case runs in a process of its own, as
+    the workload does: glibc raises its mmap and trim thresholds when a
+    large mapped block is freed, so after the m80v82 cases a training's
+    arrays would no longer map fresh pages on either side."""
+    from decision_ab import CASES
     env = {**os.environ, **{var: "1" for var in BLAS_VARS}}
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "decision_ab.py"),
-                           "--baseline", str(baseline)], cwd=ROOT, env=env,
-                          capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"decision A/B exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout)
+    out = {}
+    for cases in ([case for case in CASES if case != "train-2x4"], ["train-2x4"]):
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "decision_ab.py"),
+                               "--baseline", str(baseline), "--cases", *cases], cwd=ROOT,
+                              env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"decision A/B exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+        out.update(json.loads(proc.stdout))
+    return out
 
 
 def summarize(values) -> dict:

@@ -37,7 +37,10 @@ case runs. The cases:
     of 24 updates with LP inference on rescue 2x4 from that workload's
     initial networks and its `TRAIN_A2C` config (read from
     `perfbench/workloads.py`, which is neither imported nor changed),
-    one item per seed 1000-1003.
+    one item per seed 1000-1003. Run it alone (`--cases train-2x4`) to
+    time it as the workload runs: once the m80v82 cases have freed their
+    large arrays, glibc's raised mmap and trim thresholds keep a
+    training's arrays in pages already mapped, on either side.
 
 Prints one JSON object: per case, what an item is, each side's items/s
 per round, their medians and quartiles, the rounds the checkout under
