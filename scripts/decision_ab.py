@@ -40,15 +40,23 @@ case runs. The cases:
     one item per seed 1000-1003. Run it alone (`--cases train-2x4`) to
     time it as the workload runs: once the m80v82 cases have freed their
     large arrays, glibc's raised mmap and trim thresholds keep a
-    training's arrays in pages already mapped, on either side.
+    training's arrays in pages already mapped, on either side;
+  * `eval-8x15`: the `rescue-eval-8x15` workload's seed-1 calls,
+    `harness.evaluate_rescue_model` of its random seed-0 model with LP
+    inference at 8x15 and the `TRAIN_A2C` config, one item per call of
+    4 episode seeds from 1000-1031. Each side records the chunks that
+    `RolloutWorker.collect_chunk` gives, as the workload does. Run it
+    alone too.
 
 Prints one JSON object: per case, what an item is, each side's items/s
 per round, their medians and quartiles, the rounds the checkout under
 test won, and whether both sides gave the same results: the same
 targets per decision, per battle the same final frame, outcome and
 position and health of every unit, per scoring the same h and g, per
-spawn the same features and per training the same bytes of every
-parameter.
+spawn the same features, per training the same bytes of every
+parameter and per evaluation call the same summary and the same
+targets at every step. A runner may return a function, which gives
+its result after the timer stops.
 The BLAS thread count is whatever the environment sets; pin it for a
 measurement.
 """
@@ -78,7 +86,7 @@ def load_side(checkout: Path) -> dict:
     sys.path.insert(0, str(checkout / "src"))
     try:
         mods = {name: importlib.import_module(f"swarmplan.{name}")
-                for name in ("assign", "battle", "learn", "nets", "rescue")}
+                for name in ("assign", "battle", "harness", "learn", "nets", "rescue")}
     finally:
         sys.path.pop(0)
     return mods
@@ -131,12 +139,15 @@ def build_cases(mods, names) -> dict:
                                  [(seed,) for seed in range(1000, 1032)]),
         "train-2x4": lambda: ("training", trainer(train_a2c()),
                               [(seed,) for seed in range(1000, 1004)]),
+        "eval-8x15": lambda: ("evaluation", evaluator(train_a2c()),
+                              [tuple(range(seed, seed + 4)) for seed in range(1000, 1032, 4)]),
     }
     return {name: make[name]() for name in CASES if name in names}
 
 
 CASES = ("quad-workload", "score-m80v82", "trained-m80v82", "trained-m10v10",
-         "trained-m5v5", "full-coverage", "wcnok-m80v82", "spawn-m80v82", "train-2x4")
+         "trained-m5v5", "full-coverage", "wcnok-m80v82", "spawn-m80v82", "train-2x4",
+         "eval-8x15")
 
 
 def decider(model):
@@ -227,6 +238,33 @@ def trainer(a2c):
     return runner
 
 
+def evaluator(a2c):
+    """The runner of `rescue-eval-8x15` evaluation calls on a tuple of
+    episode seeds; a call's result is its summary and the targets of
+    every step it played, read from its chunks after the timer stops."""
+    def runner(mods):
+        learn = mods["learn"]
+        model = mods["nets"].init_scoring_model(2, 3, with_g=False, seed=0)
+        chunks = []
+        collect = learn.RolloutWorker.collect_chunk
+
+        def collect_chunk(worker):
+            chunk = collect(worker)
+            chunks.append(chunk)
+            return chunk
+        learn.RolloutWorker.collect_chunk = collect_chunk
+
+        def run(*seeds):
+            chunks.clear()
+            summary = mods["harness"].evaluate_rescue_model(
+                model, "lp", learn.A2CConfig(**a2c), 8, 15, seeds=seeds)
+            played = list(chunks)
+            return lambda: (summary.to_dict(), [step.assignment.target.tolist()
+                                                for chunk in played for step in chunk.steps])
+        return run
+    return runner
+
+
 def run_case(kind: str, runners: dict, items: list) -> dict:
     sides = list(runners)
     rates = {name: [] for name in sides}
@@ -238,8 +276,9 @@ def run_case(kind: str, runners: dict, items: list) -> dict:
             results = {}
             for name in order:
                 start = time.perf_counter()
-                results[name] = runners[name](*item)
+                result = runners[name](*item)
                 seconds[name] += time.perf_counter() - start
+                results[name] = result() if callable(result) else result
             same &= results["change"] == results["baseline"]
         for name in sides:
             rates[name].append(len(items) / seconds[name])

@@ -12,7 +12,7 @@ from .core import (
     quad_relax_solve,
     round_quad,
 )
-from .types import Assignment, ConstraintSet, ScoreTable
+from .types import Assignment, ConstraintSet, ScoreTable, unit_demand
 
 
 def infer_amax(scores: ScoreTable, cons: ConstraintSet) -> Assignment:
@@ -38,21 +38,21 @@ INFERENCE_PROCEDURES = {
 }
 
 
-def infer_stack(name: str, h, g, cons) -> list:
+def infer_stack(name: str, h, g, mu, u) -> np.ndarray:
     """Procedure `name` on a stack of L lanes with equal (n, m).
 
-    h is (L, n, m) and g (L, m, m) or None, all finite; cons holds the L
-    ConstraintSets. Returns one Assignment per lane, the one the procedure
-    gives for that lane alone. The LP procedure matches a stack whose
-    lanes are all unit demand (every rescue stack) in one pass of the
-    exact matching; any other stack runs lane by lane.
+    h is (L, n, m) and g (L, m, m) or None, all finite; the L polytopes
+    have contributions mu (L, n, m) and capacities u (L, m). Returns the
+    (L, n) targets: row k is what the procedure gives for lane k alone.
+    The LP procedure matches a stack whose lanes are all unit
+    demand (every rescue stack) in one pass of the exact matching; any
+    other stack runs lane by lane, on ConstraintSets of its rows.
     """
     procedure = get_procedure(name)
-    if procedure is infer_lp and cons and all(lane.unit_demand for lane in cons):
-        return [Assignment(target)
-                for target in _match_lanes(h, np.array([lane.u for lane in cons]))]
-    return [procedure(ScoreTable(h[k], None if g is None else g[k]), lane)
-            for k, lane in enumerate(cons)]
+    if procedure is infer_lp and unit_demand(mu, u):
+        return _match_lanes(h, u)
+    return np.array([procedure(ScoreTable(h[k], None if g is None else g[k]),
+                               ConstraintSet(mu[k], u[k])).target for k in range(len(h))])
 
 
 def get_procedure(name: str):

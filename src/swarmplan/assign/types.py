@@ -85,14 +85,19 @@ class ConstraintSet:
 
     @cached_property
     def unit_demand(self) -> bool:
-        """True iff every mu is 1 and every capacity is a whole number.
+        """`unit_demand(mu, u)`, tested on first use and kept: a set is an
+        immutable value."""
+        return unit_demand(self.mu, self.u)
 
-        The polytope is then a bipartite b-matching polytope: totally
-        unimodular, so its LP optimum is an integral matching. Tested on
-        first use and kept: a set is an immutable value, and a rescue lane
-        hands the same set to every step until a pick-up.
-        """
-        return bool((self.mu == 1.0).all() and (self.u == np.floor(self.u)).all())
+
+def unit_demand(mu, u) -> bool:
+    """True iff every contribution mu is 1 and every capacity u is a whole
+    number, in one polytope or a stack of them.
+
+    The polytope is then a bipartite b-matching polytope: totally
+    unimodular, so its LP optimum is an integral matching.
+    """
+    return bool((mu == 1.0).all() and (u == np.floor(u)).all())
 
 
 @dataclass

@@ -294,6 +294,22 @@ def _upper_pairs(n):
     return np.triu_indices(n, 1)
 
 
+# The screen's gathered positions, grown to the largest pair count seen,
+# so that a separation call maps no fresh pages.
+_gathered = [np.empty(0, dtype=complex)]
+
+
+def _pair_distances(z, a, b) -> np.ndarray:
+    """|z[b] - z[a]| per pair, gathered in the module buffer."""
+    count = len(a)
+    if _gathered[0].size < 2 * count:
+        _gathered[0] = np.empty(2 * count, dtype=complex)
+    za, zb = _gathered[0][:count], _gathered[0][count:2 * count]
+    np.take(z, a, out=za)
+    np.take(z, b, out=zb)
+    return np.abs(np.subtract(zb, za, out=zb))
+
+
 def _separate(pos, radius):
     """Symmetric separation push between overlapping discs, in place.
 
@@ -309,7 +325,7 @@ def _separate(pos, radius):
     start = pos.copy()
     z = start[:, 0] + 1j * start[:, 1]
     a_all, b_all = _upper_pairs(len(pos))
-    rough_all = np.abs(z[b_all] - z[a_all])  # screens pairs; pushes use exact norms
+    rough_all = _pair_distances(z, a_all, b_all)  # screens pairs; pushes use exact norms
     screen = _SCREEN
     while True:
         near = rough_all < 2.0 * radius.max() + screen

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 OPTIMIZERS = ("sgd", "adam")
@@ -25,6 +26,10 @@ class A2CConfig:
     batch_chunks: int = 16       # chunks per update
 
     def __post_init__(self):
+        for name in ("p", "n_steps", "workers", "batch_chunks"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise LearnError(f"{name} must be an integer, got {value!r}")
         if not 0.0 <= self.gamma < 1.0:
             raise LearnError("gamma must be in [0, 1)")
         for name in ("sigma", "lam", "lr_policy", "lr_value"):

@@ -8,6 +8,7 @@ matches the N(h, sigma) likelihood the update assumes.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -35,8 +36,8 @@ class NoiseWindows:
         means = np.asarray(means, dtype=float)
         if means.shape != self.shape:
             raise ValueError(f"means shape {means.shape} != window shape {self.shape}")
-        if sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0.0 <= sigma < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
         innovation = rng.normal(0.0, np.sqrt(sigma / self.p), self.shape)
         self.queue.append(innovation)
         noise = innovation if self.p == 1 else sum(self.queue)

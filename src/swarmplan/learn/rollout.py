@@ -1,21 +1,31 @@
 """Meta-environment adapters and trajectory collection.
 
 An observation is (agent features, task features, optional pair extras,
-constraints) in every domain. A collector owns rollout lanes, each an
-environment with its own rng, noise windows and episode, and steps them
-in lockstep under one model snapshot. A training run sees one instance
-size, so every lane of a collector holds the same (n, m), and a lane
-that resets to another raises `LearnError`. Each lockstep step scores
-all its lanes with one pass of each net, matches them in one stack
-(unit-demand LP) and advances them by one `step_lanes` call of their
-environment class. Rescue lanes share one lane-axis `GridState`; battle
-lanes step one at a time.
-Lanes emit chunks of up to N steps holding the observations, sampled
-score tables, assignments, rewards and terminal flags that the update
-rescores. A `RolloutWorker` is the one-lane collector.
+constraints) in every domain; an `ObservationStack` holds those of L
+lanes on a leading lane axis, the constraints as contributions mu and
+capacities u. A collector owns rollout lanes, each an environment with
+its own rng, noise windows and episode, and steps them in lockstep under
+one model snapshot. A training run sees one instance size, so every lane
+of a collector holds the same (n, m), and a lane that resets to another
+raises `LearnError`. The collector keeps its lanes' observations in one
+stack. A lockstep step gathers the stepped lanes' rows, scores them with
+one pass of each net, matches them in one stack (`infer_stack` gives one
+(L, n) target array) and advances them by one `step_lanes(envs,
+targets)` call of their environment class, which returns their next
+observations as a stack, with rewards and terminal flags, to be written
+back. Rescue lanes share one lane-axis `GridState`; battle lanes step
+one at a time and stack their observations (`stack_steps`).
+
+A round records its steps as those stacked arrays (`StepStack`), so no
+per-lane, per-step object is built. A lane's chunk of up to N steps is
+its rows of them, with their rewards and terminal flags and the place
+of its bootstrap observation; `Chunk.steps` builds `StepRecord`s on
+demand, for checks and tests. A `RolloutWorker` is the one-lane
+collector.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +39,7 @@ from ..battle import (
     step_battle,
 )
 from ..nets import ScoringModel, score_pair_stack
-from ..rescue import (STEP_REWARD, RescueConfig, RescueError, build_constraints,
+from ..rescue import (STEP_REWARD, RescueConfig, RescueError, build_constraints, capacities,
                       extract_features, spawn, stack_lanes)
 from ..rescue import step as rescue_step
 from .config import A2CConfig, LearnError
@@ -44,30 +54,76 @@ class Observation:
     cons: ConstraintSet
 
 
+@dataclass(eq=False)
+class ObservationStack:
+    """The observations of L lanes of one (n, m), on a leading lane axis:
+    agents (L, n, da), tasks (L, m, dt), extras (L, n, m, de) or None,
+    contributions mu (L, n, m) and capacities u (L, m)."""
+
+    agents: np.ndarray
+    tasks: np.ndarray
+    extras: np.ndarray | None
+    mu: np.ndarray
+    u: np.ndarray
+
+    @classmethod
+    def of(cls, observations) -> "ObservationStack":
+        """The stack of a sequence of Observations."""
+        extras = None if observations[0].pair_extras is None else np.array(
+            [obs.pair_extras for obs in observations])
+        return cls(np.array([obs.agent_feats for obs in observations]),
+                   np.array([obs.task_feats for obs in observations]), extras,
+                   np.array([obs.cons.mu for obs in observations]),
+                   np.array([obs.cons.u for obs in observations]))
+
+    def fields(self) -> tuple:
+        return self.agents, self.tasks, self.extras, self.mu, self.u
+
+    def rows(self, lanes) -> "ObservationStack":
+        """A copy of the rows `lanes` (an index array)."""
+        return ObservationStack(*(None if a is None else a[lanes] for a in self.fields()))
+
+    def lane(self, k: int) -> Observation:
+        """Lane k as an Observation of views into the stack."""
+        return Observation(self.agents[k], self.tasks[k],
+                           None if self.extras is None else self.extras[k],
+                           ConstraintSet(self.mu[k], self.u[k]))
+
+
+def stack_steps(results) -> tuple:
+    """`step_lanes`'s (ObservationStack, rewards (L,), done (L,)) from one
+    (Observation, reward, done) per lane, for environments that step one
+    lane at a time."""
+    observations, rewards, done = zip(*results)
+    return (ObservationStack.of(observations), np.array(rewards, dtype=float),
+            np.array(done, dtype=bool))
+
+
 class RescueMetaEnv:
     """One rescue lane (one assignment per step): row `lane` of the
-    GridState `state` it shares with the lanes it steps with. Its
-    ConstraintSet `cons` is rebuilt only when a pick-up changes u."""
+    GridState `state` it shares with the lanes it steps with."""
 
     num_kinds = 2
     feature_dim = 3  # victims carry the widest feature vector
 
     def __init__(self, config: RescueConfig):
         self.config = config
-        self.state = self.cons = None
+        self.state = None
         self.lane = 0
 
     def reset(self, seed=None) -> Observation:
         spawned = spawn(self.config if seed is None else replace(self.config, seed=seed))
         self.state = spawned if self.state is None else self.state.put(self.lane, spawned)
         agents, tasks = extract_features(spawned)
-        self.cons = build_constraints(spawned)
-        return Observation(agents[0], tasks[0], None, self.cons)
+        return Observation(agents[0], tasks[0], None, build_constraints(spawned))
 
     @staticmethod
-    def step_lanes(envs, assignments) -> list:
+    def step_lanes(envs, targets) -> tuple:
         """Advance lanes of equal (n, m) by one `rescue.step` on the state
-        they share; returns (observation, reward, done) per lane."""
+        they share, to their (L, n) targets; returns their next
+        observations (ObservationStack), rewards and terminal flags. The
+        constraints are `build_constraints`': every contribution 1, and
+        `capacities`."""
         state = envs[0].state
         if any(env.state is not state for env in envs):  # first step together
             if len({(env.config.grid_size, env.config.max_steps) for env in envs}) > 1:
@@ -77,15 +133,11 @@ class RescueMetaEnv:
                 env.state, env.lane = state, k
         rows = [env.lane for env in envs]
         lanes = None if rows == list(range(len(state.step_count))) else np.array(rows)
-        done, gained = rescue_step(state, np.array([a.target for a in assignments]),
-                                   envs[0].config.max_steps, lanes)
+        done, _ = rescue_step(state, targets, envs[0].config.max_steps, lanes)
         agents, tasks = extract_features(state, lanes)
-        out = []
-        for k, (env, new, end) in enumerate(zip(envs, gained.tolist(), done.tolist())):
-            if new:
-                env.cons = build_constraints(state, env.lane)
-            out.append((Observation(agents[k], tasks[k], None, env.cons), STEP_REWARD, end))
-        return out
+        mu = np.ones((len(envs), agents.shape[1], tasks.shape[1]))
+        return (ObservationStack(agents, tasks, None, mu, capacities(state, lanes)),
+                np.full(len(envs), STEP_REWARD), done)
 
 
 class BattleMetaEnv:
@@ -112,9 +164,9 @@ class BattleMetaEnv:
         return self._observe(), reward, done
 
     @staticmethod
-    def step_lanes(envs, assignments) -> list:
-        """Advance each lane on its own; (observation, reward, done) per lane."""
-        return [env.step(assignment) for env, assignment in zip(envs, assignments)]
+    def step_lanes(envs, targets) -> tuple:
+        """Advance each lane on its own and stack the results."""
+        return stack_steps([env.step(Assignment(target)) for env, target in zip(envs, targets)])
 
 
 def gaussian_loglik(sample: np.ndarray, mean: np.ndarray, variance: float) -> float:
@@ -134,26 +186,112 @@ class StepRecord:
     terminal: bool
 
 
-@dataclass
+class StepStack:
+    """The steps of one round, stacked: per lockstep step, its lanes'
+    observations (an ObservationStack), sampled h (L, n, m) and g
+    (L, m, m) or None and targets (L, n), in lane order. The rows of a
+    round count on across its steps: step t holds rows starts[t] to
+    starts[t] + L - 1. All rows hold one (n, m), `size`."""
+
+    def __init__(self):
+        self.size = None
+        self.starts = []
+        self.rows = 0
+        self.obs, self.sampled_h, self.sampled_g, self.targets = [], [], [], []
+
+    def add(self, obs: ObservationStack, sampled_h, sampled_g, targets) -> int:
+        """Record one step; returns the row of its first lane."""
+        start = self.rows
+        self.size = self.size or (obs.agents.shape[1], obs.tasks.shape[1])
+        self.starts.append(start)
+        self.rows += len(targets)
+        self.obs.append(obs)
+        self.sampled_h.append(sampled_h)
+        self.sampled_g.append(sampled_g)
+        self.targets.append(targets)
+        return start
+
+    def record(self, row: int, reward: float, terminal: bool) -> StepRecord:
+        """Row `row` as a StepRecord of views into the stack."""
+        t = bisect_right(self.starts, row) - 1
+        k = row - self.starts[t]
+        g = self.sampled_g[t]
+        return StepRecord(self.obs[t].lane(k), self.sampled_h[t][k], None if g is None else g[k],
+                          Assignment(self.targets[t][k]), reward, terminal)
+
+
 class Chunk:
-    steps: list
-    bootstrap: Observation | None  # the state after the last step
-    terminal_tail: bool
+    """Up to N consecutive steps of one lane: its `rows` of a round's
+    StepStack `stack`, their `rewards` and `terminal` flags, whether the
+    last one ended the episode (`terminal_tail`), and `bootstrap_at`,
+    (ObservationStack, row) of the observation after the last step, or
+    None after a terminal one.
+
+    `Chunk(steps, bootstrap, terminal_tail)` makes one from StepRecords
+    of one (n, m). `steps` and `bootstrap` build fresh objects on every
+    read; the update and the training loop read the arrays. `bootstrap`
+    can be set, to an Observation or None.
+    """
+
+    def __init__(self, steps, bootstrap, terminal_tail: bool):
+        stack = StepStack()
+        for step in steps:
+            obs = ObservationStack.of([step.obs])
+            if stack.size not in (None, (obs.agents.shape[1], obs.tasks.shape[1])):
+                raise LearnError("a chunk's steps hold one (n, m)")
+            stack.add(obs, step.sampled_h[None],
+                      None if step.sampled_g is None else step.sampled_g[None],
+                      step.assignment.target[None])
+        self.stack, self.rows, self.terminal_tail = stack, list(range(len(steps))), terminal_tail
+        self.rewards = [step.reward for step in steps]
+        self.terminal = [step.terminal for step in steps]
+        self.bootstrap = bootstrap
+
+    @classmethod
+    def of_rows(cls, stack: StepStack, rows: list, rewards: list, terminal: list,
+                bootstrap_at) -> "Chunk":
+        chunk = cls.__new__(cls)
+        chunk.stack, chunk.rows, chunk.terminal_tail = stack, rows, terminal[-1]
+        chunk.rewards, chunk.terminal, chunk.bootstrap_at = rewards, terminal, bootstrap_at
+        return chunk
 
     def __len__(self):
-        return len(self.steps)
+        return len(self.rows)
+
+    @property
+    def steps(self) -> list:
+        return [self.stack.record(*step) for step in zip(self.rows, self.rewards, self.terminal)]
+
+    @property
+    def bootstrap(self) -> Observation | None:
+        if self.bootstrap_at is None:
+            return None
+        stack, row = self.bootstrap_at
+        return stack.lane(row)
+
+    @bootstrap.setter
+    def bootstrap(self, obs: Observation | None):
+        self.bootstrap_at = None if obs is None else (ObservationStack.of([obs]), 0)
 
 
 class RolloutLanes:
     """Several environments ("lanes") stepped in lockstep; emits chunks.
 
     Each lane keeps its environment, rng, noise windows and episode
-    across rounds; all lanes hold one (n, m). A round collects one chunk
-    from each of the first `count` lanes, in lane order, stepping
-    together every lane still inside its chunk. Chunks never cross
-    episode boundaries: a 10-step episode with N=4 yields chunks of 4, 4
-    and 2 steps, and a lane whose chunk ended early waits for the rest
-    of the round.
+    across rounds; all lanes hold one (n, m), and their current
+    observations are the rows of one ObservationStack, `obs`. A round
+    collects one chunk from each of the first `count` lanes, in lane
+    order, stepping together every lane still inside its chunk. Chunks
+    never cross episode boundaries: a 10-step episode with N=4 yields
+    chunks of 4, 4 and 2 steps, and a lane whose chunk ended early waits
+    for the rest of the round.
+
+    The arrays that `step_lanes` returns are fresh, and the collector
+    keeps them: a step of every lane records `obs` as it is and takes
+    the returned stack as the next; a step of some lanes records a copy
+    of their rows and writes theirs back. The chunks of a round share
+    `obs` for their bootstrap observations, so the next write in place
+    copies it first.
     """
 
     def __init__(self, envs, inference: str, cfg: A2CConfig, rngs,
@@ -169,7 +307,9 @@ class RolloutLanes:
         self.episode_seeds = [None if seeds is None else iter(seeds)
                               for seeds in episode_seeds]
         self.model: ScoringModel | None = None
-        self.obs = [None] * len(self.envs)
+        self.obs = None  # every lane's current observation, from the first reset on
+        self.shared = False  # whether chunks hold `obs`
+        self.in_episode = [False] * len(self.envs)
         self.h_windows = [None] * len(self.envs)
         self.g_windows = [None] * len(self.envs)
         self.size = None  # the (n, m) of every lane, from the first reset on
@@ -178,54 +318,63 @@ class RolloutLanes:
         """Install an immutable parameter snapshot for upcoming steps."""
         self.model = model.copy()
 
+    def _write(self, lanes, fields):
+        """Overwrite the rows `lanes` of `obs` with `fields`."""
+        if self.shared:
+            self.obs, self.shared = self.obs.rows(np.arange(len(self.envs))), False
+        for rows, new in zip(self.obs.fields(), fields):
+            if rows is not None:
+                rows[lanes] = new
+
     def _begin_episode(self, k: int):
         seeds = self.episode_seeds[k]
         seed = int(self.rngs[k].integers(2 ** 31 - 1)) if seeds is None else next(seeds)
-        self.obs[k] = obs = self.envs[k].reset(seed=seed)
+        obs = self.envs[k].reset(seed=seed)
         n, m = obs.agent_feats.shape[0], obs.task_feats.shape[0]
         self.size = self.size or (n, m)
         if (n, m) != self.size:
             raise LearnError(f"lane {k} reset to (n, m) = {(n, m)}; "
                              f"the collector holds {self.size}")
+        fields = (obs.agent_feats, obs.task_feats, obs.pair_extras, obs.cons.mu, obs.cons.u)
+        if self.obs is None:
+            self.obs = ObservationStack(*(None if a is None else np.empty(
+                (len(self.envs),) + a.shape) for a in fields))
+        self._write(k, fields)
+        self.in_episode[k] = True
         self.h_windows[k] = NoiseWindows((n, m), self.cfg.p)
         if self.uses_g:
             self.g_windows[k] = NoiseWindows((m, m), self.cfg.p)
 
-    def _sample(self, lanes, windows, means) -> list:
-        return [windows[k].sample(mean, self.cfg.sigma, self.rngs[k])
-                for k, mean in zip(lanes, means)]
+    def _sample(self, lanes, windows, means) -> np.ndarray:
+        return np.array([windows[k].sample(mean, self.cfg.sigma, self.rngs[k])
+                         for k, mean in zip(lanes, means)])
 
-    def _step(self, lanes) -> list:
+    def _step(self, lanes, steps: StepStack):
         """One lockstep step of `lanes`: one scoring pass, one stacked
-        assignment and one `step_lanes` call; returns their records in
-        lane order."""
-        obs = [self.obs[k] for k in lanes]
-        extras = None if obs[0].pair_extras is None else np.array(
-            [o.pair_extras for o in obs])
-        h, g = score_pair_stack(self.model, np.array([o.agent_feats for o in obs]),
-                                np.array([o.task_feats for o in obs]), extras)
+        assignment and one `step_lanes` call, recorded in `steps`; returns
+        the row of the first lane, the rewards and the terminal flags."""
+        every = len(lanes) == len(self.envs)
+        index = None if every else np.array(lanes)
+        obs = self.obs if every else self.obs.rows(index)
+        h, g = score_pair_stack(self.model, obs.agents, obs.tasks, obs.extras)
         if not np.isfinite(h).all():
             raise AssignError("h contains non-finite values")
         if g is not None and not np.isfinite(g).all():
             raise AssignError("g contains non-finite values")
         sampled_h = self._sample(lanes, self.h_windows, h)
-        sampled_g = [None] * len(lanes)
-        stacked_g = None
+        sampled_g = None
         if self.uses_g:
             if g is None:
                 raise LearnError("quad inference needs a model with a g net")
             sampled_g = self._sample(lanes, self.g_windows, g)
-            stacked_g = np.array(sampled_g)
-        assignments = infer_stack(self.inference, np.array(sampled_h), stacked_g,
-                                  [o.cons for o in obs])
+        targets = infer_stack(self.inference, sampled_h, sampled_g, obs.mu, obs.u)
         envs = [self.envs[k] for k in lanes]
-        records = []
-        for k, o, s_h, s_g, assignment, (next_obs, reward, done) in zip(
-                lanes, obs, sampled_h, sampled_g, assignments,
-                type(envs[0]).step_lanes(envs, assignments)):
-            records.append(StepRecord(o, s_h, s_g, assignment, reward, done))
-            self.obs[k] = next_obs
-        return records
+        next_obs, rewards, done = type(envs[0]).step_lanes(envs, targets)
+        if every:
+            self.obs, self.shared = next_obs, False
+        else:
+            self._write(index, next_obs.fields())
+        return steps.add(obs, sampled_h, sampled_g, targets), rewards, done
 
     def collect_round(self, count: int | None = None) -> list:
         """One chunk from each of the first `count` lanes (all by default)."""
@@ -233,22 +382,26 @@ class RolloutLanes:
             raise LearnError("set_model() before collecting")
         lanes = range(len(self.envs) if count is None else count)
         for k in lanes:
-            if self.obs[k] is None:
+            if not self.in_episode[k]:
                 self._begin_episode(k)
-        steps = {k: [] for k in lanes}
+        steps = StepStack()
+        rows, rewards, ended = ([[] for _ in lanes] for _ in range(3))
         active = list(lanes)
         while active:
-            for k, record in zip(active, self._step(active)):
-                steps[k].append(record)
-            active = [k for k in active
-                      if not steps[k][-1].terminal and len(steps[k]) < self.cfg.n_steps]
+            start, reward, done = self._step(active, steps)
+            for i, k, r, end in zip(range(start, start + len(active)), active,
+                                    reward.tolist(), done.tolist()):
+                rows[k].append(i)
+                rewards[k].append(r)
+                ended[k].append(end)
+            active = [k for k in active if not ended[k][-1] and len(rows[k]) < self.cfg.n_steps]
         chunks = []
         for k in lanes:
-            if steps[k][-1].terminal:
-                self.obs[k] = None  # the next round starts a fresh episode
-                chunks.append(Chunk(steps[k], None, True))
-            else:
-                chunks.append(Chunk(steps[k], self.obs[k], False))
+            tail = ended[k][-1]
+            self.in_episode[k] = not tail  # after a terminal step, a fresh episode
+            chunks.append(Chunk.of_rows(steps, rows[k], rewards[k], ended[k],
+                                        None if tail else (self.obs, k)))
+        self.shared = any(self.in_episode[k] for k in lanes)
         return chunks
 
 
@@ -264,4 +417,3 @@ class RolloutWorker(RolloutLanes):
 
     def collect_chunk(self) -> Chunk:
         return self.collect_round()[0]
-

@@ -45,7 +45,7 @@ def play_episode(meta_env, model: ScoringModel, inference: str, cfg: A2CConfig,
     length = 0
     while True:
         chunk = worker.collect_chunk()
-        total += sum(step.reward for step in chunk.steps)
+        total += sum(chunk.rewards)
         length += len(chunk)
         if chunk.terminal_tail:
             return total, length

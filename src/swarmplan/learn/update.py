@@ -15,16 +15,19 @@ finite-difference tests check.
 
 An update is one batched pass over the whole batch. A batch holds one
 (n, m), and its steps either all sampled g or none did; anything else
-raises `LearnError`. Its observations are stacked once:
+raises `LearnError`. The update reads the chunks' step arrays, never
+their `StepRecord`s: per field, one concatenate of the rounds' stacked
+steps and one index give the batch's rows, every chunk's steps in order
+and then the bootstrap observations of the non-terminal chunks.
 `score_pair_stack` scores every step's pairs in one pass of each net,
 and one `critic_rows` matrix holds the critic rows of every step and of
-the bootstrap observations of non-terminal chunks, which go through the
-critic together with a segment mean per state. The targets come from
-that forward pass; `score_pairs_backward` and `critic_values_backward`
-then run one backward pass of each net. Batched sums round differently
-from per-step sums, so results agree with a per-step loop to rounding,
-not bit for bit. `frozen_objective` stays a per-step loop: it is the
-independent reference for the gradient checks.
+those bootstrap states, which go through the critic together with a
+segment mean per state. The targets come from that forward pass;
+`score_pairs_backward` and `critic_values_backward` then run one
+backward pass of each net. Batched sums round differently from per-step
+sums, so results agree with a per-step loop to rounding, not bit for
+bit. `frozen_objective` stays a per-step loop over `Chunk.steps`: it is
+the independent reference for the gradient checks.
 """
 from __future__ import annotations
 
@@ -49,7 +52,7 @@ from .rollout import Chunk, gaussian_loglik
 
 
 def _check_bootstrap(chunk: Chunk):
-    if not chunk.terminal_tail and chunk.bootstrap is None:
+    if not chunk.terminal_tail and chunk.bootstrap_at is None:
         raise LearnError("non-terminal chunk without a bootstrap observation")
 
 
@@ -57,15 +60,14 @@ def nstep_returns(chunk: Chunk, gamma: float, critic: CriticParams) -> list:
     """Discounted n-step returns, bootstrapped with V at the chunk tail."""
     _check_bootstrap(chunk)
     tail = 0.0 if chunk.terminal_tail else _state_value(critic, chunk.bootstrap)
-    return _discounted_returns(chunk, gamma, tail)
+    return _discounted_returns(chunk.rewards, chunk.terminal, gamma, tail)
 
 
-def _discounted_returns(chunk: Chunk, gamma: float, tail: float) -> list:
-    returns = [0.0] * len(chunk.steps)
+def _discounted_returns(rewards: list, terminal: list, gamma: float, tail: float) -> list:
+    returns = [0.0] * len(rewards)
     running = tail
-    for t in range(len(chunk.steps) - 1, -1, -1):
-        step = chunk.steps[t]
-        running = step.reward if step.terminal else step.reward + gamma * running
+    for t in range(len(rewards) - 1, -1, -1):
+        running = rewards[t] if terminal[t] else rewards[t] + gamma * running
         returns[t] = running
     return returns
 
@@ -145,7 +147,7 @@ def _step_loglik(model: ScoringModel, step, sigma: float) -> float:
 class _BatchPass:
     """Every step of a batch scored by one forward pass, with its caches."""
 
-    steps: list            # the steps of all chunks, in batch order
+    size: int              # S, the steps of all chunks
     values: np.ndarray     # V of each step, then of each bootstrap state
     log_l: np.ndarray      # log l of each step under the current networks
     diffs: list            # sampled - predicted h (S, n, m), then g (S, m, m) if sampled
@@ -165,48 +167,84 @@ def _loglik(diff, sigma: float) -> np.ndarray:
     return -sq / (2.0 * sigma) - 0.5 * k * np.log(2.0 * np.pi * sigma)
 
 
-def _batch_forward(model: ScoringModel, critic: CriticParams, chunks,
-                   sigma: float) -> _BatchPass:
+@dataclass
+class _BatchRows:
+    """A batch's rows: features of every step and then of every bootstrap
+    state, the other fields of the steps only."""
+
+    size: tuple            # the (n, m) of every state
+    agents: np.ndarray
+    tasks: np.ndarray
+    extras: np.ndarray | None
+    sampled_h: np.ndarray
+    sampled_g: np.ndarray | None
+
+
+def _gather(chunks) -> _BatchRows:
+    """Each chunk's steps in order, then the bootstrap observations of the
+    non-terminal chunks: one concatenate and one index per field."""
     for chunk in chunks:
         _check_bootstrap(chunk)
-    steps = [step for chunk in chunks for step in chunk.steps]
-    observations = [step.obs for step in steps] + [
-        chunk.bootstrap for chunk in chunks if not chunk.terminal_tail]
-    sizes = {(obs.agent_feats.shape[0], obs.task_feats.shape[0]) for obs in observations}
+    stacks = list(dict.fromkeys(chunk.stack for chunk in chunks))
+    tails = [chunk.bootstrap_at for chunk in chunks if not chunk.terminal_tail]
+    boots = list(dict.fromkeys(obs for obs, _ in tails))
+    sizes = {stack.size for stack in stacks} | {
+        (obs.agents.shape[1], obs.tasks.shape[1]) for obs in boots}
     if len(sizes) > 1:
         raise LearnError(f"a batch holds one (n, m), got {sorted(sizes)}")
-    (n, m), = sizes
-    g_flags = {step.sampled_g is not None for step in steps}
+    g_flags = {g is not None for stack in stacks for g in stack.sampled_g}
     if len(g_flags) > 1:
         raise LearnError("a batch's steps either all sampled g or none did")
-    uses_g = True in g_flags
-    if uses_g and model.g_net is None:
+    first, total = {}, 0  # each part's first row
+    for part, count in [(stack, stack.rows) for stack in stacks] + [
+            (obs, len(obs.agents)) for obs in boots]:
+        first[part], total = total, total + count
+    stepped = [obs for stack in stacks for obs in stack.obs]
+    entries = stepped + boots
+    rows = np.array([first[chunk.stack] + row for chunk in chunks for row in chunk.rows]
+                    + [first[obs] + row for obs, row in tails], dtype=np.intp)
+    steps = rows[:len(rows) - len(tails)]
+
+    def take(parts, index):
+        return np.concatenate(parts)[index]
+
+    def per_step(name):
+        return take([a for stack in stacks for a in getattr(stack, name)], steps)
+
+    return _BatchRows(
+        sizes.pop(), take([obs.agents for obs in entries], rows),
+        take([obs.tasks for obs in entries], rows),
+        None if stepped[0].extras is None else take([obs.extras for obs in stepped], steps),
+        per_step("sampled_h"), per_step("sampled_g") if True in g_flags else None)
+
+
+def _batch_forward(model: ScoringModel, critic: CriticParams, chunks,
+                   sigma: float) -> _BatchPass:
+    batch = _gather(chunks)
+    S, (n, m) = len(batch.sampled_h), batch.size
+    if batch.sampled_g is not None and model.g_net is None:
         raise LearnError("rollout sampled g but the model has no g_net")
-    S = len(steps)
-    agents = np.stack([obs.agent_feats for obs in observations])
-    tasks = np.stack([obs.task_feats for obs in observations])
-    extras = None if steps[0].obs.pair_extras is None else np.stack(
-        [step.obs.pair_extras for step in steps])
-    h, g, cache = score_pair_stack(model, agents[:S], tasks[:S], extras, with_cache=True)
-    diffs = [np.array([step.sampled_h for step in steps]) - h]
+    h, g, cache = score_pair_stack(model, batch.agents[:S], batch.tasks[:S], batch.extras,
+                                   with_cache=True)
+    diffs = [batch.sampled_h - h]
     log_l = _loglik(diffs[0], sigma)
-    if uses_g:
-        diffs.append(np.array([step.sampled_g for step in steps]) - g)
+    if batch.sampled_g is not None:
+        diffs.append(batch.sampled_g - g)
         log_l = log_l + _loglik(diffs[1], sigma)
-    values, critic_cache = critic_values(critic, critic_rows(critic, agents, tasks),
-                                         [n + m] * len(observations), with_cache=True)
-    return _BatchPass(steps, values, log_l, diffs, cache, critic_cache)
+    values, critic_cache = critic_values(critic, critic_rows(critic, batch.agents, batch.tasks),
+                                         [n + m] * len(batch.agents), with_cache=True)
+    return _BatchPass(S, values, log_l, diffs, cache, critic_cache)
 
 
 def _targets(batch: _BatchPass, chunks, cfg: A2CConfig) -> FrozenTargets:
     values = batch.values.tolist()
-    tails = iter(values[len(batch.steps):])
+    tails = iter(values[batch.size:])
     returns, advantages = [], []
     start = 0
     for chunk in chunks:
-        stop = start + len(chunk.steps)
+        stop = start + len(chunk)
         tail = 0.0 if chunk.terminal_tail else next(tails)
-        R = _discounted_returns(chunk, cfg.gamma, tail)
+        R = _discounted_returns(chunk.rewards, chunk.terminal, cfg.gamma, tail)
         returns.append(R)
         advantages.append([r - v for r, v in zip(R, values[start:stop])])
         start = stop
@@ -256,7 +294,7 @@ def a2c_grads(model: ScoringModel, critic: CriticParams, chunks,
     batch = _batch_forward(model, critic, chunks, cfg.sigma)
     if frozen is None:
         frozen = _targets(batch, chunks, cfg)
-    S = len(batch.steps)
+    S = batch.size
     R, A = (np.array([x for per_chunk in lists for x in per_chunk], dtype=float)
             for lists in (frozen.returns, frozen.advantages))
     if not R.size == A.size == S:

@@ -132,10 +132,15 @@ def step(state: GridState, targets, max_steps: int = 400, lanes=None):
 
 
 def build_constraints(state: GridState, lane: int = 0) -> ConstraintSet:
-    """Lane `lane`'s polytope: unit demand everywhere; capacity 1 per open
-    victim, 0 once picked."""
+    """Lane `lane`'s polytope: unit demand everywhere, with `capacities`."""
     return ConstraintSet(np.ones((state.ambulances.shape[1], state.victims.shape[1])),
-                         1.0 - state.picked[lane])
+                         capacities(state, lane))
+
+
+def capacities(state: GridState, lanes=None) -> np.ndarray:
+    """Victim capacities, 1 while open and 0 once picked: (L, m), or (m,)
+    for one lane index. `lanes` as in `step`."""
+    return 1.0 - state.picked[slice(None) if lanes is None else lanes]
 
 
 def extract_features(state: GridState, lanes=None):

@@ -60,8 +60,10 @@ def rescue_observations(n, m, episodes, steps, sigma=0.4, seed=0):
             table = score_pairs(model, obs.agent_feats, obs.task_feats)
             noisy = ScoreTable(table.h + rng.normal(0.0, np.sqrt(sigma), table.h.shape))
             yield noisy, obs.cons
-            [(obs, _, done)] = RescueMetaEnv.step_lanes([env], [matching_assign(noisy, obs.cons)])
-            if done:
+            stack, _, done = RescueMetaEnv.step_lanes(
+                [env], matching_assign(noisy, obs.cons).target[None])
+            obs = stack.lane(0)
+            if done[0]:
                 break
 
 
@@ -238,7 +240,7 @@ class TestStackedMatching:
                 h = rng.normal(size=(lanes, n, m))
             u = rng.integers(0, 4, size=(lanes, m)).astype(float)  # 0, 1 and >= 2
             cons = [ConstraintSet(np.ones((n, m)), u[k]) for k in range(lanes)]
-            stacked = np.array([a.target for a in procedures.infer_stack("lp", h, None, cons)])
+            stacked = procedures.infer_stack("lp", h, None, np.ones((lanes, n, m)), u)
             assert stacked.shape == (lanes, n)
             for k in range(lanes):
                 want = reference_matching(ScoreTable(h[k]), cons[k])
@@ -263,8 +265,8 @@ class TestStackedMatching:
             mu[rng.random(lanes) < 0.3, 0, :] = 2.0  # not unit mu, still row-constant
             cons = [ConstraintSet(mu[k], u[k]) for k in range(lanes)]
             mixed += 0 < sum(lane.unit_demand for lane in cons) < lanes
-            for k, got in enumerate(procedures.infer_stack("lp", h, None, cons)):
-                np.testing.assert_array_equal(got.target, infer(ScoreTable(h[k]), cons[k]).target)
+            for k, got in enumerate(procedures.infer_stack("lp", h, None, mu, u)):
+                np.testing.assert_array_equal(got, infer(ScoreTable(h[k]), cons[k]).target)
         assert mixed > 20
 
 

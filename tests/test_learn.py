@@ -38,6 +38,7 @@ from swarmplan.learn import (
     make_optimizer,
     nstep_returns,
     play_episode,
+    stack_steps,
     train,
     write_metrics,
 )
@@ -108,8 +109,19 @@ def test_noise_rejects_bad_args():
     win = NoiseWindows((2,), 2)
     with pytest.raises(ValueError):
         win.sample(np.zeros(3), 1.0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        win.sample(np.zeros(2), -1.0, np.random.default_rng(0))
+    for sigma in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma"):
+            win.sample(np.zeros(2), sigma, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("name", ["p", "n_steps", "workers", "batch_chunks"])
+@pytest.mark.parametrize("value", [2.5, 4.0, True, "3"])
+def test_config_rejects_non_integer_counts(name, value):
+    """`n_steps=2.5` would collect 3-step chunks and `p=2.5` or
+    `workers=2.5` fail in the rollout; a bool is no count."""
+    with pytest.raises(LearnError, match=f"{name} must be an integer"):
+        A2CConfig(**{name: value})
+    assert getattr(A2CConfig(**{name: np.int64(3)}), name) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +155,8 @@ class FixedEnv:
         return self._observe(), 1.0, self.t >= self.length
 
     @staticmethod
-    def step_lanes(envs, assignments):
-        return [env.step(assignment) for env, assignment in zip(envs, assignments)]
+    def step_lanes(envs, targets):
+        return stack_steps([env.step(Assignment(target)) for env, target in zip(envs, targets)])
 
 
 def entities(obs):
@@ -231,8 +243,9 @@ def test_rescue_meta_env_round_trip():
     assert env.config.seed == 0  # the episode seed does not replace the config's
     assert obs.agent_feats.shape == (2, 2) and obs.task_feats.shape == (3, 3)
     assert obs.cons.mu.shape == (2, 3)
-    [(obs2, reward, done)] = RescueMetaEnv.step_lanes([env], [Assignment(np.array([0, 1]))])
-    assert reward == pytest.approx(-0.01) and not done
+    obs2, rewards, done = RescueMetaEnv.step_lanes([env], np.array([[0, 1]]))
+    assert obs2.agents.shape == (1, 2, 2) and obs2.u.shape == (1, 3)
+    assert rewards.tolist() == [pytest.approx(-0.01)] and done.tolist() == [False]
 
 
 def test_battle_meta_env_round_trip():
@@ -339,6 +352,53 @@ def test_lanes_of_different_sizes_raise():
     worker.envs[0].m = 4  # the next episode is 2x4
     with pytest.raises(LearnError, match="lane 0 reset to"):
         worker.collect_chunk()
+
+
+def test_rescue_training_builds_no_per_step_objects(monkeypatch):
+    """A rescue training run records its steps as arrays: it builds no
+    StepRecord, and an Observation only when a lane starts an episode."""
+    import swarmplan.learn.rollout as rollout
+    built = {"StepRecord": 0, "Observation": 0, "reset": 0}
+    for name in ("StepRecord", "Observation"):
+        init = getattr(rollout, name).__init__
+
+        def counting(self, *args, _init=init, _name=name, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(getattr(rollout, name), "__init__", counting)
+    reset = RescueMetaEnv.reset
+
+    def counting_reset(self, seed=None):
+        built["reset"] += 1
+        return reset(self, seed)
+    monkeypatch.setattr(RescueMetaEnv, "reset", counting_reset)
+    result = train(init_scoring_model(2, 3, with_g=False, seed=0), init_critic(2, 3, seed=1),
+                   lambda: RescueMetaEnv(RescueConfig(2, 4, seed=0)), "lp",
+                   small_cfg(workers=4, batch_chunks=8), total_updates=3, seed=2)
+    assert result.env_steps > 3 * 8
+    assert built["StepRecord"] == 0
+    assert 0 < built["Observation"] == built["reset"] < result.env_steps
+
+
+@pytest.mark.parametrize("inference", ["lp", "quad"])
+def test_grads_of_rollout_chunks_equal_grads_of_rebuilt_chunks(inference):
+    """`a2c_grads` reads the rounds' stacked arrays; chunks rebuilt by hand
+    from their `steps` and `bootstrap` give the same bits."""
+    cfg = small_cfg(workers=3, batch_chunks=7)
+    lanes = RolloutLanes([FixedEnv(length=k) for k in (5, 7, 9)], inference, cfg,
+                         [np.random.default_rng(50 + k) for k in range(3)])
+    model = init_scoring_model(2, 3, with_g=inference == "quad", seed=4)
+    critic = init_critic(FixedEnv.num_kinds, FixedEnv.feature_dim, seed=5)
+    lanes.set_model(model)
+    chunks = lanes.collect_round() + lanes.collect_round() + lanes.collect_round(1)
+    assert {chunk.terminal_tail for chunk in chunks} == {True, False}
+    rebuilt = [Chunk(chunk.steps, chunk.bootstrap, chunk.terminal_tail) for chunk in chunks]
+    grads, diag = a2c_grads(model, critic, chunks, cfg)
+    want, want_diag = a2c_grads(model, critic, rebuilt, cfg)
+    assert diag == want_diag
+    for name in grads:
+        if grads[name] is not None:
+            assert grads_to_vector(grads[name]).tobytes() == grads_to_vector(want[name]).tobytes()
 
 
 # ---------------------------------------------------------------------------

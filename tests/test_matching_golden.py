@@ -50,7 +50,8 @@ def random_stack(seed: int):
 
 def stack_targets(h, cons) -> list:
     """The LP procedure's targets of every lane of a stack."""
-    return [a.target.tolist() for a in infer_stack("lp", h, None, cons)]
+    return infer_stack("lp", h, None, np.array([lane.mu for lane in cons]),
+                       np.array([lane.u for lane in cons])).tolist()
 
 
 def rescue_targets() -> list:
