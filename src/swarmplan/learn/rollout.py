@@ -121,9 +121,9 @@ class RescueMetaEnv:
     def step_lanes(envs, targets) -> tuple:
         """Advance lanes of equal (n, m) by one `rescue.step` on the state
         they share, to their (L, n) targets; returns their next
-        observations (ObservationStack), rewards and terminal flags. The
-        constraints are `build_constraints`': every contribution 1, and
-        `capacities`."""
+        observations (ObservationStack), rewards and terminal flags. Their
+        constraints are those of `build_constraints`: every contribution
+        is 1, and the capacities are `capacities`."""
         state = envs[0].state
         if any(env.state is not state for env in envs):  # first step together
             if len({(env.config.grid_size, env.config.max_steps) for env in envs}) > 1:
