@@ -196,15 +196,15 @@ class StepStack:
     def __init__(self):
         self.size = None
         self.starts = []
-        self.rows = 0
+        self.count = 0  # rows so far
         self.obs, self.sampled_h, self.sampled_g, self.targets = [], [], [], []
 
     def add(self, obs: ObservationStack, sampled_h, sampled_g, targets) -> int:
         """Record one step; returns the row of its first lane."""
-        start = self.rows
+        start = self.count
         self.size = self.size or (obs.agents.shape[1], obs.tasks.shape[1])
         self.starts.append(start)
-        self.rows += len(targets)
+        self.count += len(targets)
         self.obs.append(obs)
         self.sampled_h.append(sampled_h)
         self.sampled_g.append(sampled_g)

@@ -196,7 +196,7 @@ def _gather(chunks) -> _BatchRows:
     if len(g_flags) > 1:
         raise LearnError("a batch's steps either all sampled g or none did")
     first, total = {}, 0  # each part's first row
-    for part, count in [(stack, stack.rows) for stack in stacks] + [
+    for part, count in [(stack, stack.count) for stack in stacks] + [
             (obs, len(obs.agents)) for obs in boots]:
         first[part], total = total, total + count
     stepped = [obs for stack in stacks for obs in stack.obs]
