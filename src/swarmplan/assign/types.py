@@ -5,6 +5,7 @@ as immutable values.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,8 +73,8 @@ class ConstraintSet:
             raise AssignError(f"mu must be 2-D, got shape {self.mu.shape}")
         if self.u.shape != (self.mu.shape[1],):
             raise AssignError(f"u must have shape ({self.mu.shape[1]},), got {self.u.shape}")
-        if np.any(self.mu < 0) or np.any(self.u < 0):
-            raise AssignError("mu and u must be nonnegative")
+        if not all(((0 <= a) & (a < np.inf)).all() for a in (self.mu, self.u)):  # NaN fails too
+            raise AssignError("mu and u must be nonnegative and finite")
 
     @property
     def n(self) -> int:
@@ -171,7 +172,9 @@ class FwConfig:
     gap_tol: float = 1e-6
 
     def __post_init__(self):
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise AssignError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise AssignError("max_iters must be >= 1")
-        if self.gap_tol <= 0:
-            raise AssignError("gap_tol must be positive")
+        if not 0 < self.gap_tol < np.inf:  # NaN fails too
+            raise AssignError("gap_tol must be positive and finite")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,6 +88,8 @@ class BattleConfig:
     def __post_init__(self):
         if not self.ours or not self.theirs:
             raise BattleError("both teams need at least one unit")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise BattleError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise BattleError(f"seed must be >= 0, got {self.seed}")
 

@@ -18,10 +18,11 @@ Sweep files carry the same envelope with a "sweep" object alongside
     "sweep": {"samples": int, "seed": int, "budget_updates": int}
 
 The search laws are fixed (`sweep.sample_config`), so a sweep file sets
-none of them. A key that names no field, a missing required key, an
-integer field that holds no JSON integer, a real-valued a2c field that
-holds no JSON number and an out-of-range a2c value are rejected with a
-HarnessError.
+none of them. A HarnessError rejects an experiment, sweep or a2c entry
+that is no JSON object, a key that names no field, a missing required
+key, an integer field that holds no JSON integer and a scenario or
+output_dir that holds no string. `A2CConfig` checks the a2c fields; its
+LearnError comes out as a HarnessError that starts "a2c: ".
 """
 from __future__ import annotations
 
@@ -38,8 +39,6 @@ ENVIRONMENTS = ("rescue", "battle")
 INFERENCES = ("amax", "lp", "quad")
 
 _RESCUE_SIZE = re.compile(r"^(\d+)x(\d+)$")
-_A2C_INTEGERS = ("p", "n_steps", "workers", "batch_chunks")
-_A2C_NUMBERS = ("gamma", "sigma", "lam", "lr_policy", "lr_value")
 
 
 class HarnessError(ValueError):
@@ -47,7 +46,10 @@ class HarnessError(ValueError):
 
 
 def _check_keys(cls, data: dict, what: str):
-    """Reject keys a config file carries that `cls` has no field for."""
+    """Reject a `what` that is no JSON object, or carries keys that `cls`
+    has no field for."""
+    if not isinstance(data, dict):
+        raise HarnessError(f"{what}: {data!r} is not an object")
     unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise HarnessError(f"unknown {what} keys: {', '.join(unknown)}")
@@ -60,15 +62,6 @@ def integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise HarnessError(f"{what}: {value!r} is not an integer")
     return int(value)
-
-
-def number(value, what: str) -> float:
-    """`value` as a float. A value that is not a real number, a bool
-    included, raises HarnessError rather than failing later; the range
-    is the caller's to check."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise HarnessError(f"{what}: {value!r} is not a number")
-    return float(value)
 
 
 def integer_seeds(values, what: str) -> tuple:
@@ -104,6 +97,9 @@ class ExperimentConfig:
     eval_every: int = 0
 
     def __post_init__(self):
+        for name in ("scenario", "output_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise HarnessError(f"{name}: {getattr(self, name)!r} is not a string")
         if self.environment not in ENVIRONMENTS:
             raise HarnessError(f"environment must be one of {ENVIRONMENTS}")
         if self.inference not in INFERENCES:
@@ -127,24 +123,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        _check_keys(cls, data, "experiment")
         data = dict(data)
         a2c = data.pop("a2c", {})
-        _check_keys(cls, data, "experiment")
-        required = [f.name for f in dataclasses.fields(cls)
-                    if f.default is dataclasses.MISSING
-                    and f.default_factory is dataclasses.MISSING]
-        missing = [name for name in required if name not in data]
+        missing = [f.name for f in dataclasses.fields(cls) if f.name not in data
+                   and f.default is f.default_factory is dataclasses.MISSING]
         if missing:
             raise HarnessError(f"missing experiment keys: {', '.join(missing)}")
-        if isinstance(a2c, dict):
-            _check_keys(A2CConfig, a2c, "a2c")
-            a2c = {name: integer(value, f"a2c.{name}") if name in _A2C_INTEGERS
-                   else number(value, f"a2c.{name}") if name in _A2C_NUMBERS else value
-                   for name, value in a2c.items()}
-            try:
-                a2c = A2CConfig(**a2c)
-            except LearnError as exc:
-                raise HarnessError(f"a2c: {exc}") from exc
+        _check_keys(A2CConfig, a2c, "a2c")
+        try:
+            a2c = A2CConfig(**a2c)
+        except LearnError as exc:
+            raise HarnessError(f"a2c: {exc}") from exc
         return cls(a2c=a2c, **data)
 
 

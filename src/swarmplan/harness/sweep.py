@@ -109,7 +109,7 @@ def make_setup(config: ExperimentConfig):
     return env_factory, model, critic
 
 
-def run_experiment(config: ExperimentConfig, total_updates=None, max_seconds=None):
+def run_experiment(config: ExperimentConfig):
     """Train per the config and persist a complete run directory.
 
     The directory contains the resolved config, the final checkpoint,
@@ -121,13 +121,9 @@ def run_experiment(config: ExperimentConfig, total_updates=None, max_seconds=Non
     out.mkdir(parents=True, exist_ok=True)
     save_experiment(out / "config.json", config)
     (out / "VERSION").write_text(code_version() + "\n")
-    budget = config.total_updates if total_updates is None else total_updates
-    result = train(
-        model, critic, env_factory, config.inference, config.a2c,
-        total_updates=budget, seed=config.seed,
-        eval_every=config.eval_every, metrics_path=out / "metrics.csv",
-        max_seconds=max_seconds,
-    )
+    result = train(model, critic, env_factory, config.inference, config.a2c,
+                   total_updates=config.total_updates, seed=config.seed,
+                   eval_every=config.eval_every, metrics_path=out / "metrics.csv")
     save_models(out / "checkpoint.bin", result.model, result.critic)
     summary = evaluate(result.model, config.environment, config.scenario,
                        config.eval_seeds, config.inference, config.a2c)

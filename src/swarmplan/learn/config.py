@@ -26,10 +26,14 @@ class A2CConfig:
     batch_chunks: int = 16       # chunks per update
 
     def __post_init__(self):
-        for name in ("p", "n_steps", "workers", "batch_chunks"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise LearnError(f"{name} must be an integer, got {value!r}")
+        for names, kind, what in ((("gamma", "sigma", "lam", "lr_policy", "lr_value"),
+                                   numbers.Real, "a number"),
+                                  (("p", "n_steps", "workers", "batch_chunks"),
+                                   numbers.Integral, "an integer")):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise LearnError(f"{name} must be {what}, got {value!r}")
         if not 0.0 <= self.gamma < 1.0:
             raise LearnError("gamma must be in [0, 1)")
         for name in ("sigma", "lam", "lr_policy", "lr_value"):

@@ -126,14 +126,14 @@ class RescueMetaEnv:
         is 1, and the capacities are `capacities`."""
         state = envs[0].state
         if any(env.state is not state for env in envs):  # first step together
-            if len({(env.config.grid_size, env.config.max_steps) for env in envs}) > 1:
-                raise RescueError("lanes stepped together need one grid size and step cap")
+            if len({env.config.max_steps for env in envs}) > 1:
+                raise RescueError("lanes stepped together need one step cap")
             state = stack_lanes([(env.state, env.lane) for env in envs])
             for k, env in enumerate(envs):
                 env.state, env.lane = state, k
         rows = [env.lane for env in envs]
         lanes = None if rows == list(range(len(state.step_count))) else np.array(rows)
-        done, _ = rescue_step(state, targets, envs[0].config.max_steps, lanes)
+        done = rescue_step(state, targets, envs[0].config.max_steps, lanes)
         agents, tasks = extract_features(state, lanes)
         mu = np.ones((len(envs), agents.shape[1], tasks.shape[1]))
         return (ObservationStack(agents, tasks, None, mu, capacities(state, lanes)),
@@ -227,33 +227,14 @@ class Chunk:
     (ObservationStack, row) of the observation after the last step, or
     None after a terminal one.
 
-    `Chunk(steps, bootstrap, terminal_tail)` makes one from StepRecords
-    of one (n, m). `steps` and `bootstrap` build fresh objects on every
-    read; the update and the training loop read the arrays. `bootstrap`
-    can be set, to an Observation or None.
+    `steps` and `bootstrap` are read-only views that build fresh objects
+    on every read; the update and the training loop read the arrays.
     """
 
-    def __init__(self, steps, bootstrap, terminal_tail: bool):
-        stack = StepStack()
-        for step in steps:
-            obs = ObservationStack.of([step.obs])
-            if stack.size not in (None, (obs.agents.shape[1], obs.tasks.shape[1])):
-                raise LearnError("a chunk's steps hold one (n, m)")
-            stack.add(obs, step.sampled_h[None],
-                      None if step.sampled_g is None else step.sampled_g[None],
-                      step.assignment.target[None])
-        self.stack, self.rows, self.terminal_tail = stack, list(range(len(steps))), terminal_tail
-        self.rewards = [step.reward for step in steps]
-        self.terminal = [step.terminal for step in steps]
-        self.bootstrap = bootstrap
-
-    @classmethod
-    def of_rows(cls, stack: StepStack, rows: list, rewards: list, terminal: list,
-                bootstrap_at) -> "Chunk":
-        chunk = cls.__new__(cls)
-        chunk.stack, chunk.rows, chunk.terminal_tail = stack, rows, terminal[-1]
-        chunk.rewards, chunk.terminal, chunk.bootstrap_at = rewards, terminal, bootstrap_at
-        return chunk
+    def __init__(self, stack: StepStack, rows: list, rewards: list, terminal: list,
+                 bootstrap_at):
+        self.stack, self.rows, self.terminal_tail = stack, rows, terminal[-1]
+        self.rewards, self.terminal, self.bootstrap_at = rewards, terminal, bootstrap_at
 
     def __len__(self):
         return len(self.rows)
@@ -268,10 +249,6 @@ class Chunk:
             return None
         stack, row = self.bootstrap_at
         return stack.lane(row)
-
-    @bootstrap.setter
-    def bootstrap(self, obs: Observation | None):
-        self.bootstrap_at = None if obs is None else (ObservationStack.of([obs]), 0)
 
 
 class RolloutLanes:
@@ -399,8 +376,8 @@ class RolloutLanes:
         for k in lanes:
             tail = ended[k][-1]
             self.in_episode[k] = not tail  # after a terminal step, a fresh episode
-            chunks.append(Chunk.of_rows(steps, rows[k], rewards[k], ended[k],
-                                        None if tail else (self.obs, k)))
+            chunks.append(Chunk(steps, rows[k], rewards[k], ended[k],
+                                 None if tail else (self.obs, k)))
         self.shared = any(self.in_episode[k] for k in lanes)
         return chunks
 

@@ -92,15 +92,12 @@ def train(
     eval_every: int = 0,
     eval_seeds=range(10_000, 10_008),
     metrics_path=None,
-    max_seconds=None,
 ) -> TrainResult:
     """Run `total_updates` synchronous A2C updates in place.
 
-    A budget of zero leaves the parameters untouched. `max_seconds`, if
-    given, stops early once the wall clock is exhausted (checked between
-    updates). With `eval_every` = k > 0, every k-th update, the last one
-    and the one that runs out of time record the mean return and length
-    of `evaluate_policy` over `eval_seeds`.
+    A budget of zero leaves the parameters untouched. With `eval_every`
+    = k > 0, every k-th update and the last one record the mean return
+    and length of `evaluate_policy` over `eval_seeds`.
     """
     if total_updates < 0:
         raise LearnError("total_updates must be >= 0")
@@ -111,16 +108,14 @@ def train(
     value_opt = make_optimizer(cfg.optimizer, cfg.lr_value)
     rows = []
     env_steps = 0
-    updates = 0
     start = time.perf_counter()
-    for update in range(total_updates):
+    for updates in range(1, total_updates + 1):
         lanes.set_model(model)
         chunks = []
         while len(chunks) < cfg.batch_chunks:
             chunks += lanes.collect_round(min(cfg.workers, cfg.batch_chunks - len(chunks)))
         env_steps += sum(len(chunk) for chunk in chunks)
         diag = a2c_update(model, critic, chunks, cfg, policy_opt, value_opt)
-        updates += 1
         row = {
             "wall_clock": time.perf_counter() - start,
             "env_steps": env_steps,
@@ -132,15 +127,11 @@ def train(
             "grad_norm": diag.grad_norm,
             "skipped": int(diag.skipped),
         }
-        last = update == total_updates - 1
-        out_of_time = max_seconds is not None and row["wall_clock"] > max_seconds
-        if eval_every and (updates % eval_every == 0 or last or out_of_time):
+        if eval_every and (updates % eval_every == 0 or updates == total_updates):
             played = evaluate_policy(env_factory, model, inference, cfg, eval_seeds)
             row["eval_mean_return"] = float(np.mean([ret for _, ret, _ in played]))
             row["eval_mean_length"] = float(np.mean([length for _, _, length in played]))
         rows.append(row)
-        if out_of_time:
-            break
     if metrics_path is not None:
         write_metrics(metrics_path, rows)
-    return TrainResult(model, critic, rows, env_steps, updates)
+    return TrainResult(model, critic, rows, env_steps, total_updates)

@@ -88,12 +88,12 @@ class SgdOptimizer:
 class AdamOptimizer:
     """Adam with bias correction, updating (W, b) arrays in place."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.moments = None  # lazily shaped from the first gradient batch
 
@@ -105,16 +105,16 @@ class AdamOptimizer:
                 for grads in grads_list
             ]
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - self.BETA1 ** self.t
+        c2 = 1.0 - self.BETA2 ** self.t
         for params, grads, moms in zip(params_list, grads_list, self.moments):
             for (W, b), (gW, gb), (mW, mb, vW, vb) in zip(params.layers, grads, moms):
                 for arr, g, m, v in ((W, gW, mW, vW), (b, gb, mb, vb)):
-                    m *= self.beta1
-                    m += (1.0 - self.beta1) * g
-                    v *= self.beta2
-                    v += (1.0 - self.beta2) * g * g
-                    arr -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+                    m *= self.BETA1
+                    m += (1.0 - self.BETA1) * g
+                    v *= self.BETA2
+                    v += (1.0 - self.BETA2) * g * g
+                    arr -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)
 
 
 def make_optimizer(name: str, lr: float):

@@ -1,14 +1,16 @@
 """Search-and-rescue grid world.
 
-Ambulances and victims live on a 16x16 grid of integer cells. Each step,
-every assigned ambulance takes one 8-connected move toward its target
-victim's cell; any victim sharing a cell with any ambulance afterwards is
-picked up, whether or not it was the target. Reward is a flat -0.01 per
-step, so episode return only encodes episode length. A `GridState` holds
-W episodes ("lanes") of equal (n, m) on a leading lane axis; one is W = 1.
+Ambulances and victims live on one fixed grid of GRID_SIZE x GRID_SIZE
+(16x16) integer cells. Each step, every assigned ambulance takes one
+8-connected move toward its target victim's cell; any victim sharing a
+cell with any ambulance afterwards is picked up, whether or not it was
+the target. Reward is a flat -0.01 per step, so episode return only
+encodes episode length. A `GridState` holds W episodes ("lanes") of
+equal (n, m) on a leading lane axis; one is W = 1.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,6 +18,7 @@ import numpy as np
 from ..assign import ConstraintSet, UNASSIGNED
 
 GRID_SIZE = 16
+ID_WEIGHTS = np.array([GRID_SIZE, 1])  # cells @ ID_WEIGHTS = cell ids
 STEP_REWARD = -0.01
 
 
@@ -29,13 +32,14 @@ class RescueConfig:
     m: int = 4
     seed: int = 0
     max_steps: int = 400
-    grid_size: int = GRID_SIZE
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise RescueError("need at least one ambulance and one victim")
-        if self.grid_size < 1 or self.max_steps < 1:
-            raise RescueError("grid_size and max_steps must be positive")
+        for name in ("n", "m", "seed", "max_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise RescueError(f"{name} must be an integer, got {value!r}")
+        if min(self.n, self.m, self.max_steps) < 1:
+            raise RescueError("n, m and max_steps must be >= 1")
         if self.seed < 0:
             raise RescueError(f"seed must be >= 0, got {self.seed}")
 
@@ -44,9 +48,8 @@ class RescueConfig:
 class GridState:
     """W lanes of equal (n, m): ambulance cells (W, n, 2), victim cells
     (W, m, 2), picked flags (W, m) and step counts (W,). The victims'
-    cell ids x * grid_size + y, which `step` compares, are fixed here."""
+    cell ids x * GRID_SIZE + y, which `step` compares, are fixed here."""
 
-    grid_size: int
     ambulances: np.ndarray
     victims: np.ndarray
     picked: np.ndarray
@@ -57,10 +60,9 @@ class GridState:
             np.array(a, dtype=np.int64) for a in (self.ambulances, self.victims, self.step_count))
         self.picked = np.array(self.picked, dtype=bool)
         for kind, cells in (("ambulance", self.ambulances), ("victim", self.victims)):
-            if cells.size and (cells.min() < 0 or cells.max() >= self.grid_size):
+            if cells.size and (cells.min() < 0 or cells.max() >= GRID_SIZE):
                 raise RescueError(f"{kind} off grid")
-        self.id_weights = np.array([self.grid_size, 1])  # cells @ id_weights = cell ids
-        self.victim_ids = self.victims @ self.id_weights
+        self.victim_ids = self.victims @ ID_WEIGHTS
 
     @property
     def all_picked(self) -> bool:
@@ -81,9 +83,8 @@ class GridState:
 
 
 def stack_lanes(parts) -> GridState:
-    """One GridState holding lane k of `state` for each (state, k) in `parts`;
-    the states share one grid size."""
-    return GridState(parts[0][0].grid_size, *(
+    """One GridState holding lane k of `state` for each (state, k) in `parts`."""
+    return GridState(*(
         np.concatenate([getattr(state, name)[k:k + 1] for state, k in parts])
         for name in ("ambulances", "victims", "picked", "step_count")))
 
@@ -95,8 +96,8 @@ def chebyshev(a, b) -> int:
 def spawn(config: RescueConfig) -> GridState:
     """One lane; all entities i.i.d. uniform over the grid cells; overlaps allowed."""
     rng = np.random.default_rng(config.seed)
-    cells = rng.integers(0, config.grid_size, size=(config.n + config.m, 2))
-    return GridState(config.grid_size, cells[None, :config.n], cells[None, config.n:],
+    cells = rng.integers(0, GRID_SIZE, size=(config.n + config.m, 2))
+    return GridState(cells[None, :config.n], cells[None, config.n:],
                      np.zeros((1, config.m), dtype=bool), np.zeros(1))
 
 
@@ -109,7 +110,7 @@ def step(state: GridState, targets, max_steps: int = 400, lanes=None):
     an ambulance is on its cell before or after the move: "before" only
     matters on a lane's first step, where it sweeps up the victims spawned
     under an ambulance at no travel cost. Every step pays STEP_REWARD.
-    Returns (done, gained) per stepped lane: episode over, and a pick-up.
+    Returns whether each stepped lane's episode is over.
     """
     rows = slice(None) if lanes is None else lanes
     amb, picked, steps = state.ambulances[rows], state.picked[rows], state.step_count[rows]
@@ -123,12 +124,11 @@ def step(state: GridState, targets, max_steps: int = 400, lanes=None):
     move = np.sign(goal - amb)
     move[targets == UNASSIGNED] = 0
     to = amb + move
-    occupied = np.concatenate([amb, to], axis=1) @ state.id_weights
+    occupied = np.concatenate([amb, to], axis=1) @ ID_WEIGHTS
     now = picked | (state.victim_ids[rows][:, :, None] == occupied[:, None]).any(axis=2)
     steps = steps + 1
-    gained = (now != picked).any(axis=1)
     state.ambulances[rows], state.picked[rows], state.step_count[rows] = to, now, steps
-    return now.all(axis=1) | (steps >= max_steps), gained
+    return now.all(axis=1) | (steps >= max_steps)
 
 
 def build_constraints(state: GridState, lane: int = 0) -> ConstraintSet:
@@ -147,7 +147,7 @@ def extract_features(state: GridState, lanes=None):
     """Agent features (x, y)/extent, (L, n, 2); task features add the
     picked flag, (L, m, 3). `lanes` as in `step`."""
     rows = slice(None) if lanes is None else lanes
-    extent = state.grid_size - 1
+    extent = GRID_SIZE - 1
     return state.ambulances[rows] / extent, np.concatenate(
         [state.victims[rows] / extent, state.picked[rows][..., None]], axis=2)
 
@@ -164,6 +164,6 @@ def run_episode(config: RescueConfig, policy, seed=None):
     total = 0.0
     done = False
     while not done:
-        done = step(state, policy(state).target[None], config.max_steps)[0][0]
+        done = step(state, policy(state).target[None], config.max_steps)[0]
         total += STEP_REWARD
     return int(state.step_count[0]), total, not state.all_picked

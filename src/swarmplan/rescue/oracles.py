@@ -100,13 +100,8 @@ class RoutePlan:
 
 def _set_cost(amb_dists, paths, mask: int) -> float:
     """Optimal route time for one ambulance over the victims in mask."""
-    if mask == 0:
-        return 0.0
-    best = np.inf
-    for v in range(paths.m):
-        if mask & (1 << v):
-            best = min(best, amb_dists[v] + paths.table[mask, v])
-    return best
+    return min((amb_dists[v] + paths.table[mask, v] for v in range(paths.m) if mask & (1 << v)),
+               default=0.0)
 
 
 def mvr_exact(state: GridState) -> RoutePlan:

@@ -372,3 +372,26 @@ def test_dimension_mismatch_raises():
     cons = ConstraintSet(np.ones((2, 2)), [1.0, 1.0])
     with pytest.raises(AssignError):
         lp_relax_solve(scores, cons)
+
+
+@pytest.mark.parametrize("field", ["mu", "u"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_constraint_set_rejects_negative_and_non_finite(field, bad):
+    """A NaN capacity made `quad` and `lp` return targets that `feasible`
+    rejects, and an infinite one made the network simplex warn."""
+    mu, u = np.full((2, 3), 2.0), np.ones(3)
+    {"mu": mu, "u": u}[field].flat[0] = bad
+    with pytest.raises(AssignError, match="nonnegative and finite"):
+        ConstraintSet(mu, u)
+
+
+@pytest.mark.parametrize("kwargs,says", [
+    ({"gap_tol": np.nan}, "gap_tol"), ({"gap_tol": np.inf}, "gap_tol"),
+    ({"gap_tol": 0.0}, "gap_tol"), ({"max_iters": 2.5}, "max_iters must be an integer"),
+    ({"max_iters": True}, "max_iters must be an integer")],
+    ids=["nan-gap", "inf-gap", "zero-gap", "float-iters", "bool-iters"])
+def test_fw_config_rejects_bad_values(kwargs, says):
+    """A NaN gap_tol would switch the gap rule off, and max_iters=2.5 failed
+    later in `range`."""
+    with pytest.raises(AssignError, match=says):
+        FwConfig(**kwargs)

@@ -22,8 +22,9 @@ only on the gap tolerance or the iteration cap; on any other,
 the same rounding is also compared, by objective, on eight m80v82 spawn
 states scored by a trained model:
 `fixtures/quad_battle_model.bin`, made by the harness before the settle
-rule existed (`run_experiment` on m10v10 with `quad`, adam, gamma 0.999,
-seed 3 and `max_seconds=90`: 158 updates). With it, the rounding of the
+rule existed (`run_experiment` on m10v10 with `quad`, adam, gamma 0.999
+and seed 3, stopped by a since removed 90-s wall-clock budget after 158
+updates). With it, the rounding of the
 iterate can hold still for 20 steps and then jump to a better vertex.
 The digests do not depend on the BLAS thread count: the last test runs
 the criterion-9 decision once with one OpenBLAS thread and once with the

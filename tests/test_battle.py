@@ -71,6 +71,13 @@ class TestSpecsAndScenarios:
         with pytest.raises(BattleError, match="seed"):
             BattleConfig(ours=[spec], theirs=[spec], seed=-1)
 
+    def test_non_integer_seed_raises(self):
+        # numpy's seeding would fail on 1.5 and take True as seed 1
+        spec = make_spec()
+        for seed in (1.5, True, "3"):
+            with pytest.raises(BattleError, match="seed must be an integer"):
+                BattleConfig(ours=[spec], theirs=[spec], seed=seed)
+
     def test_load_scenario(self):
         cfg = load_scenario("m5v5", seed=4)
         assert len(cfg.ours) == 5 and len(cfg.theirs) == 5

@@ -551,17 +551,51 @@ def test_cli_non_integer_config_fields_fail_cleanly(tmp_path, capsys, section, k
     be a JSON integer: a float, a bool or a string exits 2 with one
     `error:` line, from `train --config` or `sweep --spec`."""
     path, doc = _saved_config(tmp_path)
+    argv, says = ("train", "--config"), f"{key}: {value!r} is not an integer"
     if section == "sweep":
         doc["sweep"] = {key: value}
-        argv, what = ("sweep", "--spec"), key
+        argv = ("sweep", "--spec")
     elif section == "a2c":
         doc["experiment"]["a2c"][key] = value
-        argv, what = ("train", "--config"), f"a2c.{key}"
+        says = f"a2c: {key} must be an integer, got {value!r}"
     else:
         doc["experiment"][key] = value
-        argv, what = ("train", "--config"), key
     path.write_text(json.dumps(doc))
-    assert_cli_error(capsys, *argv, str(path), says=f"{what}: {value!r} is not an integer")
+    assert_cli_error(capsys, *argv, str(path), says=says)
+
+
+@pytest.mark.parametrize("key,value,says", [
+    ("a2c", [1, 2], "a2c: [1, 2] is not an object"),
+    ("a2c", 0.99, "a2c: 0.99 is not an object"),
+    ("output_dir", 5, "output_dir: 5 is not a string"),
+    ("scenario", 24, "scenario: 24 is not a string"),
+    ("scenario", ["2x4"], "scenario: ['2x4'] is not a string"),
+])
+@pytest.mark.parametrize("environment", ["rescue", "battle"])
+def test_cli_malformed_config_fields_fail_cleanly(tmp_path, capsys, environment, key,
+                                                  value, says):
+    """An a2c entry that is no JSON object, or a scenario or output_dir that
+    is no string, exits 2 with one `error:` line instead of a traceback."""
+    path = tmp_path / "config.json"
+    save_experiment(path, small_experiment(
+        environment=environment, scenario="2x4" if environment == "rescue" else "m5v5",
+        output_dir=str(tmp_path / "run")))
+    doc = json.loads(path.read_text())
+    doc["experiment"][key] = value
+    path.write_text(json.dumps(doc))
+    assert_cli_error(capsys, "train", "--config", str(path), says=says)
+
+
+@pytest.mark.parametrize("section", ["experiment", "sweep"])
+def test_cli_non_object_sections_fail_cleanly(tmp_path, capsys, section):
+    """An experiment or sweep entry that is no JSON object exits 2 with one
+    `error:` line."""
+    path, doc = _saved_config(tmp_path)
+    doc.setdefault("sweep", {})
+    doc[section] = [1, 2]
+    path.write_text(json.dumps(doc))
+    argv = ("train", "--config") if section == "experiment" else ("sweep", "--spec")
+    assert_cli_error(capsys, *argv, str(path), says=f"{section}: [1, 2] is not an object")
 
 
 @pytest.mark.parametrize("key", ["gamma", "sigma", "lam", "lr_policy", "lr_value"])
@@ -574,7 +608,7 @@ def test_cli_non_number_a2c_fields_fail_cleanly(tmp_path, capsys, key, value):
     doc["experiment"]["a2c"][key] = value
     path.write_text(json.dumps(doc))
     assert_cli_error(capsys, "train", "--config", str(path),
-                     says=f"a2c.{key}: {value!r} is not a number")
+                     says=f"a2c: {key} must be a number, got {value!r}")
 
 
 @pytest.mark.parametrize("key,value,says", [

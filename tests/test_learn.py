@@ -24,11 +24,12 @@ from swarmplan.learn import (
     LearnError,
     NoiseWindows,
     Observation,
+    ObservationStack,
     RescueMetaEnv,
     RolloutLanes,
     RolloutWorker,
     SgdOptimizer,
-    StepRecord,
+    StepStack,
     a2c_grads,
     a2c_update,
     evaluate_policy,
@@ -381,24 +382,33 @@ def test_rescue_training_builds_no_per_step_objects(monkeypatch):
 
 
 @pytest.mark.parametrize("inference", ["lp", "quad"])
-def test_grads_of_rollout_chunks_equal_grads_of_rebuilt_chunks(inference):
-    """`a2c_grads` reads the rounds' stacked arrays; chunks rebuilt by hand
-    from their `steps` and `bootstrap` give the same bits."""
+def test_gathered_rows_equal_chunk_steps_and_bootstraps(inference):
+    """The update gathers its batch rows from the rounds' stacked arrays:
+    they equal bit for bit the fields of every chunk's `steps`, in batch
+    order, and then of the non-terminal chunks' `bootstrap` states."""
+    import swarmplan.learn.update as update
     cfg = small_cfg(workers=3, batch_chunks=7)
     lanes = RolloutLanes([FixedEnv(length=k) for k in (5, 7, 9)], inference, cfg,
                          [np.random.default_rng(50 + k) for k in range(3)])
-    model = init_scoring_model(2, 3, with_g=inference == "quad", seed=4)
-    critic = init_critic(FixedEnv.num_kinds, FixedEnv.feature_dim, seed=5)
-    lanes.set_model(model)
+    lanes.set_model(init_scoring_model(2, 3, with_g=inference == "quad", seed=4))
     chunks = lanes.collect_round() + lanes.collect_round() + lanes.collect_round(1)
     assert {chunk.terminal_tail for chunk in chunks} == {True, False}
-    rebuilt = [Chunk(chunk.steps, chunk.bootstrap, chunk.terminal_tail) for chunk in chunks]
-    grads, diag = a2c_grads(model, critic, chunks, cfg)
-    want, want_diag = a2c_grads(model, critic, rebuilt, cfg)
-    assert diag == want_diag
-    for name in grads:
-        if grads[name] is not None:
-            assert grads_to_vector(grads[name]).tobytes() == grads_to_vector(want[name]).tobytes()
+    rows = update._gather(chunks)
+    steps = [step for chunk in chunks for step in chunk.steps]
+    states = [step.obs for step in steps] + [
+        chunk.bootstrap for chunk in chunks if not chunk.terminal_tail]
+    want = {"agents": [obs.agent_feats for obs in states],
+            "tasks": [obs.task_feats for obs in states],
+            "sampled_h": [step.sampled_h for step in steps],
+            "sampled_g": [step.sampled_g for step in steps] if inference == "quad" else None}
+    assert rows.extras is None
+    for name, arrays in want.items():
+        got = getattr(rows, name)
+        if arrays is None:
+            assert got is None
+        else:
+            want_rows = np.stack(arrays)
+            assert got.shape == want_rows.shape and got.tobytes() == want_rows.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +481,18 @@ def brute_returns(rewards, terminal_tail, tail_value, gamma):
 
 
 def _stub_chunk(rewards, terminal_tail, agents, tasks):
-    steps = []
-    obs = Observation(np.array(agents), np.array(tasks), None,
-                      ConstraintSet(np.ones((len(agents), len(tasks))), np.ones(len(tasks))))
-    for t, r in enumerate(rewards):
-        steps.append(StepRecord(obs, np.zeros((1, 1)), None,
-                                Assignment(np.array([0])), r,
-                                terminal_tail and t == len(rewards) - 1))
-    return Chunk(steps, None if terminal_tail else obs, terminal_tail)
+    """A one-lane chunk whose steps, and bootstrap state if any, all hold
+    one observation."""
+    obs = ObservationStack.of([Observation(
+        np.array(agents), np.array(tasks), None,
+        ConstraintSet(np.ones((len(agents), len(tasks))), np.ones(len(tasks))))])
+    stack = StepStack()
+    for _ in rewards:
+        stack.add(obs, np.zeros((1, len(agents), len(tasks))), None,
+                  np.zeros((1, len(agents)), dtype=int))
+    terminal = [terminal_tail and t == len(rewards) - 1 for t in range(len(rewards))]
+    return Chunk(stack, list(range(len(rewards))), list(rewards), terminal,
+                 None if terminal_tail else (obs, 0))
 
 
 @pytest.mark.parametrize("terminal", [True, False])
@@ -496,7 +510,7 @@ def test_nstep_returns_match_brute_force(terminal):
 def test_nstep_returns_rejects_missing_bootstrap():
     critic = init_critic(2, 3, seed=0)
     chunk = _stub_chunk([1.0], False, [[0.0, 0.0]], [[0.0, 0.0, 0.0]])
-    chunk.bootstrap = None
+    chunk.bootstrap_at = None
     with pytest.raises(LearnError):
         nstep_returns(chunk, 0.9, critic)
 
@@ -753,8 +767,8 @@ def test_batch_of_mixed_shapes_raises(case, entry):
     model, critic, chunks, cfg = MIXED_BATCHES[case]()
     if case == "bootstrap-of-another-size":
         chunk = next(chunk for chunk in chunks if not chunk.terminal_tail)
-        chunk.bootstrap = Observation(np.zeros((3, 2)), np.zeros((5, 3)), None,
-                                      chunk.bootstrap.cons)
+        chunk.bootstrap_at = (ObservationStack.of([Observation(
+            np.zeros((3, 2)), np.zeros((5, 3)), None, ConstraintSet(np.ones((3, 5)), np.ones(5)))]), 0)
     says = "sampled g" if case.startswith("g-") else r"one \(n, m\)"
     with pytest.raises(LearnError, match=says):
         {"freeze_targets": freeze_targets, "a2c_grads": a2c_grads}[entry](

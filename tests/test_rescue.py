@@ -32,15 +32,15 @@ from swarmplan.rescue import (
 CHI2_255_P01 = 310.46
 
 
-def make_state(ambulances, victims, picked=None, grid_size=16):
+def make_state(ambulances, victims, picked=None):
     """A one-lane state at step 0; no victim picked unless `picked` says so."""
     picked = [False] * len(victims) if picked is None else picked
-    return GridState(grid_size, [list(ambulances)], [list(victims)], [picked], [0])
+    return GridState([list(ambulances)], [list(victims)], [picked], [0])
 
 
 def advance(state, target, max_steps=400):
     """Step a one-lane state with `target`; returns its done flag."""
-    done, _ = step(state, np.array([target]), max_steps)
+    done = step(state, np.array([target]), max_steps)
     return bool(done[0])
 
 
@@ -98,9 +98,9 @@ class TestLowLevelMove:
 class TestStep:
     def test_arrival_pickup(self):
         st = make_state([(0, 1)], [(0, 2)])
-        done, gained = step(st, np.array([[0]]))
+        done = step(st, np.array([[0]]))
         assert st.cells() == ([[0, 2]], [[0, 2]], [True])
-        assert done.tolist() == [True] and gained.tolist() == [True]
+        assert done.tolist() == [True]
 
     def test_contingent_pickup(self):
         # Ambulance assigned to the far victim passes over the near one.
@@ -127,9 +127,9 @@ class TestStep:
 
     def test_target_picked_victim_is_legal(self):
         st = make_state([(5, 5)], [(0, 0), (9, 9)], picked=[True, False])
-        done, gained = step(st, np.array([[0]]))
-        assert st.cells()[0] == [[4, 4]]
-        assert not done[0] and not gained[0]
+        done = step(st, np.array([[0]]))
+        assert st.cells() == ([[4, 4]], [[0, 0], [9, 9]], [True, False])
+        assert not done[0]
 
     def test_invalid_index_raises(self):
         st = make_state([(0, 0)], [(1, 1)])
@@ -149,6 +149,13 @@ class TestStep:
     def test_negative_seed_raises(self):
         with pytest.raises(RescueError, match="seed"):
             RescueConfig(2, 4, seed=-1)
+
+    def test_non_integer_config_raises(self):
+        """`spawn` would fail on 2.5 ambulances and take True as seed 1."""
+        for kwargs, name in (({"n": 2.5}, "n"), ({"m": 4.0}, "m"), ({"seed": True}, "seed"),
+                             ({"max_steps": "400"}, "max_steps")):
+            with pytest.raises(RescueError, match=f"{name} must be an integer"):
+                RescueConfig(**kwargs)
 
     def test_spawn_overlap_swept_first_step(self):
         st = make_state([(2, 2)], [(2, 2), (9, 9)])
@@ -186,10 +193,9 @@ class TestStep:
         for t in range(12):
             lanes = np.array([0, 1, 2, 3]) if t % 3 else np.array([1, 3])
             targets = rng.integers(-1, 5, size=(len(lanes), 3))
-            done, gained = step(stacked, targets, max_steps=10, lanes=lanes)
+            done = step(stacked, targets, max_steps=10, lanes=lanes)
             for k, lane in enumerate(lanes):
-                single_done, single_gained = step(singles[lane], targets[k:k + 1], 10)
-                assert (done[k], gained[k]) == (single_done[0], single_gained[0])
+                assert done[k] == step(singles[lane], targets[k:k + 1], 10)[0]
             for lane, single in enumerate(singles):
                 assert stack_lanes([(stacked, lane)]).cells() == single.cells()
                 assert stacked.step_count[lane] == single.step_count[0]
