@@ -4,11 +4,13 @@
     python3 scripts/bench_file.py --label L --seeds 1 2 3 [--baseline DIR]
 
 For each workload and seed this runs `perfbench/run.py --trace 0`, then
-one `--trace 1` run on the first seed, and reads the records perfbench
-leaves in `.perfbench/*.json`. The output holds, per workload, every
-run's end-to-end metrics, their median and quartiles, the failed and
-attempted operation counts, and the per-layer numbers of the traced run,
-together with the seeds, the run length and the BLAS thread count.
+a `--trace 1` run on each of the first TRACED_SEEDS seeds, and reads the
+records perfbench leaves in `.perfbench/*.json`. The output holds, per
+workload, every run's end-to-end metrics, their median and quartiles,
+the failed and attempted operation counts, and every traced run's
+per-layer numbers with their median and quartiles, together with the
+seeds, the run length and the BLAS thread count. One traced run per
+side cannot tell a layer's change from the host's drift.
 
 It also records the Frank-Wolfe counters of the `battle-80v82-quad`
 workload, which perfbench's traced spans do not see: for the workload's
@@ -18,8 +20,9 @@ settle rule and by the iteration cap, from `quad_relax_solve(stats=...)`
 in a process of each checkout.
 
 With `--baseline DIR` (another checkout, such as the parent commit) the
-same runs are made on DIR too, in pairs that alternate which side runs
-first, because the host's speed drifts over minutes. The file then also
+same runs, traced and untraced, are made on DIR too, in pairs that
+alternate which side runs first, because the host's speed drifts over
+minutes. The file then also
 records, per metric, how many pairs the checkout under test won, and,
 as ungated extras, the same-process A/Bs of `scripts/decision_ab.py`
 with one BLAS thread: `quad` decisions (trained model at m80v82, m10v10
@@ -43,6 +46,7 @@ WORKLOADS = ("rescue-train-2x4", "battle-80v82-quad", "battle-80v82-wcnok",
              "rescue-eval-8x15")
 BETTER = {"work_per_s": max, "op_tail_ms": min, "setup_s": min}
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+TRACED_SEEDS = 3  # the first seeds that also get a traced run per side
 
 # Run in a checkout with its own sources and workloads; argv[1] is the seed.
 # A solver without the settle rule reports no `settled`.
@@ -120,19 +124,38 @@ def summarize(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def side(records: list, traced: dict) -> dict:
+def summaries(records: list) -> dict:
+    """Median and quartiles of each metric over `records`."""
+    return {m: summarize([r["metrics"][m] for r in records]) for m in sorted(records[0]["metrics"])}
+
+
+def side(records: list, traced: list) -> dict:
     """Runs, medians and quartiles of one checkout on one workload."""
-    metrics = sorted(records[0]["metrics"])
     return {
         "runs": [{"seed": r["seed"], "metrics": r["metrics"], "named": {
                       k: v["value"] for k, v in r["named"].items()},
                   "attempted": r["attempted"], "failed": r["failed"],
                   "digest": r["digest"]} for r in records],
-        "summary": {m: summarize([r["metrics"][m] for r in records]) for m in metrics},
+        "summary": summaries(records),
         "failed": sum(r["failed"] for r in records),
         "attempted": sum(r["attempted"] for r in records),
-        "traced": {"seed": traced["seed"], "metrics": traced["metrics"]},
+        "traced": {"runs": [{"seed": r["seed"], "metrics": r["metrics"]} for r in traced],
+                   "summary": summaries(traced)},
     }
+
+
+def paired_runs(sides: dict, workload: str, seeds: list, seconds: float, trace: int) -> dict:
+    """One run per side and seed, the side that goes first alternating
+    from seed to seed; returns each side's records."""
+    records = {name: [] for name in sides}
+    for i, seed in enumerate(seeds):
+        for name in list(sides) if i % 2 == 0 else list(reversed(sides)):
+            record = run(sides[name], workload, seed, seconds, trace)
+            records[name].append(record)
+            shown = record["metrics"] if trace == 0 else {"failed": record["failed"]}
+            print(f"{workload} seed {seed} trace {trace} {name}: " + ", ".join(
+                f"{k} {v:.4g}" for k, v in shown.items()), flush=True)
+    return records
 
 
 def pair_wins(change: list, base: list) -> dict:
@@ -176,17 +199,9 @@ def main(argv=None) -> int:
             f"{case} {r['speedup_of_medians']:.3g}" for case, r in out["decision_ab"].items()),
             flush=True)
     for workload in WORKLOADS:
-        records = {name: [] for name in sides}
-        for i, seed in enumerate(args.seeds):
-            order = list(sides) if i % 2 == 0 else list(reversed(sides))
-            for name in order:
-                records[name].append(run(sides[name], workload, seed, args.seconds, 0))
-                print(f"{workload} seed {seed} {name}: " + ", ".join(
-                    f"{k} {v:.4g}" for k, v in records[name][-1]["metrics"].items()),
-                    flush=True)
-        entry = {name: side(records[name], run(sides[name], workload, args.seeds[0],
-                                               args.seconds, 1))
-                 for name in sides}
+        records = paired_runs(sides, workload, args.seeds, args.seconds, 0)
+        traced = paired_runs(sides, workload, args.seeds[:TRACED_SEEDS], args.seconds, 1)
+        entry = {name: side(records[name], traced[name]) for name in sides}
         if "baseline" in sides:
             entry["pair_wins"] = pair_wins(records["change"], records["baseline"])
         out["workloads"][workload] = entry
