@@ -29,8 +29,9 @@ with one BLAS thread: `quad` decisions (trained model at m80v82, m10v10
 and m5v5, the full-coverage tables and the quad workload's states), the
 scoring alone on the quad workload's states, whole m80v82 wcnok battles,
 the quad workload's spawns, 24-update trainings of the
-`rescue-train-2x4` workload and the evaluation calls of the
-`rescue-eval-8x15` workload.
+`rescue-train-2x4` workload, the rollouts of those trainings without
+their updates and the evaluation calls of the `rescue-eval-8x15`
+workload.
 """
 import argparse
 import json
@@ -99,15 +100,15 @@ def fw_counters(checkout: Path, seed: int) -> dict:
 
 
 def decision_ab(baseline: Path) -> dict:
-    """Same-process decision, battle, training and evaluation A/Bs against
-    `baseline`, one BLAS thread. The training and evaluation cases each
-    run in a process of their own, as their workloads do: glibc raises
+    """Same-process decision, battle, training, rollout and evaluation A/Bs
+    against `baseline`, one BLAS thread. The training, rollout and
+    evaluation cases each run in a process of their own, as their workloads do: glibc raises
     its mmap and trim thresholds when a large mapped block is freed, so
     after the m80v82 cases their arrays would no longer map fresh pages
     on either side."""
     from decision_ab import CASES
     env = {**os.environ, **{var: "1" for var in BLAS_VARS}}
-    alone = ("train-2x4", "eval-8x15")
+    alone = ("train-2x4", "rollout-2x4", "eval-8x15")
     out = {}
     for cases in [[case for case in CASES if case not in alone]] + [[case] for case in alone]:
         proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "decision_ab.py"),

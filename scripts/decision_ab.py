@@ -41,6 +41,12 @@ case runs. The cases:
     time it as the workload runs: once the m80v82 cases have freed their
     large arrays, glibc's raised mmap and trim thresholds keep a
     training's arrays in pages already mapped, on either side;
+  * `rollout-2x4`: that training's rollout alone: ROLLOUT_ROUNDS rounds
+    of `RolloutLanes.collect_round` on its 8 rescue 2x4 lanes with LP
+    inference, built and seeded as `learn.train` builds them, under its
+    initial seed-0 model and with no update, one item per seed
+    1000-1003. It shows the rollout's share of a change to training,
+    which perfbench's trace does not. Run it alone too;
   * `eval-8x15`: the `rescue-eval-8x15` workload's seed-1 calls,
     `harness.evaluate_rescue_model` of its random seed-0 model with LP
     inference at 8x15 and the `TRAIN_A2C` config, one item per call of
@@ -54,7 +60,8 @@ test won, and whether both sides gave the same results: the same
 targets per decision, per battle the same final frame, outcome and
 position and health of every unit, per scoring the same h and g, per
 spawn the same features, per training the same bytes of every
-parameter and per evaluation call the same summary and the same
+parameter, per rollout the same bytes of every sampled h and target,
+and per evaluation call the same summary and the same
 targets at every step. A runner may return a function, which gives
 its result after the timer stops.
 The BLAS thread count is whatever the environment sets; pin it for a
@@ -70,12 +77,15 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from bench_file import summarize
 
 ROOT = Path(__file__).resolve().parent.parent
 MODEL = ROOT / "tests" / "fixtures" / "quad_battle_model.bin"
 ROUNDS = 10
 TRAIN_UPDATES = 24
+ROLLOUT_ROUNDS = 96  # the rounds of a TRAIN_UPDATES training: 32 chunks per update, 8 per round
 
 
 def load_side(checkout: Path) -> dict:
@@ -139,6 +149,8 @@ def build_cases(mods, names) -> dict:
                                  [(seed,) for seed in range(1000, 1032)]),
         "train-2x4": lambda: ("training", trainer(train_a2c()),
                               [(seed,) for seed in range(1000, 1004)]),
+        "rollout-2x4": lambda: ("rollout", roller(train_a2c()),
+                                [(seed,) for seed in range(1000, 1004)]),
         "eval-8x15": lambda: ("evaluation", evaluator(train_a2c()),
                               [tuple(range(seed, seed + 4)) for seed in range(1000, 1032, 4)]),
     }
@@ -147,7 +159,7 @@ def build_cases(mods, names) -> dict:
 
 CASES = ("quad-workload", "score-m80v82", "trained-m80v82", "trained-m10v10",
          "trained-m5v5", "full-coverage", "wcnok-m80v82", "spawn-m80v82", "train-2x4",
-         "eval-8x15")
+         "rollout-2x4", "eval-8x15")
 
 
 def decider(model):
@@ -234,6 +246,29 @@ def trainer(a2c):
                         "lp", learn.A2CConfig(**a2c), total_updates=TRAIN_UPDATES, seed=seed)
             return b"".join(nets.params_to_vector(net).tobytes()
                             for net in (model.h_net, critic.embed_net, critic.head_net))
+        return run
+    return runner
+
+
+def roller(a2c):
+    """The runner of `rescue-train-2x4` rollouts of ROLLOUT_ROUNDS rounds
+    from a seed, with the lanes, rngs and initial model of that workload's
+    training and no update; a rollout's result is the bytes of every
+    round's sampled h and targets, read after the timer stops."""
+    def runner(mods):
+        learn, rescue = mods["learn"], mods["rescue"]
+        model = mods["nets"].init_scoring_model(2, 3, with_g=False, seed=0)
+
+        def run(seed):
+            cfg = learn.A2CConfig(**a2c)
+            lanes = learn.RolloutLanes(
+                [learn.RescueMetaEnv(rescue.RescueConfig(2, 4, seed=0))
+                 for _ in range(cfg.workers)], "lp", cfg,
+                [np.random.default_rng(seed + 7919 * (k + 1)) for k in range(cfg.workers)])
+            lanes.set_model(model)
+            stacks = [lanes.collect_round()[0].stack for _ in range(ROLLOUT_ROUNDS)]
+            return lambda: b"".join(a.tobytes() for stack in stacks
+                                    for a in stack.sampled_h + stack.targets)
         return run
     return runner
 

@@ -37,7 +37,11 @@ class A2CConfig:
         if not 0.0 <= self.gamma < 1.0:
             raise LearnError("gamma must be in [0, 1)")
         for name in ("sigma", "lam", "lr_policy", "lr_value"):
-            if not math.isfinite(getattr(self, name)):
+            try:
+                finite = math.isfinite(getattr(self, name))
+            except OverflowError:  # an integer too large for a float
+                finite = False
+            if not finite:
                 raise LearnError(f"{name} must be finite")
         if self.sigma <= 0:
             raise LearnError("sigma must be > 0")

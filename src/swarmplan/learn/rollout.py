@@ -4,17 +4,22 @@ An observation is (agent features, task features, optional pair extras,
 constraints) in every domain; an `ObservationStack` holds those of L
 lanes on a leading lane axis, the constraints as contributions mu and
 capacities u. A collector owns rollout lanes, each an environment with
-its own rng, noise windows and episode, and steps them in lockstep under
-one model snapshot. A training run sees one instance size, so every lane
-of a collector holds the same (n, m), and a lane that resets to another
+its own rng and episode, and steps them in lockstep under one model
+snapshot. A training run sees one instance size, so every lane of a
+collector holds the same (n, m), and a lane that resets to another
 raises `LearnError`. The collector keeps its lanes' observations in one
-stack. A lockstep step gathers the stepped lanes' rows, scores them with
-one pass of each net, matches them in one stack (`infer_stack` gives one
-(L, n) target array) and advances them by one `step_lanes(envs,
-targets)` call of their environment class, which returns their next
+stack and their noise windows in one lane-axis `NoiseWindows` per table
+kind. A round first starts the episodes of the lanes whose last one
+ended, with one `reset_lanes(envs, seeds)` call of their environment
+class, which returns their first observations as a stack. A lockstep
+step gathers the stepped lanes' rows, scores them with one pass of each
+net, samples their noise with one call per table kind, matches them in
+one stack (`infer_stack` gives one (L, n) target array) and advances
+them by one `step_lanes(envs, targets)` call, which returns their next
 observations as a stack, with rewards and terminal flags, to be written
-back. Rescue lanes share one lane-axis `GridState`; battle lanes step
-one at a time and stack their observations (`stack_steps`).
+back. Rescue lanes spawn into and step one shared lane-axis
+`GridState`; battle lanes reset and step one at a time and stack their
+observations (`stack_resets`, `stack_steps`).
 
 A round records its steps as those stacked arrays (`StepStack`), so no
 per-lane, per-step object is built. A lane's chunk of up to N steps is
@@ -39,8 +44,8 @@ from ..battle import (
     step_battle,
 )
 from ..nets import ScoringModel, score_pair_stack
-from ..rescue import (STEP_REWARD, RescueConfig, RescueError, build_constraints, capacities,
-                      extract_features, spawn, stack_lanes)
+from ..rescue import (STEP_REWARD, GridState, RescueConfig, RescueError, capacities,
+                      extract_features)
 from ..rescue import step as rescue_step
 from .config import A2CConfig, LearnError
 from .noise import NoiseWindows
@@ -99,9 +104,31 @@ def stack_steps(results) -> tuple:
             np.array(done, dtype=bool))
 
 
+def _one_size(sizes):
+    """Raise LearnError unless every (n, m) of `sizes`, one per lane reset
+    together, equals the first."""
+    for k, size in enumerate(sizes):
+        if size != sizes[0]:
+            raise LearnError(f"lane {k} reset to (n, m) = {size}, lane 0 to {sizes[0]}: "
+                             "lanes reset together hold one (n, m)")
+
+
+def stack_resets(envs, seeds) -> ObservationStack:
+    """`reset_lanes`'s ObservationStack from one `reset` per lane, for
+    environments that reset one lane at a time."""
+    observations = [env.reset(seed=seed) for env, seed in zip(envs, seeds)]
+    _one_size([(obs.agent_feats.shape[0], obs.task_feats.shape[0]) for obs in observations])
+    return ObservationStack.of(observations)
+
+
+def _unit_mu(agents, tasks) -> np.ndarray:
+    """The rescue contributions of a stack: every one is 1, (L, n, m)."""
+    return np.ones((len(agents), agents.shape[1], tasks.shape[1]))
+
+
 class RescueMetaEnv:
     """One rescue lane (one assignment per step): row `lane` of the
-    GridState `state` it shares with the lanes it steps with."""
+    GridState `state` it shares with the lanes it resets and steps with."""
 
     num_kinds = 2
     feature_dim = 3  # victims carry the widest feature vector
@@ -112,31 +139,52 @@ class RescueMetaEnv:
         self.lane = 0
 
     def reset(self, seed=None) -> Observation:
-        spawned = spawn(self.config if seed is None else replace(self.config, seed=seed))
-        self.state = spawned if self.state is None else self.state.put(self.lane, spawned)
-        agents, tasks = extract_features(spawned)
-        return Observation(agents[0], tasks[0], None, build_constraints(spawned))
+        """The one-lane `reset_lanes`."""
+        return self.reset_lanes([self], [seed]).lane(0)
+
+    @staticmethod
+    def reset_lanes(envs, seeds) -> ObservationStack:
+        """Start a fresh episode on each lane of `envs`, drawn as `spawn`
+        draws from its seed (its config's where the seed is None), straight
+        into its row of the state the lanes share; returns their first
+        observations. Lanes that do not share one state of their (n, m)
+        yet get a fresh one, in the order given. Their constraints are
+        those of `build_constraints`: every contribution and every
+        capacity is 1."""
+        configs = [env.config for env in envs]
+        sizes = [(cfg.n, cfg.m) for cfg in configs]
+        _one_size(sizes)
+        state = envs[0].state
+        if (state is None or state.size != sizes[0]
+                or any(env.state is not state for env in envs)):
+            if len({cfg.max_steps for cfg in configs}) > 1:
+                raise RescueError("lanes reset together need one step cap")
+            state = GridState.empty(len(envs), *sizes[0])
+            for k, env in enumerate(envs):
+                env.state, env.lane = state, k
+        rows = np.array([env.lane for env in envs])
+        state.respawn(rows, [cfg.seed if seed is None else seed
+                             for cfg, seed in zip(configs, seeds)])
+        agents, tasks = extract_features(state, rows)
+        return ObservationStack(agents, tasks, None, _unit_mu(agents, tasks),
+                                capacities(state, rows))
 
     @staticmethod
     def step_lanes(envs, targets) -> tuple:
-        """Advance lanes of equal (n, m) by one `rescue.step` on the state
-        they share, to their (L, n) targets; returns their next
+        """Advance lanes of one shared state (see `reset_lanes`) by one
+        `rescue.step`, to their (L, n) targets; returns their next
         observations (ObservationStack), rewards and terminal flags. Their
         constraints are those of `build_constraints`: every contribution
         is 1, and the capacities are `capacities`."""
         state = envs[0].state
-        if any(env.state is not state for env in envs):  # first step together
-            if len({env.config.max_steps for env in envs}) > 1:
-                raise RescueError("lanes stepped together need one step cap")
-            state = stack_lanes([(env.state, env.lane) for env in envs])
-            for k, env in enumerate(envs):
-                env.state, env.lane = state, k
-        rows = [env.lane for env in envs]
+        rows = [env.lane for env in envs if env.state is state]
+        if len(rows) < len(envs):
+            raise RescueError("lanes stepped together share one state: reset them together")
         lanes = None if rows == list(range(len(state.step_count))) else np.array(rows)
         done = rescue_step(state, targets, envs[0].config.max_steps, lanes)
         agents, tasks = extract_features(state, lanes)
-        mu = np.ones((len(envs), agents.shape[1], tasks.shape[1]))
-        return (ObservationStack(agents, tasks, None, mu, capacities(state, lanes)),
+        return (ObservationStack(agents, tasks, None, _unit_mu(agents, tasks),
+                                 capacities(state, lanes)),
                 np.full(len(envs), STEP_REWARD), done)
 
 
@@ -162,6 +210,11 @@ class BattleMetaEnv:
     def step(self, assignment: Assignment):
         reward, done, _ = step_battle(self.state, assignment)
         return self._observe(), reward, done
+
+    @staticmethod
+    def reset_lanes(envs, seeds) -> ObservationStack:
+        """Reset each lane on its own and stack the results."""
+        return stack_resets(envs, seeds)
 
     @staticmethod
     def step_lanes(envs, targets) -> tuple:
@@ -254,21 +307,25 @@ class Chunk:
 class RolloutLanes:
     """Several environments ("lanes") stepped in lockstep; emits chunks.
 
-    Each lane keeps its environment, rng, noise windows and episode
-    across rounds; all lanes hold one (n, m), and their current
-    observations are the rows of one ObservationStack, `obs`. A round
-    collects one chunk from each of the first `count` lanes, in lane
-    order, stepping together every lane still inside its chunk. Chunks
-    never cross episode boundaries: a 10-step episode with N=4 yields
-    chunks of 4, 4 and 2 steps, and a lane whose chunk ended early waits
-    for the rest of the round.
+    Each lane keeps its environment, rng and episode across rounds; all
+    lanes hold one (n, m). Their current observations are the rows of one
+    ObservationStack, `obs`, and their noise windows the rows of one
+    lane-axis NoiseWindows per table kind, `h_noise` and `g_noise`. The
+    first round starts every lane's first episode, later rounds the next
+    episode of each lane whose last one ended, with one `reset_lanes`
+    call of their environment class per round. A round collects one
+    chunk from each of the first `count` lanes, in lane order, stepping
+    together every lane still inside its chunk. Chunks never cross
+    episode boundaries: a 10-step episode with N=4 yields chunks of 4, 4
+    and 2 steps, and a lane whose chunk ended early waits for the rest of
+    the round.
 
-    The arrays that `step_lanes` returns are fresh, and the collector
-    keeps them: a step of every lane records `obs` as it is and takes
-    the returned stack as the next; a step of some lanes records a copy
-    of their rows and writes theirs back. The chunks of a round share
-    `obs` for their bootstrap observations, so the next write in place
-    copies it first.
+    The arrays that `reset_lanes` and `step_lanes` return are fresh, and
+    the collector keeps them: a step of every lane records `obs` as it is
+    and takes the returned stack as the next; a step or a reset of some
+    lanes writes theirs back, and a step records a copy of their rows.
+    The chunks of a round share `obs` for their bootstrap observations,
+    so the next write in place copies it first.
     """
 
     def __init__(self, envs, inference: str, cfg: A2CConfig, rngs,
@@ -287,8 +344,7 @@ class RolloutLanes:
         self.obs = None  # every lane's current observation, from the first reset on
         self.shared = False  # whether chunks hold `obs`
         self.in_episode = [False] * len(self.envs)
-        self.h_windows = [None] * len(self.envs)
-        self.g_windows = [None] * len(self.envs)
+        self.h_noise = self.g_noise = None  # from the first reset on
         self.size = None  # the (n, m) of every lane, from the first reset on
 
     def set_model(self, model: ScoringModel):
@@ -303,33 +359,38 @@ class RolloutLanes:
             if rows is not None:
                 rows[lanes] = new
 
-    def _begin_episode(self, k: int):
-        seeds = self.episode_seeds[k]
-        seed = int(self.rngs[k].integers(2 ** 31 - 1)) if seeds is None else next(seeds)
-        obs = self.envs[k].reset(seed=seed)
-        n, m = obs.agent_feats.shape[0], obs.task_feats.shape[0]
-        self.size = self.size or (n, m)
-        if (n, m) != self.size:
-            raise LearnError(f"lane {k} reset to (n, m) = {(n, m)}; "
+    def _begin_episodes(self, lanes: list):
+        """A fresh episode on each lane of `lanes`, from one `reset_lanes`
+        call; the first call holds every lane."""
+        seeds = [int(self.rngs[k].integers(2 ** 31 - 1)) if self.episode_seeds[k] is None
+                 else next(self.episode_seeds[k]) for k in lanes]
+        envs = [self.envs[k] for k in lanes]
+        obs = type(envs[0]).reset_lanes(envs, seeds)
+        size = (obs.agents.shape[1], obs.tasks.shape[1])
+        self.size = self.size or size
+        if size != self.size:
+            raise LearnError(f"lane {lanes[0]} reset to (n, m) = {size}; "
                              f"the collector holds {self.size}")
-        fields = (obs.agent_feats, obs.task_feats, obs.pair_extras, obs.cons.mu, obs.cons.u)
         if self.obs is None:
-            self.obs = ObservationStack(*(None if a is None else np.empty(
-                (len(self.envs),) + a.shape) for a in fields))
-        self._write(k, fields)
-        self.in_episode[k] = True
-        self.h_windows[k] = NoiseWindows((n, m), self.cfg.p)
-        if self.uses_g:
-            self.g_windows[k] = NoiseWindows((m, m), self.cfg.p)
-
-    def _sample(self, lanes, windows, means) -> np.ndarray:
-        return np.array([windows[k].sample(mean, self.cfg.sigma, self.rngs[k])
-                         for k, mean in zip(lanes, means)])
+            n, m = size
+            self.obs = obs
+            self.h_noise = NoiseWindows((n, m), self.cfg.p, lanes=len(self.envs))
+            if self.uses_g:
+                self.g_noise = NoiseWindows((m, m), self.cfg.p, lanes=len(self.envs))
+        else:
+            index = np.array(lanes)
+            self._write(index, obs.fields())
+            for noise in (self.h_noise, self.g_noise):
+                if noise is not None:
+                    noise.reset(index)
+        for k in lanes:
+            self.in_episode[k] = True
 
     def _step(self, lanes, steps: StepStack):
-        """One lockstep step of `lanes`: one scoring pass, one stacked
-        assignment and one `step_lanes` call, recorded in `steps`; returns
-        the row of the first lane, the rewards and the terminal flags."""
+        """One lockstep step of `lanes`: one scoring pass, one noise draw
+        per table kind, one stacked assignment and one `step_lanes` call,
+        recorded in `steps`; returns the row of the first lane, the
+        rewards and the terminal flags."""
         every = len(lanes) == len(self.envs)
         index = None if every else np.array(lanes)
         obs = self.obs if every else self.obs.rows(index)
@@ -338,12 +399,13 @@ class RolloutLanes:
             raise AssignError("h contains non-finite values")
         if g is not None and not np.isfinite(g).all():
             raise AssignError("g contains non-finite values")
-        sampled_h = self._sample(lanes, self.h_windows, h)
+        rngs = [self.rngs[k] for k in lanes]
+        sampled_h = self.h_noise.sample(h, self.cfg.sigma, rngs, index)
         sampled_g = None
         if self.uses_g:
             if g is None:
                 raise LearnError("quad inference needs a model with a g net")
-            sampled_g = self._sample(lanes, self.g_windows, g)
+            sampled_g = self.g_noise.sample(g, self.cfg.sigma, rngs, index)
         targets = infer_stack(self.inference, sampled_h, sampled_g, obs.mu, obs.u)
         envs = [self.envs[k] for k in lanes]
         next_obs, rewards, done = type(envs[0]).step_lanes(envs, targets)
@@ -358,26 +420,32 @@ class RolloutLanes:
         if self.model is None:
             raise LearnError("set_model() before collecting")
         lanes = range(len(self.envs) if count is None else count)
-        for k in lanes:
-            if not self.in_episode[k]:
-                self._begin_episode(k)
+        starting = [k for k in (range(len(self.envs)) if self.obs is None else lanes)
+                    if not self.in_episode[k]]
+        if starting:
+            self._begin_episodes(starting)
         steps = StepStack()
         rows, rewards, ended = ([[] for _ in lanes] for _ in range(3))
         active = list(lanes)
-        while active:
+        for _ in range(self.cfg.n_steps):
             start, reward, done = self._step(active, steps)
+            still = []
             for i, k, r, end in zip(range(start, start + len(active)), active,
                                     reward.tolist(), done.tolist()):
                 rows[k].append(i)
                 rewards[k].append(r)
                 ended[k].append(end)
-            active = [k for k in active if not ended[k][-1] and len(rows[k]) < self.cfg.n_steps]
+                if not end:
+                    still.append(k)
+            active = still
+            if not active:
+                break
         chunks = []
         for k in lanes:
             tail = ended[k][-1]
             self.in_episode[k] = not tail  # after a terminal step, a fresh episode
             chunks.append(Chunk(steps, rows[k], rewards[k], ended[k],
-                                 None if tail else (self.obs, k)))
+                                None if tail else (self.obs, k)))
         self.shared = any(self.in_episode[k] for k in lanes)
         return chunks
 

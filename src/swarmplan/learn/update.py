@@ -31,6 +31,7 @@ the independent reference for the gradient checks.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,21 +73,38 @@ def _discounted_returns(rewards: list, terminal: list, gamma: float, tail: float
     return returns
 
 
+def _flat(grads_list) -> np.ndarray:
+    """Every gradient array of `grads_list` (per net, (gW, gb) per layer)
+    in one vector, in order."""
+    return np.concatenate([a.ravel() for grads in grads_list for layer in grads for a in layer])
+
+
+def _descend(params_list, delta: np.ndarray):
+    """Subtract `delta`, laid out as `_flat` lays out the gradients, from
+    every (W, b) array of `params_list` in place."""
+    at = 0
+    for params in params_list:
+        for layer in params.layers:
+            for arr in layer:
+                arr -= delta[at:at + arr.size].reshape(arr.shape)
+                at += arr.size
+
+
 class SgdOptimizer:
-    """Plain gradient descent, updating (W, b) arrays in place."""
+    """Plain gradient descent, updating (W, b) arrays in place from one
+    flat step vector."""
 
     def __init__(self, lr: float):
         self.lr = lr
 
     def step(self, params_list, grads_list):
-        for params, grads in zip(params_list, grads_list):
-            for (W, b), (gW, gb) in zip(params.layers, grads):
-                W -= self.lr * gW
-                b -= self.lr * gb
+        _descend(params_list, self.lr * _flat(grads_list))
 
 
 class AdamOptimizer:
-    """Adam with bias correction, updating (W, b) arrays in place."""
+    """Adam with bias correction, updating (W, b) arrays in place. Its
+    moments are one flat vector each, over every array it updates, and
+    each step runs one pass of Adam's arithmetic over them."""
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -95,26 +113,21 @@ class AdamOptimizer:
     def __init__(self, lr: float):
         self.lr = lr
         self.t = 0
-        self.moments = None  # lazily shaped from the first gradient batch
+        self.m = self.v = None  # lazily sized from the first gradient batch
 
     def step(self, params_list, grads_list):
-        if self.moments is None:
-            self.moments = [
-                [(np.zeros_like(gW), np.zeros_like(gb),
-                  np.zeros_like(gW), np.zeros_like(gb)) for gW, gb in grads]
-                for grads in grads_list
-            ]
+        g = _flat(grads_list)
+        if self.m is None:
+            self.m, self.v = np.zeros_like(g), np.zeros_like(g)
         self.t += 1
         c1 = 1.0 - self.BETA1 ** self.t
         c2 = 1.0 - self.BETA2 ** self.t
-        for params, grads, moms in zip(params_list, grads_list, self.moments):
-            for (W, b), (gW, gb), (mW, mb, vW, vb) in zip(params.layers, grads, moms):
-                for arr, g, m, v in ((W, gW, mW, vW), (b, gb, mb, vb)):
-                    m *= self.BETA1
-                    m += (1.0 - self.BETA1) * g
-                    v *= self.BETA2
-                    v += (1.0 - self.BETA2) * g * g
-                    arr -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)
+        m, v = self.m, self.v
+        m *= self.BETA1
+        m += (1.0 - self.BETA1) * g
+        v *= self.BETA2
+        v += (1.0 - self.BETA2) * g * g
+        _descend(params_list, self.lr * (m / c1) / (np.sqrt(v / c2) + self.EPS))
 
 
 def make_optimizer(name: str, lr: float):
@@ -327,17 +340,17 @@ def a2c_update(model: ScoringModel, critic: CriticParams, chunks,
 
     Updates are skipped (parameters untouched) if any gradient entry is
     non-finite, which keeps a single degenerate rollout from destroying
-    the run.
+    the run. The entries are looked at only when `grad_norm`, which
+    `a2c_grads` sums over every net's gradient vector, is not finite.
     """
     if not chunks:
         raise LearnError("a2c_update needs at least one chunk")
     grads, diag = a2c_grads(model, critic, chunks, cfg)
-    for acc in grads.values():
-        if acc is None:
-            continue
-        if not np.all(np.isfinite(grads_to_vector(acc))):
-            diag.skipped = True
-            return diag
+    # a finite grad_norm needs finite entries; an overflowing one may have them
+    if not math.isfinite(diag.grad_norm) and not all(
+            np.isfinite(grads_to_vector(acc)).all() for acc in grads.values() if acc is not None):
+        diag.skipped = True
+        return diag
     policy_nets = [model.h_net] + ([model.g_net] if model.g_net is not None else [])
     policy_grads = [grads["h"]] + ([grads["g"]] if grads["g"] is not None else [])
     policy_opt.step(policy_nets, policy_grads)

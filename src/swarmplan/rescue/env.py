@@ -19,6 +19,7 @@ from ..assign import ConstraintSet, UNASSIGNED
 
 GRID_SIZE = 16
 ID_WEIGHTS = np.array([GRID_SIZE, 1])  # cells @ ID_WEIGHTS = cell ids
+EXTENT = GRID_SIZE - 1  # cells / EXTENT = features
 STEP_REWARD = -0.01
 
 
@@ -48,7 +49,8 @@ class RescueConfig:
 class GridState:
     """W lanes of equal (n, m): ambulance cells (W, n, 2), victim cells
     (W, m, 2), picked flags (W, m) and step counts (W,). The victims'
-    cell ids x * GRID_SIZE + y, which `step` compares, are fixed here."""
+    cell ids x * GRID_SIZE + y, which `step` compares, and their
+    features, which `extract_features` reads, are fixed here."""
 
     ambulances: np.ndarray
     victims: np.ndarray
@@ -60,9 +62,20 @@ class GridState:
             np.array(a, dtype=np.int64) for a in (self.ambulances, self.victims, self.step_count))
         self.picked = np.array(self.picked, dtype=bool)
         for kind, cells in (("ambulance", self.ambulances), ("victim", self.victims)):
-            if cells.size and (cells.min() < 0 or cells.max() >= GRID_SIZE):
-                raise RescueError(f"{kind} off grid")
-        self.victim_ids = self.victims @ ID_WEIGHTS
+            _check_on_grid(kind, cells)
+        self.victim_ids, self.victim_feats = _fixed_victim_values(self.victims)
+
+    @classmethod
+    def empty(cls, lanes: int, n: int, m: int) -> "GridState":
+        """`lanes` lanes of (n, m) with every entity on cell (0, 0), to be
+        filled by `respawn`."""
+        return cls(np.zeros((lanes, n, 2)), np.zeros((lanes, m, 2)),
+                   np.zeros((lanes, m), dtype=bool), np.zeros(lanes))
+
+    @property
+    def size(self) -> tuple:
+        """The (n, m) of every lane."""
+        return self.ambulances.shape[1], self.victims.shape[1]
 
     @property
     def all_picked(self) -> bool:
@@ -75,10 +88,17 @@ class GridState:
             raise RescueError("expected a one-lane state")
         return self.ambulances[0].tolist(), self.victims[0].tolist(), self.picked[0].tolist()
 
-    def put(self, k: int, lane: "GridState") -> "GridState":
-        """Overwrite lane k with the only lane of `lane`; returns self."""
-        for name in ("ambulances", "victims", "picked", "step_count", "victim_ids"):
-            getattr(self, name)[k] = getattr(lane, name)[0]
+    def respawn(self, lanes, seeds) -> "GridState":
+        """Start a fresh episode in place on each lane of `lanes` (an index
+        array), drawn as `spawn` draws from the seed at the same place of
+        `seeds`; returns self."""
+        n, m = self.size
+        cells = np.array([_draw_cells(n, m, seed) for seed in seeds])
+        _check_on_grid("entity", cells)
+        self.ambulances[lanes], self.victims[lanes] = cells[:, :n], cells[:, n:]
+        self.picked[lanes] = False
+        self.step_count[lanes] = 0
+        self.victim_ids[lanes], self.victim_feats[lanes] = _fixed_victim_values(cells[:, n:])
         return self
 
 
@@ -93,10 +113,24 @@ def chebyshev(a, b) -> int:
     return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 
+def _check_on_grid(kind: str, cells: np.ndarray):
+    if cells.size and (cells.min() < 0 or cells.max() >= GRID_SIZE):
+        raise RescueError(f"{kind} off grid")
+
+
+def _fixed_victim_values(victims: np.ndarray) -> tuple:
+    """The cell ids and the features of victim cells (..., 2)."""
+    return victims @ ID_WEIGHTS, victims / EXTENT
+
+
+def _draw_cells(n: int, m: int, seed) -> np.ndarray:
+    """The (n + m, 2) cells of one spawn from `seed`, ambulances first."""
+    return np.random.default_rng(seed).integers(0, GRID_SIZE, size=(n + m, 2))
+
+
 def spawn(config: RescueConfig) -> GridState:
     """One lane; all entities i.i.d. uniform over the grid cells; overlaps allowed."""
-    rng = np.random.default_rng(config.seed)
-    cells = rng.integers(0, GRID_SIZE, size=(config.n + config.m, 2))
+    cells = _draw_cells(config.n, config.m, config.seed)
     return GridState(cells[None, :config.n], cells[None, config.n:],
                      np.zeros((1, config.m), dtype=bool), np.zeros(1))
 
@@ -147,9 +181,8 @@ def extract_features(state: GridState, lanes=None):
     """Agent features (x, y)/extent, (L, n, 2); task features add the
     picked flag, (L, m, 3). `lanes` as in `step`."""
     rows = slice(None) if lanes is None else lanes
-    extent = GRID_SIZE - 1
-    return state.ambulances[rows] / extent, np.concatenate(
-        [state.victims[rows] / extent, state.picked[rows][..., None]], axis=2)
+    return state.ambulances[rows] / EXTENT, np.concatenate(
+        [state.victim_feats[rows], state.picked[rows][..., None]], axis=2)
 
 
 def run_episode(config: RescueConfig, policy, seed=None):

@@ -586,6 +586,16 @@ def test_cli_malformed_config_fields_fail_cleanly(tmp_path, capsys, environment,
     assert_cli_error(capsys, "train", "--config", str(path), says=says)
 
 
+@pytest.mark.parametrize("key", ["sigma", "lam", "lr_policy", "lr_value"])
+def test_cli_a2c_number_too_large_for_a_float_fails_cleanly(tmp_path, capsys, key):
+    """A real-valued a2c field that holds a JSON integer too large for a
+    float (1 followed by 400 zeros) exits 2 with one `error:` line."""
+    path, doc = _saved_config(tmp_path)
+    doc["experiment"]["a2c"][key] = 10 ** 400
+    path.write_text(json.dumps(doc))
+    assert_cli_error(capsys, "train", "--config", str(path), says=f"a2c: {key} must be finite")
+
+
 @pytest.mark.parametrize("section", ["experiment", "sweep"])
 def test_cli_non_object_sections_fail_cleanly(tmp_path, capsys, section):
     """An experiment or sweep entry that is no JSON object exits 2 with one

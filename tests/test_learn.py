@@ -8,6 +8,8 @@ are checked against the closed forms for a moving sum of p innovations.
 import csv
 import importlib
 import re
+from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,7 @@ from swarmplan.learn import (
     make_optimizer,
     nstep_returns,
     play_episode,
+    stack_resets,
     stack_steps,
     train,
     write_metrics,
@@ -60,7 +63,8 @@ from swarmplan.nets import (
     vector_to_params,
     zero_grads,
 )
-from swarmplan.rescue import RescueConfig
+from swarmplan.rescue import (RescueConfig, RescueError, build_constraints, extract_features,
+                              spawn)
 
 # ---------------------------------------------------------------------------
 # noise
@@ -88,12 +92,64 @@ def test_innovation_noise_stationary_variance_and_autocov(p):
 
 
 def test_noise_reset_clears_window():
-    rng = np.random.default_rng(1)
+    """After `reset`, a window samples as a fresh one does."""
     win = NoiseWindows((2, 2), 3)
+    rng = np.random.default_rng(1)
     for _ in range(5):
         win.sample(np.zeros((2, 2)), 1.0, rng)
     win.reset()
-    assert all(np.all(arr == 0.0) for arr in win.queue)
+    fresh = NoiseWindows((2, 2), 3)
+    means = np.arange(4.0).reshape(2, 2)
+    for seed in range(3):
+        got = win.sample(means, 1.0, np.random.default_rng(seed))
+        want = fresh.sample(means, 1.0, np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes()
+
+
+class DequeWindow:
+    """One table's noise window as a deque of its last p innovations,
+    summed oldest to newest: the reference for the stacked windows."""
+
+    def __init__(self, shape, p):
+        self.shape, self.p = tuple(shape), p
+        self.queue = deque([np.zeros(self.shape) for _ in range(p)], maxlen=p)
+
+    def sample(self, means, sigma, rng):
+        innovation = rng.normal(0.0, np.sqrt(sigma / self.p), self.shape)
+        self.queue.append(innovation)
+        return means + (innovation if self.p == 1 else sum(self.queue))
+
+
+@pytest.mark.parametrize("p", [1, 3, 10])
+@pytest.mark.parametrize("kind", ["nm", "mm"])
+@pytest.mark.parametrize("sigma", [0.4, 0.0])
+def test_lane_windows_equal_per_lane_deques(p, kind, sigma):
+    """A lane-axis NoiseWindows gives, bit for bit, what one deque window
+    per lane gives: over random subsets of sampled lanes, with some lanes
+    reset mid-run, each lane drawing from its own rng."""
+    lanes, (n, m) = 5, (3, 4)
+    shape = (n, m) if kind == "nm" else (m, m)
+    stacked = NoiseWindows(shape, p, lanes=lanes)
+    refs = [DequeWindow(shape, p) for _ in range(lanes)]
+    rngs = [np.random.default_rng(100 + k) for k in range(lanes)]
+    ref_rngs = [np.random.default_rng(100 + k) for k in range(lanes)]
+    pick = np.random.default_rng(p)
+    for t in range(40):
+        if t % 7 == 6:
+            reset = np.flatnonzero(pick.random(lanes) < 0.4)
+            stacked.reset(reset)
+            for k in reset.tolist():
+                refs[k] = DequeWindow(shape, p)
+        every = t % 4 == 0
+        chosen = np.arange(lanes) if every else np.flatnonzero(pick.random(lanes) < 0.6)
+        if not chosen.size:
+            continue
+        means = pick.normal(size=(len(chosen),) + shape)
+        got = stacked.sample(means, sigma, [rngs[k] for k in chosen.tolist()],
+                             None if every else chosen)
+        want = np.array([refs[k].sample(mean, sigma, ref_rngs[k])
+                         for k, mean in zip(chosen.tolist(), means)])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_noise_sigma_zero_returns_means_exactly():
@@ -154,6 +210,10 @@ class FixedEnv:
     def step(self, assignment):
         self.t += 1
         return self._observe(), 1.0, self.t >= self.length
+
+    @staticmethod
+    def reset_lanes(envs, seeds):
+        return stack_resets(envs, seeds)
 
     @staticmethod
     def step_lanes(envs, targets):
@@ -247,6 +307,93 @@ def test_rescue_meta_env_round_trip():
     obs2, rewards, done = RescueMetaEnv.step_lanes([env], np.array([[0, 1]]))
     assert obs2.agents.shape == (1, 2, 2) and obs2.u.shape == (1, 3)
     assert rewards.tolist() == [pytest.approx(-0.01)] and done.tolist() == [False]
+
+
+def _spawned_lane(cfg, seed):
+    """What `reset` gave before lanes shared a state: the spawned lane,
+    its features and its ConstraintSet."""
+    state = spawn(replace(cfg, seed=seed))
+    return state, extract_features(state), build_constraints(state)
+
+
+def test_rescue_reset_lanes_equal_spawn_and_leave_other_rows():
+    """`RescueMetaEnv.reset_lanes` writes each lane's row of the shared
+    state and returns its observation exactly as `spawn`,
+    `extract_features` and `build_constraints` give them, over 200 seeds,
+    and leaves the rows of lanes in mid-episode as they were."""
+    cfg = RescueConfig(3, 5, seed=0)
+    envs = [RescueMetaEnv(cfg) for _ in range(4)]
+    seeds = iter(range(200))
+    pick = np.random.default_rng(9)
+    chosen = list(range(len(envs)))
+    while True:
+        lane_seeds = [next(seeds, None) for _ in chosen]
+        if None in lane_seeds:
+            break
+        state = envs[0].state
+        kept = None if state is None else {
+            name: getattr(state, name).copy()
+            for name in ("ambulances", "victims", "picked", "step_count", "victim_ids")}
+        obs = RescueMetaEnv.reset_lanes([envs[k] for k in chosen], lane_seeds)
+        state = envs[0].state
+        assert all(env.state is state for env in envs)
+        for i, (k, seed) in enumerate(zip(chosen, lane_seeds)):
+            single, (agents, tasks), cons = _spawned_lane(cfg, seed)
+            row = envs[k].lane
+            for name in ("ambulances", "victims", "picked", "step_count", "victim_ids"):
+                assert np.array_equal(getattr(state, name)[row], getattr(single, name)[0])
+            for got, want in ((obs.agents[i], agents[0]), (obs.tasks[i], tasks[0]),
+                              (obs.mu[i], cons.mu), (obs.u[i], cons.u)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for k in set(range(len(envs))) - set(chosen):
+            row = envs[k].lane
+            for name, before in kept.items():
+                assert np.array_equal(getattr(state, name)[row], before[row])
+        for _ in range(3):  # put every lane in mid-episode
+            RescueMetaEnv.step_lanes(envs, pick.integers(-1, cfg.m, size=(len(envs), cfg.n)))
+        chosen = sorted(pick.choice(len(envs), size=pick.integers(1, 4), replace=False).tolist())
+
+
+def test_rescue_lanes_reset_apart_cannot_step_together():
+    """Lanes step together only on the state they were reset into together."""
+    envs = [RescueMetaEnv(RescueConfig(2, 3, seed=0)) for _ in range(2)]
+    for env in envs:
+        env.reset(seed=1)
+    with pytest.raises(RescueError, match="share one state"):
+        RescueMetaEnv.step_lanes(envs, np.zeros((2, 2), dtype=int))
+    RescueMetaEnv.reset_lanes(envs, [1, 2])
+    RescueMetaEnv.step_lanes(envs, np.zeros((2, 2), dtype=int))
+
+
+def test_battle_collector_resets_by_stacking_per_lane_resets(monkeypatch):
+    """A battle collector starts its lanes' episodes through `stack_resets`:
+    one `reset` per lane, with the seed that lane's rng draws, and the
+    first observation of each chunk is that reset's, bit for bit."""
+    from swarmplan.battle import load_scenario
+    make = lambda: BattleMetaEnv(load_scenario("m5v5", seed=0))
+    resets = []
+    reset = BattleMetaEnv.reset
+
+    def counting(self, seed=None):
+        resets.append(seed)
+        return reset(self, seed)
+    monkeypatch.setattr(BattleMetaEnv, "reset", counting)
+    obs = make().reset(seed=0)
+    model = init_scoring_model(obs.agent_feats.shape[1], obs.task_feats.shape[1],
+                               pair_extra_dim=obs.pair_extras.shape[-1], with_g=False, seed=3)
+    resets.clear()
+    lanes = RolloutLanes([make() for _ in range(3)], "lp", small_cfg(),
+                         [np.random.default_rng(70 + k) for k in range(3)])
+    lanes.set_model(model)
+    chunks = lanes.collect_round()
+    want_seeds = [int(np.random.default_rng(70 + k).integers(2 ** 31 - 1)) for k in range(3)]
+    assert resets == want_seeds
+    for chunk, seed in zip(chunks, want_seeds):
+        first, want = chunk.steps[0].obs, reset(make(), seed)
+        for name in ("agent_feats", "task_feats", "pair_extras"):
+            assert getattr(first, name).tobytes() == getattr(want, name).tobytes()
+        for name in ("mu", "u"):
+            assert getattr(first.cons, name).tobytes() == getattr(want.cons, name).tobytes()
 
 
 def test_battle_meta_env_round_trip():
@@ -357,9 +504,10 @@ def test_lanes_of_different_sizes_raise():
 
 def test_rescue_training_builds_no_per_step_objects(monkeypatch):
     """A rescue training run records its steps as arrays: it builds no
-    StepRecord, and an Observation only when a lane starts an episode."""
+    StepRecord and no Observation, and starts episodes with one
+    `reset_lanes` call per round that has lanes to start."""
     import swarmplan.learn.rollout as rollout
-    built = {"StepRecord": 0, "Observation": 0, "reset": 0}
+    built = {"StepRecord": 0, "Observation": 0, "reset_lanes": 0, "lanes": 0}
     for name in ("StepRecord", "Observation"):
         init = getattr(rollout, name).__init__
 
@@ -367,18 +515,22 @@ def test_rescue_training_builds_no_per_step_objects(monkeypatch):
             built[_name] += 1
             _init(self, *args, **kwargs)
         monkeypatch.setattr(getattr(rollout, name), "__init__", counting)
-    reset = RescueMetaEnv.reset
+    reset_lanes = RescueMetaEnv.reset_lanes
 
-    def counting_reset(self, seed=None):
-        built["reset"] += 1
-        return reset(self, seed)
-    monkeypatch.setattr(RescueMetaEnv, "reset", counting_reset)
+    def counting_reset_lanes(envs, seeds):
+        built["reset_lanes"] += 1
+        built["lanes"] += len(envs)
+        return reset_lanes(envs, seeds)
+    monkeypatch.setattr(RescueMetaEnv, "reset_lanes", staticmethod(counting_reset_lanes))
+    cfg = small_cfg(workers=4, batch_chunks=8)
     result = train(init_scoring_model(2, 3, with_g=False, seed=0), init_critic(2, 3, seed=1),
                    lambda: RescueMetaEnv(RescueConfig(2, 4, seed=0)), "lp",
-                   small_cfg(workers=4, batch_chunks=8), total_updates=3, seed=2)
+                   cfg, total_updates=3, seed=2)
     assert result.env_steps > 3 * 8
-    assert built["StepRecord"] == 0
-    assert 0 < built["Observation"] == built["reset"] < result.env_steps
+    assert built["StepRecord"] == built["Observation"] == 0
+    rounds = 3 * cfg.batch_chunks // cfg.workers
+    assert 0 < built["reset_lanes"] <= rounds
+    assert cfg.workers <= built["lanes"] < result.env_steps
 
 
 @pytest.mark.parametrize("inference", ["lp", "quad"])
@@ -851,6 +1003,72 @@ def test_adam_first_step_is_lr_times_sign():
     # after bias correction the first Adam step is lr * g / (|g| + eps)
     assert np.allclose(net.layers[0][0], [[1.0 - 0.01, 2.0 + 0.01]], atol=1e-6)
     assert np.allclose(net.layers[0][1], [0.5 - 0.01], atol=1e-6)
+
+
+class PerArrayAdam:
+    """Adam updating each (W, b) array with its own moments: the reference
+    for the flat optimizer."""
+
+    def __init__(self, lr):
+        self.lr, self.t, self.moments = lr, 0, None
+
+    def step(self, params_list, grads_list):
+        if self.moments is None:
+            self.moments = [[(np.zeros_like(gW), np.zeros_like(gb), np.zeros_like(gW),
+                              np.zeros_like(gb)) for gW, gb in grads] for grads in grads_list]
+        self.t += 1
+        b1, b2, eps = AdamOptimizer.BETA1, AdamOptimizer.BETA2, AdamOptimizer.EPS
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for params, grads, moms in zip(params_list, grads_list, self.moments):
+            for (W, b), (gW, gb), (mW, mb, vW, vb) in zip(params.layers, grads, moms):
+                for arr, g, m, v in ((W, gW, mW, vW), (b, gb, mb, vb)):
+                    m *= b1
+                    m += (1.0 - b1) * g
+                    v *= b2
+                    v += (1.0 - b2) * g * g
+                    arr -= self.lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+class PerArraySgd:
+    def __init__(self, lr):
+        self.lr = lr
+
+    def step(self, params_list, grads_list):
+        for params, grads in zip(params_list, grads_list):
+            for (W, b), (gW, gb) in zip(params.layers, grads):
+                W -= self.lr * gW
+                b -= self.lr * gb
+
+
+def _six_nets():
+    """The policy nets (h and g of a rescue and of a battle model) and the
+    value nets (embed and head of a critic)."""
+    rescue_model = init_scoring_model(2, 3, with_g=True, seed=1)
+    battle_model = init_scoring_model(6, 6, pair_extra_dim=2, with_g=True, seed=2)
+    critic = init_critic(2, 3, seed=3)
+    return [[rescue_model.h_net, rescue_model.g_net, battle_model.h_net, battle_model.g_net],
+            [critic.embed_net, critic.head_net]]
+
+
+@pytest.mark.parametrize("name", ["adam", "sgd"])
+def test_flat_optimizers_equal_per_array_reference(name):
+    """The optimizers' one pass over a flat vector updates every array of
+    six nets bit for bit as the per-array loop does, over 50 steps."""
+    flat_groups, ref_groups = _six_nets(), _six_nets()
+    make = {"adam": (AdamOptimizer, PerArrayAdam), "sgd": (SgdOptimizer, PerArraySgd)}[name]
+    flat_opts = [make[0](lr) for lr in (1e-2, 3e-3)]
+    ref_opts = [make[1](lr) for lr in (1e-2, 3e-3)]
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        for flat_nets, ref_nets, flat_opt, ref_opt in zip(flat_groups, ref_groups,
+                                                          flat_opts, ref_opts):
+            grads = [[(rng.normal(size=W.shape), rng.normal(size=b.shape))
+                      for W, b in net.layers] for net in flat_nets]
+            flat_opt.step(flat_nets, grads)
+            ref_opt.step(ref_nets, grads)
+    for flat_nets, ref_nets in zip(flat_groups, ref_groups):
+        for flat_net, ref_net in zip(flat_nets, ref_nets):
+            assert params_to_vector(flat_net).tobytes() == params_to_vector(ref_net).tobytes()
 
 
 def test_make_optimizer_rejects_unknown():
