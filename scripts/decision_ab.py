@@ -254,7 +254,9 @@ def roller(a2c):
     """The runner of `rescue-train-2x4` rollouts of ROLLOUT_ROUNDS rounds
     from a seed, with the lanes, rngs and initial model of that workload's
     training and no update; a rollout's result is the bytes of every
-    round's sampled h and targets, read after the timer stops."""
+    step's sampled h and targets, read from its chunks' `steps` after the
+    timer stops: checkouts older than the stacked steps have no
+    `Chunk.stack`, but every checkout has `steps`."""
     def runner(mods):
         learn, rescue = mods["learn"], mods["rescue"]
         model = mods["nets"].init_scoring_model(2, 3, with_g=False, seed=0)
@@ -266,9 +268,10 @@ def roller(a2c):
                  for _ in range(cfg.workers)], "lp", cfg,
                 [np.random.default_rng(seed + 7919 * (k + 1)) for k in range(cfg.workers)])
             lanes.set_model(model)
-            stacks = [lanes.collect_round()[0].stack for _ in range(ROLLOUT_ROUNDS)]
-            return lambda: b"".join(a.tobytes() for stack in stacks
-                                    for a in stack.sampled_h + stack.targets)
+            rounds = [lanes.collect_round() for _ in range(ROLLOUT_ROUNDS)]
+            return lambda: b"".join(step.sampled_h.tobytes() + step.assignment.target.tobytes()
+                                    for chunks in rounds for chunk in chunks
+                                    for step in chunk.steps)
         return run
     return runner
 

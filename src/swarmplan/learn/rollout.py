@@ -3,30 +3,26 @@
 An observation is (agent features, task features, optional pair extras,
 constraints) in every domain; an `ObservationStack` holds those of L
 lanes on a leading lane axis, the constraints as contributions mu and
-capacities u. A collector owns rollout lanes, each an environment with
-its own rng and episode, and steps them in lockstep under one model
-snapshot. A training run sees one instance size, so every lane of a
-collector holds the same (n, m), and a lane that resets to another
-raises `LearnError`. The collector keeps its lanes' observations in one
-stack and their noise windows in one lane-axis `NoiseWindows` per table
-kind. A round first starts the episodes of the lanes whose last one
-ended, with one `reset_lanes(envs, seeds)` call of their environment
-class, which returns their first observations as a stack. A lockstep
-step gathers the stepped lanes' rows, scores them with one pass of each
-net, samples their noise with one call per table kind, matches them in
-one stack (`infer_stack` gives one (L, n) target array) and advances
-them by one `step_lanes(envs, targets)` call, which returns their next
-observations as a stack, with rewards and terminal flags, to be written
-back. Rescue lanes spawn into and step one shared lane-axis
-`GridState`; battle lanes reset and step one at a time and stack their
-observations (`stack_resets`, `stack_steps`).
+capacities u. A collector steps its rollout lanes in lockstep under one
+model snapshot, each lane an environment with its own rng and episode.
+One lane pool, built from the collector's environments, owns their
+state: `reset(rows, seeds)` returns the lanes' first observations as a
+stack, and `step(rows, targets)` their next ones, with rewards and
+terminal flags. `RescueLanes` keeps its lanes as the rows of one
+`GridState`; `StackingLanes` resets and steps other environments
+(battle's) one at a time and stacks their observations. A training run
+sees one instance size, so every lane of a collector holds one (n, m).
 
-A round records its steps as those stacked arrays (`StepStack`), so no
-per-lane, per-step object is built. A lane's chunk of up to N steps is
-its rows of them, with their rewards and terminal flags and the place
-of its bootstrap observation; `Chunk.steps` builds `StepRecord`s on
-demand, for checks and tests. A `RolloutWorker` is the one-lane
-collector.
+A lockstep step gathers the stepped lanes' rows, scores them with one
+pass of each net, samples their noise with one lane-axis
+`NoiseWindows` call per table kind, matches them in one stack
+(`infer_stack` gives one (L, n) target array) and advances them by one
+pool `step`. A round records its steps as those stacked arrays
+(`StepStack`), so no per-lane, per-step object is built. A lane's chunk
+of up to N steps is its rows of them, with their rewards and terminal
+flags and the place of its bootstrap observation; `Chunk.steps` builds
+`StepRecord`s on demand, for checks and tests. A `RolloutWorker` is the
+one-lane collector.
 """
 from __future__ import annotations
 
@@ -44,8 +40,7 @@ from ..battle import (
     step_battle,
 )
 from ..nets import ScoringModel, score_pair_stack
-from ..rescue import (STEP_REWARD, GridState, RescueConfig, RescueError, capacities,
-                      extract_features)
+from ..rescue import STEP_REWARD, GridState, RescueConfig, capacities, extract_features
 from ..rescue import step as rescue_step
 from .config import A2CConfig, LearnError
 from .noise import NoiseWindows
@@ -95,40 +90,79 @@ class ObservationStack:
                            ConstraintSet(self.mu[k], self.u[k]))
 
 
-def stack_steps(results) -> tuple:
-    """`step_lanes`'s (ObservationStack, rewards (L,), done (L,)) from one
-    (Observation, reward, done) per lane, for environments that step one
-    lane at a time."""
-    observations, rewards, done = zip(*results)
-    return (ObservationStack.of(observations), np.array(rewards, dtype=float),
-            np.array(done, dtype=bool))
+class RescueLanes:
+    """The lane pool of rescue environments: lane k is row k of one
+    GridState, `state`, which every environment's `state` names too, for
+    readers after an episode. The lanes hold one (n, m) and one step cap.
+
+    `rows` is an index array of lanes (all of them where `step` gets
+    None). The arrays returned are fresh. The constraints are those of
+    `build_constraints`: every contribution is 1, and the capacities are
+    `capacities`."""
+
+    def __init__(self, envs):
+        configs = [env.config for env in envs]
+        shapes = [(cfg.n, cfg.m, cfg.max_steps) for cfg in configs]
+        for k, shape in enumerate(shapes):
+            if shape != shapes[0]:
+                raise LearnError(f"lane {k} holds (n, m, max_steps) = {shape}, lane 0 "
+                                 f"{shapes[0]}: the lanes of a collector hold one")
+        self.seeds = [cfg.seed for cfg in configs]
+        self.max_steps = shapes[0][2]
+        self.state = GridState.empty(len(envs), *shapes[0][:2])
+        for env in envs:
+            env.state = self.state
+
+    def _observe(self, rows) -> ObservationStack:
+        agents, tasks = extract_features(self.state, rows)
+        return ObservationStack(agents, tasks, None,
+                                np.ones((len(agents), agents.shape[1], tasks.shape[1])),
+                                capacities(self.state, rows))
+
+    def reset(self, rows, seeds) -> ObservationStack:
+        """Start a fresh episode on each lane of `rows`, drawn as `spawn`
+        draws from its seed (its config's where the seed is None)."""
+        self.state.respawn(rows, [self.seeds[k] if seed is None else seed
+                                  for k, seed in zip(rows, seeds)])
+        return self._observe(rows)
+
+    def step(self, rows, targets) -> tuple:
+        """Advance the lanes `rows` by one `rescue.step` each."""
+        done = rescue_step(self.state, targets, self.max_steps, rows)
+        return self._observe(rows), np.full(len(targets), STEP_REWARD), done
 
 
-def _one_size(sizes):
-    """Raise LearnError unless every (n, m) of `sizes`, one per lane reset
-    together, equals the first."""
-    for k, size in enumerate(sizes):
-        if size != sizes[0]:
-            raise LearnError(f"lane {k} reset to (n, m) = {size}, lane 0 to {sizes[0]}: "
-                             "lanes reset together hold one (n, m)")
+class StackingLanes:
+    """The lane pool of environments with `reset(seed)` and
+    `step(assignment)`, such as battle's: it resets and steps them one at
+    a time and stacks their observations, with `RescueLanes`'s `rows`.
+    Every lane holds the (n, m) of the first reset."""
 
+    def __init__(self, envs):
+        self.envs = envs
+        self.size = None  # from the first reset on
 
-def stack_resets(envs, seeds) -> ObservationStack:
-    """`reset_lanes`'s ObservationStack from one `reset` per lane, for
-    environments that reset one lane at a time."""
-    observations = [env.reset(seed=seed) for env, seed in zip(envs, seeds)]
-    _one_size([(obs.agent_feats.shape[0], obs.task_feats.shape[0]) for obs in observations])
-    return ObservationStack.of(observations)
+    def reset(self, rows, seeds) -> ObservationStack:
+        observations = [self.envs[k].reset(seed=seed) for k, seed in zip(rows, seeds)]
+        for k, obs in zip(rows, observations):
+            size = (obs.agent_feats.shape[0], obs.task_feats.shape[0])
+            self.size = self.size or size
+            if size != self.size:
+                raise LearnError(f"lane {k} reset to (n, m) = {size}; "
+                                 f"the collector holds {self.size}")
+        return ObservationStack.of(observations)
 
-
-def _unit_mu(agents, tasks) -> np.ndarray:
-    """The rescue contributions of a stack: every one is 1, (L, n, m)."""
-    return np.ones((len(agents), agents.shape[1], tasks.shape[1]))
+    def step(self, rows, targets) -> tuple:
+        envs = self.envs if rows is None else [self.envs[k] for k in rows]
+        observations, rewards, done = zip(*(env.step(Assignment(target))
+                                            for env, target in zip(envs, targets)))
+        return (ObservationStack.of(observations), np.array(rewards, dtype=float),
+                np.array(done, dtype=bool))
 
 
 class RescueMetaEnv:
-    """One rescue lane (one assignment per step): row `lane` of the
-    GridState `state` it shares with the lanes it resets and steps with."""
+    """A rescue environment (one assignment per step): its config, and
+    `state`, the GridState of the lane pool that last took it."""
 
     num_kinds = 2
     feature_dim = 3  # victims carry the widest feature vector
@@ -136,56 +170,10 @@ class RescueMetaEnv:
     def __init__(self, config: RescueConfig):
         self.config = config
         self.state = None
-        self.lane = 0
 
     def reset(self, seed=None) -> Observation:
-        """The one-lane `reset_lanes`."""
-        return self.reset_lanes([self], [seed]).lane(0)
-
-    @staticmethod
-    def reset_lanes(envs, seeds) -> ObservationStack:
-        """Start a fresh episode on each lane of `envs`, drawn as `spawn`
-        draws from its seed (its config's where the seed is None), straight
-        into its row of the state the lanes share; returns their first
-        observations. Lanes that do not share one state of their (n, m)
-        yet get a fresh one, in the order given. Their constraints are
-        those of `build_constraints`: every contribution and every
-        capacity is 1."""
-        configs = [env.config for env in envs]
-        sizes = [(cfg.n, cfg.m) for cfg in configs]
-        _one_size(sizes)
-        state = envs[0].state
-        if (state is None or state.size != sizes[0]
-                or any(env.state is not state for env in envs)):
-            if len({cfg.max_steps for cfg in configs}) > 1:
-                raise RescueError("lanes reset together need one step cap")
-            state = GridState.empty(len(envs), *sizes[0])
-            for k, env in enumerate(envs):
-                env.state, env.lane = state, k
-        rows = np.array([env.lane for env in envs])
-        state.respawn(rows, [cfg.seed if seed is None else seed
-                             for cfg, seed in zip(configs, seeds)])
-        agents, tasks = extract_features(state, rows)
-        return ObservationStack(agents, tasks, None, _unit_mu(agents, tasks),
-                                capacities(state, rows))
-
-    @staticmethod
-    def step_lanes(envs, targets) -> tuple:
-        """Advance lanes of one shared state (see `reset_lanes`) by one
-        `rescue.step`, to their (L, n) targets; returns their next
-        observations (ObservationStack), rewards and terminal flags. Their
-        constraints are those of `build_constraints`: every contribution
-        is 1, and the capacities are `capacities`."""
-        state = envs[0].state
-        rows = [env.lane for env in envs if env.state is state]
-        if len(rows) < len(envs):
-            raise RescueError("lanes stepped together share one state: reset them together")
-        lanes = None if rows == list(range(len(state.step_count))) else np.array(rows)
-        done = rescue_step(state, targets, envs[0].config.max_steps, lanes)
-        agents, tasks = extract_features(state, lanes)
-        return (ObservationStack(agents, tasks, None, _unit_mu(agents, tasks),
-                                 capacities(state, lanes)),
-                np.full(len(envs), STEP_REWARD), done)
+        """The first observation of a fresh episode on a one-lane pool."""
+        return RescueLanes([self]).reset([0], [seed]).lane(0)
 
 
 class BattleMetaEnv:
@@ -210,16 +198,6 @@ class BattleMetaEnv:
     def step(self, assignment: Assignment):
         reward, done, _ = step_battle(self.state, assignment)
         return self._observe(), reward, done
-
-    @staticmethod
-    def reset_lanes(envs, seeds) -> ObservationStack:
-        """Reset each lane on its own and stack the results."""
-        return stack_resets(envs, seeds)
-
-    @staticmethod
-    def step_lanes(envs, targets) -> tuple:
-        """Advance each lane on its own and stack the results."""
-        return stack_steps([env.step(Assignment(target)) for env, target in zip(envs, targets)])
 
 
 def gaussian_loglik(sample: np.ndarray, mean: np.ndarray, variance: float) -> float:
@@ -307,45 +285,45 @@ class Chunk:
 class RolloutLanes:
     """Several environments ("lanes") stepped in lockstep; emits chunks.
 
-    Each lane keeps its environment, rng and episode across rounds; all
-    lanes hold one (n, m). Their current observations are the rows of one
-    ObservationStack, `obs`, and their noise windows the rows of one
-    lane-axis NoiseWindows per table kind, `h_noise` and `g_noise`. The
-    first round starts every lane's first episode, later rounds the next
-    episode of each lane whose last one ended, with one `reset_lanes`
-    call of their environment class per round. A round collects one
-    chunk from each of the first `count` lanes, in lane order, stepping
-    together every lane still inside its chunk. Chunks never cross
-    episode boundaries: a 10-step episode with N=4 yields chunks of 4, 4
-    and 2 steps, and a lane whose chunk ended early waits for the rest of
-    the round.
+    Each lane keeps its environment, rng and episode across rounds; one
+    lane pool, `pool`, owns their state. Their current observations are
+    the rows of one ObservationStack, `obs`, and their noise windows the
+    rows of one lane-axis NoiseWindows per table kind, `h_noise` and
+    `g_noise`. The first round starts every lane's first episode, later
+    rounds the next episode of each lane whose last one ended, with one
+    pool `reset` per round. A round collects one chunk from each of the
+    first `count` lanes, in lane order, stepping together every lane
+    still inside its chunk. Chunks never cross episode boundaries: a
+    10-step episode with N=4 yields chunks of 4, 4 and 2 steps, and a
+    lane whose chunk ended early waits for the rest of the round.
 
-    The arrays that `reset_lanes` and `step_lanes` return are fresh, and
-    the collector keeps them: a step of every lane records `obs` as it is
-    and takes the returned stack as the next; a step or a reset of some
-    lanes writes theirs back, and a step records a copy of their rows.
-    The chunks of a round share `obs` for their bootstrap observations,
-    so the next write in place copies it first.
+    The arrays that the pool returns are fresh, and the collector keeps
+    them: a step of every lane records `obs` as it is and takes the
+    returned stack as the next; a step or a reset of some lanes writes
+    theirs back, and a step records a copy of their rows. The chunks of
+    a round share `obs` for their bootstrap observations, so the next
+    write in place copies it first.
     """
 
     def __init__(self, envs, inference: str, cfg: A2CConfig, rngs,
                  episode_seeds=None):
         get_procedure(inference)  # reject an unknown name before any step
-        self.envs = list(envs)
+        envs = list(envs)
+        self.lane_count = len(envs)
+        self.pool = (RescueLanes if isinstance(envs[0], RescueMetaEnv) else StackingLanes)(envs)
         self.inference = inference
         self.uses_g = inference == "quad"
         self.cfg = cfg
         self.rngs = list(rngs)
         if episode_seeds is None:
-            episode_seeds = [None] * len(self.envs)
+            episode_seeds = [None] * self.lane_count
         self.episode_seeds = [None if seeds is None else iter(seeds)
                               for seeds in episode_seeds]
         self.model: ScoringModel | None = None
         self.obs = None  # every lane's current observation, from the first reset on
         self.shared = False  # whether chunks hold `obs`
-        self.in_episode = [False] * len(self.envs)
+        self.in_episode = [False] * self.lane_count
         self.h_noise = self.g_noise = None  # from the first reset on
-        self.size = None  # the (n, m) of every lane, from the first reset on
 
     def set_model(self, model: ScoringModel):
         """Install an immutable parameter snapshot for upcoming steps."""
@@ -354,31 +332,25 @@ class RolloutLanes:
     def _write(self, lanes, fields):
         """Overwrite the rows `lanes` of `obs` with `fields`."""
         if self.shared:
-            self.obs, self.shared = self.obs.rows(np.arange(len(self.envs))), False
+            self.obs, self.shared = self.obs.rows(np.arange(self.lane_count)), False
         for rows, new in zip(self.obs.fields(), fields):
             if rows is not None:
                 rows[lanes] = new
 
     def _begin_episodes(self, lanes: list):
-        """A fresh episode on each lane of `lanes`, from one `reset_lanes`
-        call; the first call holds every lane."""
+        """A fresh episode on each lane of `lanes`, from one pool `reset`;
+        the first call holds every lane."""
         seeds = [int(self.rngs[k].integers(2 ** 31 - 1)) if self.episode_seeds[k] is None
                  else next(self.episode_seeds[k]) for k in lanes]
-        envs = [self.envs[k] for k in lanes]
-        obs = type(envs[0]).reset_lanes(envs, seeds)
-        size = (obs.agents.shape[1], obs.tasks.shape[1])
-        self.size = self.size or size
-        if size != self.size:
-            raise LearnError(f"lane {lanes[0]} reset to (n, m) = {size}; "
-                             f"the collector holds {self.size}")
+        index = np.array(lanes)
+        obs = self.pool.reset(index, seeds)
         if self.obs is None:
-            n, m = size
+            n, m = obs.agents.shape[1], obs.tasks.shape[1]
             self.obs = obs
-            self.h_noise = NoiseWindows((n, m), self.cfg.p, lanes=len(self.envs))
+            self.h_noise = NoiseWindows((n, m), self.cfg.p, lanes=self.lane_count)
             if self.uses_g:
-                self.g_noise = NoiseWindows((m, m), self.cfg.p, lanes=len(self.envs))
+                self.g_noise = NoiseWindows((m, m), self.cfg.p, lanes=self.lane_count)
         else:
-            index = np.array(lanes)
             self._write(index, obs.fields())
             for noise in (self.h_noise, self.g_noise):
                 if noise is not None:
@@ -388,10 +360,10 @@ class RolloutLanes:
 
     def _step(self, lanes, steps: StepStack):
         """One lockstep step of `lanes`: one scoring pass, one noise draw
-        per table kind, one stacked assignment and one `step_lanes` call,
+        per table kind, one stacked assignment and one pool `step`,
         recorded in `steps`; returns the row of the first lane, the
         rewards and the terminal flags."""
-        every = len(lanes) == len(self.envs)
+        every = len(lanes) == self.lane_count
         index = None if every else np.array(lanes)
         obs = self.obs if every else self.obs.rows(index)
         h, g = score_pair_stack(self.model, obs.agents, obs.tasks, obs.extras)
@@ -407,8 +379,7 @@ class RolloutLanes:
                 raise LearnError("quad inference needs a model with a g net")
             sampled_g = self.g_noise.sample(g, self.cfg.sigma, rngs, index)
         targets = infer_stack(self.inference, sampled_h, sampled_g, obs.mu, obs.u)
-        envs = [self.envs[k] for k in lanes]
-        next_obs, rewards, done = type(envs[0]).step_lanes(envs, targets)
+        next_obs, rewards, done = self.pool.step(index, targets)
         if every:
             self.obs, self.shared = next_obs, False
         else:
@@ -419,8 +390,8 @@ class RolloutLanes:
         """One chunk from each of the first `count` lanes (all by default)."""
         if self.model is None:
             raise LearnError("set_model() before collecting")
-        lanes = range(len(self.envs) if count is None else count)
-        starting = [k for k in (range(len(self.envs)) if self.obs is None else lanes)
+        lanes = range(self.lane_count if count is None else count)
+        starting = [k for k in (range(self.lane_count) if self.obs is None else lanes)
                     if not self.in_episode[k]]
         if starting:
             self._begin_episodes(starting)

@@ -48,7 +48,7 @@ from ..nets import (
     score_pairs_backward,
     zero_grads,
 )
-from .config import A2CConfig, LearnError, OPTIMIZERS
+from .config import A2CConfig, LearnError
 from .rollout import Chunk, gaussian_loglik
 
 
@@ -131,9 +131,8 @@ class AdamOptimizer:
 
 
 def make_optimizer(name: str, lr: float):
-    if name not in OPTIMIZERS:
-        raise LearnError(f"optimizer must be one of {OPTIMIZERS}")
-    return AdamOptimizer(lr) if name == "adam" else SgdOptimizer(lr)
+    """The optimizer of a name that `A2CConfig` accepts."""
+    return {"sgd": SgdOptimizer, "adam": AdamOptimizer}[name](lr)
 
 
 @dataclass

@@ -102,13 +102,6 @@ class GridState:
         return self
 
 
-def stack_lanes(parts) -> GridState:
-    """One GridState holding lane k of `state` for each (state, k) in `parts`."""
-    return GridState(*(
-        np.concatenate([getattr(state, name)[k:k + 1] for state, k in parts])
-        for name in ("ambulances", "victims", "picked", "step_count")))
-
-
 def chebyshev(a, b) -> int:
     return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
 

@@ -27,7 +27,7 @@ from swarmplan.assign import (
 )
 from swarmplan.assign import core, procedures
 from swarmplan.assign.network import TransportLp
-from swarmplan.learn import RescueMetaEnv
+from swarmplan.learn import RescueLanes, RescueMetaEnv
 from swarmplan.nets import init_scoring_model, load_models, score_pairs
 from swarmplan.rescue import RescueConfig
 from brute_force import brute_force_assign
@@ -54,14 +54,13 @@ def rescue_observations(n, m, episodes, steps, sigma=0.4, seed=0):
     model = init_scoring_model(2, 3, with_g=False, seed=seed)
     rng = np.random.default_rng(seed)
     for episode in range(episodes):
-        env = RescueMetaEnv(RescueConfig(n, m, seed=seed * 1000 + episode))
-        obs = env.reset()
+        pool = RescueLanes([RescueMetaEnv(RescueConfig(n, m, seed=seed * 1000 + episode))])
+        obs = pool.reset(np.array([0]), [None]).lane(0)
         for _ in range(steps):
             table = score_pairs(model, obs.agent_feats, obs.task_feats)
             noisy = ScoreTable(table.h + rng.normal(0.0, np.sqrt(sigma), table.h.shape))
             yield noisy, obs.cons
-            stack, _, done = RescueMetaEnv.step_lanes(
-                [env], matching_assign(noisy, obs.cons).target[None])
+            stack, _, done = pool.step(None, matching_assign(noisy, obs.cons).target[None])
             obs = stack.lane(0)
             if done[0]:
                 break

@@ -27,6 +27,8 @@ from swarmplan.learn import (
     NoiseWindows,
     Observation,
     ObservationStack,
+    OPTIMIZERS,
+    RescueLanes,
     RescueMetaEnv,
     RolloutLanes,
     RolloutWorker,
@@ -41,8 +43,6 @@ from swarmplan.learn import (
     make_optimizer,
     nstep_returns,
     play_episode,
-    stack_resets,
-    stack_steps,
     train,
     write_metrics,
 )
@@ -63,8 +63,7 @@ from swarmplan.nets import (
     vector_to_params,
     zero_grads,
 )
-from swarmplan.rescue import (RescueConfig, RescueError, build_constraints, extract_features,
-                              spawn)
+from swarmplan.rescue import RescueConfig, build_constraints, extract_features, spawn
 
 # ---------------------------------------------------------------------------
 # noise
@@ -211,14 +210,6 @@ class FixedEnv:
         self.t += 1
         return self._observe(), 1.0, self.t >= self.length
 
-    @staticmethod
-    def reset_lanes(envs, seeds):
-        return stack_resets(envs, seeds)
-
-    @staticmethod
-    def step_lanes(envs, targets):
-        return stack_steps([env.step(Assignment(target)) for env, target in zip(envs, targets)])
-
 
 def entities(obs):
     """The (kind, features) entity list of an observation, for `critic_value`."""
@@ -304,7 +295,13 @@ def test_rescue_meta_env_round_trip():
     assert env.config.seed == 0  # the episode seed does not replace the config's
     assert obs.agent_feats.shape == (2, 2) and obs.task_feats.shape == (3, 3)
     assert obs.cons.mu.shape == (2, 3)
-    obs2, rewards, done = RescueMetaEnv.step_lanes([env], np.array([[0, 1]]))
+    pool = RescueLanes([env])  # the pool of a one-lane collector
+    assert env.state is pool.state
+    first = pool.reset(np.array([0]), [42])
+    for got, want in ((first.agents[0], obs.agent_feats), (first.tasks[0], obs.task_feats),
+                      (first.mu[0], obs.cons.mu), (first.u[0], obs.cons.u)):
+        assert got.tobytes() == want.tobytes()
+    obs2, rewards, done = pool.step(None, np.array([[0, 1]]))
     assert obs2.agents.shape == (1, 2, 2) and obs2.u.shape == (1, 3)
     assert rewards.tolist() == [pytest.approx(-0.01)] and done.tolist() == [False]
 
@@ -317,12 +314,15 @@ def _spawned_lane(cfg, seed):
 
 
 def test_rescue_reset_lanes_equal_spawn_and_leave_other_rows():
-    """`RescueMetaEnv.reset_lanes` writes each lane's row of the shared
-    state and returns its observation exactly as `spawn`,
-    `extract_features` and `build_constraints` give them, over 200 seeds,
-    and leaves the rows of lanes in mid-episode as they were."""
+    """`RescueLanes.reset` writes each lane's row k of the pool's state
+    and returns its observation exactly as `spawn`, `extract_features`
+    and `build_constraints` give them, over 200 seeds, and leaves the
+    rows of lanes in mid-episode as they were."""
     cfg = RescueConfig(3, 5, seed=0)
     envs = [RescueMetaEnv(cfg) for _ in range(4)]
+    pool = RescueLanes(envs)
+    state = pool.state
+    assert all(env.state is state for env in envs)
     seeds = iter(range(200))
     pick = np.random.default_rng(9)
     chosen = list(range(len(envs)))
@@ -330,43 +330,39 @@ def test_rescue_reset_lanes_equal_spawn_and_leave_other_rows():
         lane_seeds = [next(seeds, None) for _ in chosen]
         if None in lane_seeds:
             break
-        state = envs[0].state
-        kept = None if state is None else {
-            name: getattr(state, name).copy()
-            for name in ("ambulances", "victims", "picked", "step_count", "victim_ids")}
-        obs = RescueMetaEnv.reset_lanes([envs[k] for k in chosen], lane_seeds)
-        state = envs[0].state
-        assert all(env.state is state for env in envs)
+        kept = {name: getattr(state, name).copy()
+                for name in ("ambulances", "victims", "picked", "step_count", "victim_ids")}
+        obs = pool.reset(np.array(chosen), lane_seeds)
         for i, (k, seed) in enumerate(zip(chosen, lane_seeds)):
             single, (agents, tasks), cons = _spawned_lane(cfg, seed)
-            row = envs[k].lane
             for name in ("ambulances", "victims", "picked", "step_count", "victim_ids"):
-                assert np.array_equal(getattr(state, name)[row], getattr(single, name)[0])
+                assert np.array_equal(getattr(state, name)[k], getattr(single, name)[0])
             for got, want in ((obs.agents[i], agents[0]), (obs.tasks[i], tasks[0]),
                               (obs.mu[i], cons.mu), (obs.u[i], cons.u)):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
         for k in set(range(len(envs))) - set(chosen):
-            row = envs[k].lane
             for name, before in kept.items():
-                assert np.array_equal(getattr(state, name)[row], before[row])
+                assert np.array_equal(getattr(state, name)[k], before[k])
         for _ in range(3):  # put every lane in mid-episode
-            RescueMetaEnv.step_lanes(envs, pick.integers(-1, cfg.m, size=(len(envs), cfg.n)))
+            pool.step(None, pick.integers(-1, cfg.m, size=(len(envs), cfg.n)))
         chosen = sorted(pick.choice(len(envs), size=pick.integers(1, 4), replace=False).tolist())
 
 
-def test_rescue_lanes_reset_apart_cannot_step_together():
-    """Lanes step together only on the state they were reset into together."""
-    envs = [RescueMetaEnv(RescueConfig(2, 3, seed=0)) for _ in range(2)]
-    for env in envs:
-        env.reset(seed=1)
-    with pytest.raises(RescueError, match="share one state"):
-        RescueMetaEnv.step_lanes(envs, np.zeros((2, 2), dtype=int))
-    RescueMetaEnv.reset_lanes(envs, [1, 2])
-    RescueMetaEnv.step_lanes(envs, np.zeros((2, 2), dtype=int))
+def test_rescue_collector_of_other_sizes_or_step_caps_raises_when_built():
+    """The rescue lanes of a collector hold one (n, m) and one step cap:
+    environments that differ in either raise LearnError when the
+    collector is built; ones that differ only in their seed do not."""
+    rngs = [np.random.default_rng(k) for k in range(2)]
+    for other in (RescueConfig(3, 4), RescueConfig(2, 5), RescueConfig(2, 4, max_steps=60)):
+        with pytest.raises(LearnError, match="lane 1 holds"):
+            RolloutLanes([RescueMetaEnv(RescueConfig(2, 4)), RescueMetaEnv(other)], "lp",
+                         small_cfg(), rngs)
+    RolloutLanes([RescueMetaEnv(RescueConfig(2, 4, seed=k)) for k in range(2)], "lp",
+                 small_cfg(), rngs)
 
 
 def test_battle_collector_resets_by_stacking_per_lane_resets(monkeypatch):
-    """A battle collector starts its lanes' episodes through `stack_resets`:
+    """A battle collector starts its lanes' episodes through `StackingLanes`:
     one `reset` per lane, with the seed that lane's rng draws, and the
     first observation of each chunk is that reset's, bit for bit."""
     from swarmplan.battle import load_scenario
@@ -489,25 +485,24 @@ def test_lanes_of_different_sizes_raise():
     """A collector holds one (n, m): lanes of another size, or a lane that
     resets to another size, raise LearnError."""
     model = init_scoring_model(2, 3, with_g=False, seed=3)
-    sizes = [(2, 4), (3, 5)]
-    lanes = RolloutLanes([RescueMetaEnv(RescueConfig(n, m, seed=0)) for n, m in sizes],
+    lanes = RolloutLanes([FixedEnv(m=3), FixedEnv(m=4)],
                          "lp", small_cfg(), [np.random.default_rng(k) for k in range(2)])
     lanes.set_model(model)
     with pytest.raises(LearnError, match="lane 1 reset to"):
         lanes.collect_round()
     worker, _ = make_worker(FixedEnv(length=3))
     assert worker.collect_chunk().terminal_tail
-    worker.envs[0].m = 4  # the next episode is 2x4
+    worker.pool.envs[0].m = 4  # the next episode is 2x4
     with pytest.raises(LearnError, match="lane 0 reset to"):
         worker.collect_chunk()
 
 
 def test_rescue_training_builds_no_per_step_objects(monkeypatch):
     """A rescue training run records its steps as arrays: it builds no
-    StepRecord and no Observation, and starts episodes with one
-    `reset_lanes` call per round that has lanes to start."""
+    StepRecord and no Observation, and starts episodes with one pool
+    `reset` per round that has lanes to start."""
     import swarmplan.learn.rollout as rollout
-    built = {"StepRecord": 0, "Observation": 0, "reset_lanes": 0, "lanes": 0}
+    built = {"StepRecord": 0, "Observation": 0, "resets": 0, "lanes": 0}
     for name in ("StepRecord", "Observation"):
         init = getattr(rollout, name).__init__
 
@@ -515,13 +510,13 @@ def test_rescue_training_builds_no_per_step_objects(monkeypatch):
             built[_name] += 1
             _init(self, *args, **kwargs)
         monkeypatch.setattr(getattr(rollout, name), "__init__", counting)
-    reset_lanes = RescueMetaEnv.reset_lanes
+    reset = RescueLanes.reset
 
-    def counting_reset_lanes(envs, seeds):
-        built["reset_lanes"] += 1
-        built["lanes"] += len(envs)
-        return reset_lanes(envs, seeds)
-    monkeypatch.setattr(RescueMetaEnv, "reset_lanes", staticmethod(counting_reset_lanes))
+    def counting_reset(self, rows, seeds):
+        built["resets"] += 1
+        built["lanes"] += len(rows)
+        return reset(self, rows, seeds)
+    monkeypatch.setattr(RescueLanes, "reset", counting_reset)
     cfg = small_cfg(workers=4, batch_chunks=8)
     result = train(init_scoring_model(2, 3, with_g=False, seed=0), init_critic(2, 3, seed=1),
                    lambda: RescueMetaEnv(RescueConfig(2, 4, seed=0)), "lp",
@@ -529,7 +524,7 @@ def test_rescue_training_builds_no_per_step_objects(monkeypatch):
     assert result.env_steps > 3 * 8
     assert built["StepRecord"] == built["Observation"] == 0
     rounds = 3 * cfg.batch_chunks // cfg.workers
-    assert 0 < built["reset_lanes"] <= rounds
+    assert 0 < built["resets"] <= rounds
     assert cfg.workers <= built["lanes"] < result.env_steps
 
 
@@ -1071,9 +1066,13 @@ def test_flat_optimizers_equal_per_array_reference(name):
             assert params_to_vector(flat_net).tobytes() == params_to_vector(ref_net).tobytes()
 
 
-def test_make_optimizer_rejects_unknown():
-    with pytest.raises(LearnError):
-        make_optimizer("rmsprop", 1e-3)
+def test_a2c_config_rejects_unknown_optimizer():
+    """The optimizer name is checked once, by `A2CConfig`; `make_optimizer`
+    builds each name it accepts."""
+    with pytest.raises(LearnError, match="optimizer must be one of"):
+        A2CConfig(optimizer="rmsprop")
+    assert [type(make_optimizer(name, 1e-3)) for name in OPTIMIZERS] == [
+        SgdOptimizer, AdamOptimizer]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from swarmplan.rescue import (
     plan_policy,
     run_episode,
     spawn,
-    stack_lanes,
     step,
 )
 
@@ -188,7 +187,7 @@ class TestStep:
         lane would on its own; the other lanes do not move."""
         configs = [RescueConfig(3, 5, seed=s) for s in range(4)]
         singles = [spawn(cfg) for cfg in configs]
-        stacked = stack_lanes([(state, 0) for state in singles])
+        stacked = GridState.empty(4, 3, 5).respawn(np.arange(4), [cfg.seed for cfg in configs])
         rng = np.random.default_rng(8)
         for t in range(12):
             lanes = np.array([0, 1, 2, 3]) if t % 3 else np.array([1, 3])
@@ -197,7 +196,8 @@ class TestStep:
             for k, lane in enumerate(lanes):
                 assert done[k] == step(singles[lane], targets[k:k + 1], 10)[0]
             for lane, single in enumerate(singles):
-                assert stack_lanes([(stacked, lane)]).cells() == single.cells()
+                for name in ("ambulances", "victims", "picked"):
+                    assert np.array_equal(getattr(stacked, name)[lane], getattr(single, name)[0])
                 assert stacked.step_count[lane] == single.step_count[0]
             agents, tasks = extract_features(stacked, lanes)
             for k, lane in enumerate(lanes):
