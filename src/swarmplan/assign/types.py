@@ -146,17 +146,6 @@ class RelaxedAssignment:
     def m(self) -> int:
         return self.beta.shape[1]
 
-    def check_invariants(self, cons: ConstraintSet | None = None, eps: float = FEAS_EPS) -> bool:
-        b = self.beta
-        if np.any(b < -eps) or np.any(b > 1 + eps):
-            return False
-        if np.any(b.sum(axis=1) > 1 + eps):
-            return False
-        if cons is not None:
-            if np.any((cons.mu * b).sum(axis=0) > cons.u + eps):
-                return False
-        return True
-
 
 @dataclass
 class FwConfig:

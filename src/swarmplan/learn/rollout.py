@@ -21,8 +21,8 @@ pool `step`. A round records its steps as those stacked arrays
 (`StepStack`), so no per-lane, per-step object is built. A lane's chunk
 of up to N steps is its rows of them, with their rewards and terminal
 flags and the place of its bootstrap observation; `Chunk.steps` builds
-`StepRecord`s on demand, for checks and tests. A `RolloutWorker` is the
-one-lane collector.
+`StepRecord`s on demand, for checks. A `RolloutWorker` is the one-lane
+collector.
 """
 from __future__ import annotations
 
@@ -200,13 +200,6 @@ class BattleMetaEnv:
         return self._observe(), reward, done
 
 
-def gaussian_loglik(sample: np.ndarray, mean: np.ndarray, variance: float) -> float:
-    """Joint log-density of independent N(mean, variance) entries."""
-    diff = np.asarray(sample, dtype=float) - np.asarray(mean, dtype=float)
-    return float(-np.sum(diff ** 2) / (2.0 * variance)
-                 - 0.5 * diff.size * np.log(2.0 * np.pi * variance))
-
-
 @dataclass
 class StepRecord:
     obs: Observation
@@ -258,8 +251,8 @@ class Chunk:
     (ObservationStack, row) of the observation after the last step, or
     None after a terminal one.
 
-    `steps` and `bootstrap` are read-only views that build fresh objects
-    on every read; the update and the training loop read the arrays.
+    `steps` is a read-only view that builds fresh objects on every read;
+    the update and the training loop read the arrays.
     """
 
     def __init__(self, stack: StepStack, rows: list, rewards: list, terminal: list,
@@ -273,13 +266,6 @@ class Chunk:
     @property
     def steps(self) -> list:
         return [self.stack.record(*step) for step in zip(self.rows, self.rewards, self.terminal)]
-
-    @property
-    def bootstrap(self) -> Observation | None:
-        if self.bootstrap_at is None:
-            return None
-        stack, row = self.bootstrap_at
-        return stack.lane(row)
 
 
 class RolloutLanes:
@@ -300,9 +286,9 @@ class RolloutLanes:
     The arrays that the pool returns are fresh, and the collector keeps
     them: a step of every lane records `obs` as it is and takes the
     returned stack as the next; a step or a reset of some lanes writes
-    theirs back, and a step records a copy of their rows. The chunks of
-    a round share `obs` for their bootstrap observations, so the next
-    write in place copies it first.
+    theirs back, and a step records a copy of their rows. A round ends
+    by copying the rows of its unfinished lanes once, for its chunks'
+    bootstrap observations.
     """
 
     def __init__(self, envs, inference: str, cfg: A2CConfig, rngs,
@@ -321,7 +307,6 @@ class RolloutLanes:
                               for seeds in episode_seeds]
         self.model: ScoringModel | None = None
         self.obs = None  # every lane's current observation, from the first reset on
-        self.shared = False  # whether chunks hold `obs`
         self.in_episode = [False] * self.lane_count
         self.h_noise = self.g_noise = None  # from the first reset on
 
@@ -331,8 +316,6 @@ class RolloutLanes:
 
     def _write(self, lanes, fields):
         """Overwrite the rows `lanes` of `obs` with `fields`."""
-        if self.shared:
-            self.obs, self.shared = self.obs.rows(np.arange(self.lane_count)), False
         for rows, new in zip(self.obs.fields(), fields):
             if rows is not None:
                 rows[lanes] = new
@@ -381,7 +364,7 @@ class RolloutLanes:
         targets = infer_stack(self.inference, sampled_h, sampled_g, obs.mu, obs.u)
         next_obs, rewards, done = self.pool.step(index, targets)
         if every:
-            self.obs, self.shared = next_obs, False
+            self.obs = next_obs
         else:
             self._write(index, next_obs.fields())
         return steps.add(obs, sampled_h, sampled_g, targets), rewards, done
@@ -411,13 +394,14 @@ class RolloutLanes:
             active = still
             if not active:
                 break
+        going = [k for k in lanes if not ended[k][-1]]
+        tails = self.obs.rows(np.array(going, dtype=np.intp))
+        at = {k: i for i, k in enumerate(going)}  # each one's row of `tails`
         chunks = []
         for k in lanes:
-            tail = ended[k][-1]
-            self.in_episode[k] = not tail  # after a terminal step, a fresh episode
+            self.in_episode[k] = k in at  # after a terminal step, a fresh episode
             chunks.append(Chunk(steps, rows[k], rewards[k], ended[k],
-                                None if tail else (self.obs, k)))
-        self.shared = any(self.in_episode[k] for k in lanes)
+                                (tails, at[k]) if k in at else None))
         return chunks
 
 

@@ -10,8 +10,8 @@ log l_t is the Gaussian log-likelihood of the sampled score tables under
 the current networks. The rollout and the update use the same
 parameters, so the learner is on-policy and needs no importance ratio.
 Freezing R and A at the evaluation point makes the analytic gradient
-exactly the gradient of `frozen_objective`, which is what the
-finite-difference tests check.
+exactly the gradient of the loss with R and A held constant, which is
+what the finite-difference tests check.
 
 An update is one batched pass over the whole batch. A batch holds one
 (n, m), and its steps either all sampled g or none did; anything else
@@ -26,8 +26,8 @@ segment mean per state. The targets come from that forward pass;
 `score_pairs_backward` and `critic_values_backward` then run one
 backward pass of each net. Batched sums round differently from per-step
 sums, so results agree with a per-step loop to rounding, not bit for
-bit. `frozen_objective` stays a per-step loop over `Chunk.steps`: it is
-the independent reference for the gradient checks.
+bit. That per-step loop over `Chunk.steps`, the independent reference of
+the gradient checks, lives with the tests (`tests/a2c_reference.py`).
 """
 from __future__ import annotations
 
@@ -44,24 +44,16 @@ from ..nets import (
     critic_values_backward,
     grads_to_vector,
     score_pair_stack,
-    score_pairs,
     score_pairs_backward,
     zero_grads,
 )
 from .config import A2CConfig, LearnError
-from .rollout import Chunk, gaussian_loglik
+from .rollout import Chunk
 
 
 def _check_bootstrap(chunk: Chunk):
     if not chunk.terminal_tail and chunk.bootstrap_at is None:
         raise LearnError("non-terminal chunk without a bootstrap observation")
-
-
-def nstep_returns(chunk: Chunk, gamma: float, critic: CriticParams) -> list:
-    """Discounted n-step returns, bootstrapped with V at the chunk tail."""
-    _check_bootstrap(chunk)
-    tail = 0.0 if chunk.terminal_tail else _state_value(critic, chunk.bootstrap)
-    return _discounted_returns(chunk.rewards, chunk.terminal, gamma, tail)
 
 
 def _discounted_returns(rewards: list, terminal: list, gamma: float, tail: float) -> list:
@@ -143,18 +135,6 @@ class FrozenTargets:
     advantages: list
 
 
-def _step_loglik(model: ScoringModel, step, sigma: float) -> float:
-    """log l of one step's sampled tables under the current model."""
-    table = score_pairs(model, step.obs.agent_feats, step.obs.task_feats,
-                        pair_extras=step.obs.pair_extras)
-    log_l = gaussian_loglik(step.sampled_h, table.h, sigma)
-    if step.sampled_g is not None:
-        if table.g is None:
-            raise LearnError("rollout sampled g but the model has no g_net")
-        log_l += gaussian_loglik(step.sampled_g, table.g, sigma)
-    return log_l
-
-
 @dataclass
 class _BatchPass:
     """Every step of a batch scored by one forward pass, with its caches."""
@@ -165,11 +145,6 @@ class _BatchPass:
     diffs: list            # sampled - predicted h (S, n, m), then g (S, m, m) if sampled
     cache: tuple           # score_pair_stack's caches
     critic_cache: tuple
-
-
-def _state_value(critic, obs) -> float:
-    X = critic_rows(critic, obs.agent_feats[None], obs.task_feats[None])
-    return float(critic_values(critic, X, [len(X)])[0])
 
 
 def _loglik(diff, sigma: float) -> np.ndarray:
@@ -269,20 +244,6 @@ def freeze_targets(model: ScoringModel, critic: CriticParams, chunks,
     return _targets(_batch_forward(model, critic, chunks, cfg.sigma), chunks, cfg)
 
 
-def frozen_objective(model: ScoringModel, critic: CriticParams, chunks,
-                     cfg: A2CConfig, frozen: FrozenTargets) -> float:
-    """The descended loss with R and A held at the frozen values."""
-    total = 0.0
-    count = 0
-    for chunk, R, A in zip(chunks, frozen.returns, frozen.advantages):
-        for step, r, a in zip(chunk.steps, R, A):
-            v = _state_value(critic, step.obs)
-            log_l = _step_loglik(model, step, cfg.sigma)
-            total += abs(r - v) - cfg.lam * a * log_l
-            count += 1
-    return total / count
-
-
 @dataclass
 class UpdateDiagnostics:
     value_loss: float
@@ -299,7 +260,7 @@ def a2c_grads(model: ScoringModel, critic: CriticParams, chunks,
     Returns (grads, diagnostics) with grads = {"h", "g", "embed", "head"};
     "g" is None when the model has no g_net. When `frozen` is omitted the
     targets are evaluated at the current parameters, which is the on-line
-    update; passing explicit targets reproduces `frozen_objective`.
+    update; explicit targets are used as given, held constant.
     Either way the batch is scored by one forward pass and each net runs
     one backward pass.
     """

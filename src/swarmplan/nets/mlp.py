@@ -139,26 +139,8 @@ def zero_grads(params: MlpParams):
     return [(np.zeros_like(W), np.zeros_like(b)) for W, b in params.layers]
 
 
-def add_grads(acc, grads):
-    for (aW, ab), (gW, gb) in zip(acc, grads):
-        aW += gW
-        ab += gb
-    return acc
-
-
 def params_to_vector(params: MlpParams) -> np.ndarray:
     return np.concatenate([a.ravel() for W, b in params.layers for a in (W, b)])
-
-
-def vector_to_params(vec: np.ndarray, template: MlpParams) -> MlpParams:
-    layers = []
-    k = 0
-    for W, b in template.layers:
-        nW, nb = W.size, b.size
-        layers.append((vec[k:k + nW].reshape(W.shape).copy(),
-                       vec[k + nW:k + nW + nb].copy()))
-        k += nW + nb
-    return MlpParams(layers)
 
 
 def grads_to_vector(grads) -> np.ndarray:

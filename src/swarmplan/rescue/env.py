@@ -90,10 +90,11 @@ class GridState:
 
     def respawn(self, lanes, seeds) -> "GridState":
         """Start a fresh episode in place on each lane of `lanes` (an index
-        array), drawn as `spawn` draws from the seed at the same place of
-        `seeds`; returns self."""
+        array), drawn from the seed at the same place of `seeds`: the n + m
+        cells of `default_rng(seed)`, ambulances first; returns self."""
         n, m = self.size
-        cells = np.array([_draw_cells(n, m, seed) for seed in seeds])
+        cells = np.array([np.random.default_rng(seed).integers(0, GRID_SIZE, size=(n + m, 2))
+                          for seed in seeds])
         _check_on_grid("entity", cells)
         self.ambulances[lanes], self.victims[lanes] = cells[:, :n], cells[:, n:]
         self.picked[lanes] = False
@@ -116,16 +117,10 @@ def _fixed_victim_values(victims: np.ndarray) -> tuple:
     return victims @ ID_WEIGHTS, victims / EXTENT
 
 
-def _draw_cells(n: int, m: int, seed) -> np.ndarray:
-    """The (n + m, 2) cells of one spawn from `seed`, ambulances first."""
-    return np.random.default_rng(seed).integers(0, GRID_SIZE, size=(n + m, 2))
-
-
 def spawn(config: RescueConfig) -> GridState:
-    """One lane; all entities i.i.d. uniform over the grid cells; overlaps allowed."""
-    cells = _draw_cells(config.n, config.m, config.seed)
-    return GridState(cells[None, :config.n], cells[None, config.n:],
-                     np.zeros((1, config.m), dtype=bool), np.zeros(1))
+    """One lane, the one-lane `respawn`: all entities i.i.d. uniform over
+    the grid cells; overlaps allowed."""
+    return GridState.empty(1, config.n, config.m).respawn([0], [config.seed])
 
 
 def step(state: GridState, targets, max_steps: int = 400, lanes=None):

@@ -31,7 +31,6 @@ from swarmplan.assign import (
 from swarmplan.battle import (
     build_battle_constraints,
     extract_battle_features,
-    frame_record,
     heuristic_policy,
     load_scenario,
     spawn_battle,
@@ -49,7 +48,6 @@ from swarmplan.learn import (
     RolloutWorker,
     a2c_grads,
     freeze_targets,
-    frozen_objective,
     play_episode,
     train,
 )
@@ -66,9 +64,10 @@ from swarmplan.nets import (
     params_to_vector,
     score_pairs,
     score_pairs_backward,
-    vector_to_params,
 )
 from swarmplan.rescue import RescueConfig
+from a2c_reference import frozen_objective, vector_to_params
+from battle_replay import frame_record
 from brute_force import brute_force_assign
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from swarmplan.nets import init_scoring_model, load_models, score_pairs
 from swarmplan.rescue import RescueConfig
 from brute_force import brute_force_assign
 from lp_reference import _REFACTOR_EVERY, PolytopeLp
+from test_assign_core import check_invariants
 from test_assign_golden import TRAINED_MODEL, full_coverage_instance
 
 
@@ -156,7 +157,7 @@ class TestMatchingAssign:
             relaxed = lp_relax_solve(scores, cons)
             hard = matching_assign(scores, cons)
             np.testing.assert_array_equal(relaxed.beta, hard.to_matrix(cons.m))
-            assert relaxed.check_invariants(cons)
+            assert check_invariants(relaxed.beta, cons)
 
 
 def reference_augment(cost, row_dual, col_dual, row4col, col4row, start):
@@ -347,7 +348,7 @@ class TestPolytopeLp:
         for _ in range(200):
             scores, cons = unit_instance(rng, int(rng.integers(1, 8)), int(rng.integers(1, 8)))
             beta = PolytopeLp(cons.mu, cons.u).solve(scores.h)
-            assert RelaxedAssignment(beta).check_invariants(cons)
+            assert check_invariants(beta, cons)
             assert float(np.sum(beta * scores.h)) == pytest.approx(
                 objective_value(matching_assign(scores, cons), scores), abs=1e-9)
 
@@ -399,7 +400,7 @@ class TestPolytopeLp:
             for _ in range(6):
                 weights = random_weights(rng, (cons.n, cons.m), tied=trial % 2 == 1)
                 beta = tree.solve(weights)
-                assert RelaxedAssignment(beta).check_invariants(cons)
+                assert check_invariants(beta, cons)
                 assert float(np.sum(beta * weights)) == pytest.approx(
                     float(np.sum(simplex_lp.solve(weights) * weights)), abs=1e-9)
 
@@ -493,7 +494,7 @@ class TestPolytopeLp:
         drifts, since_refactor = [], []
         while lp.pivots < 2 * _REFACTOR_EVERY:
             beta = lp.solve(rng.normal(size=(n, m)))
-            assert RelaxedAssignment(beta).check_invariants(cons)
+            assert check_invariants(beta, cons)
             B = np.zeros((lp.rows, lp.rows))
             for k, var in enumerate(lp.basis):
                 if var < lp.nm:

@@ -13,7 +13,6 @@ from swarmplan.battle import (
     build_battle_constraints,
     closest_heuristic,
     extract_battle_features,
-    frame_record,
     heuristic_policy,
     load_scenario,
     random_no_change,
@@ -26,6 +25,7 @@ from swarmplan.battle import (
 )
 from swarmplan.battle import sim
 from swarmplan.battle.sim import CONTACT_EPS
+from battle_replay import frame_record
 
 
 def make_spec(**overrides):

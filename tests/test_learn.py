@@ -21,7 +21,6 @@ from swarmplan.learn import (
     A2CConfig,
     AdamOptimizer,
     BattleMetaEnv,
-    Chunk,
     FrozenTargets,
     LearnError,
     NoiseWindows,
@@ -33,15 +32,11 @@ from swarmplan.learn import (
     RolloutLanes,
     RolloutWorker,
     SgdOptimizer,
-    StepStack,
     a2c_grads,
     a2c_update,
     evaluate_policy,
     freeze_targets,
-    frozen_objective,
-    gaussian_loglik,
     make_optimizer,
-    nstep_returns,
     play_episode,
     train,
     write_metrics,
@@ -50,7 +45,6 @@ from swarmplan.nets import (
     CriticParams,
     MlpParams,
     ScoringModel,
-    add_grads,
     critic_backward,
     critic_rows,
     critic_value,
@@ -60,10 +54,10 @@ from swarmplan.nets import (
     params_to_vector,
     score_pairs,
     score_pairs_backward,
-    vector_to_params,
     zero_grads,
 )
 from swarmplan.rescue import RescueConfig, build_constraints, extract_features, spawn
+from a2c_reference import add_grads, bootstrap, frozen_objective, gaussian_loglik, vector_to_params
 
 # ---------------------------------------------------------------------------
 # noise
@@ -252,10 +246,10 @@ def test_chunks_never_cross_episodes():
 def test_terminal_chunk_has_no_bootstrap():
     worker, _ = make_worker(FixedEnv(length=4))
     chunk = worker.collect_chunk()
-    assert chunk.terminal_tail and chunk.bootstrap is None
+    assert chunk.terminal_tail and bootstrap(chunk) is None
     worker2, _ = make_worker(FixedEnv(length=9))
     chunk2 = worker2.collect_chunk()
-    assert not chunk2.terminal_tail and chunk2.bootstrap is not None
+    assert not chunk2.terminal_tail and bootstrap(chunk2) is not None
 
 
 def test_rollout_assignments_replay_from_sampled_tables():
@@ -543,7 +537,7 @@ def test_gathered_rows_equal_chunk_steps_and_bootstraps(inference):
     rows = update._gather(chunks)
     steps = [step for chunk in chunks for step in chunk.steps]
     states = [step.obs for step in steps] + [
-        chunk.bootstrap for chunk in chunks if not chunk.terminal_tail]
+        bootstrap(chunk) for chunk in chunks if not chunk.terminal_tail]
     want = {"agents": [obs.agent_feats for obs in states],
             "tasks": [obs.task_feats for obs in states],
             "sampled_h": [step.sampled_h for step in steps],
@@ -605,61 +599,11 @@ def test_critic_rows_equal_entity_rows(case):
     chunks, critic = CRITIC_BATCHES[case]()
     critic = critic or init_critic(RescueMetaEnv.num_kinds, RescueMetaEnv.feature_dim, seed=2)
     observations = [step.obs for chunk in chunks for step in chunk.steps] + [
-        chunk.bootstrap for chunk in chunks if not chunk.terminal_tail]
+        bootstrap(chunk) for chunk in chunks if not chunk.terminal_tail]
     X = critic_rows(critic, np.stack([obs.agent_feats for obs in observations]),
                     np.stack([obs.task_feats for obs in observations]))
     want_X, _ = reference_entity_matrix(critic, [entities(obs) for obs in observations])
     assert X.shape == want_X.shape and np.array_equal(X, want_X)
-
-
-# ---------------------------------------------------------------------------
-# returns
-
-
-def brute_returns(rewards, terminal_tail, tail_value, gamma):
-    N = len(rewards)
-    out = []
-    for t in range(N):
-        r = sum(gamma ** (k - t) * rewards[k] for k in range(t, N))
-        if not terminal_tail:
-            r += gamma ** (N - t) * tail_value
-        out.append(r)
-    return out
-
-
-def _stub_chunk(rewards, terminal_tail, agents, tasks):
-    """A one-lane chunk whose steps, and bootstrap state if any, all hold
-    one observation."""
-    obs = ObservationStack.of([Observation(
-        np.array(agents), np.array(tasks), None,
-        ConstraintSet(np.ones((len(agents), len(tasks))), np.ones(len(tasks))))])
-    stack = StepStack()
-    for _ in rewards:
-        stack.add(obs, np.zeros((1, len(agents), len(tasks))), None,
-                  np.zeros((1, len(agents)), dtype=int))
-    terminal = [terminal_tail and t == len(rewards) - 1 for t in range(len(rewards))]
-    return Chunk(stack, list(range(len(rewards))), list(rewards), terminal,
-                 None if terminal_tail else (obs, 0))
-
-
-@pytest.mark.parametrize("terminal", [True, False])
-def test_nstep_returns_match_brute_force(terminal):
-    critic = init_critic(2, 3, seed=0)
-    rewards = [1.0, -0.5, 2.0, 0.25]
-    chunk = _stub_chunk(rewards, terminal, [[0.1, 0.2]], [[0.3, -0.1, 0.5]])
-    got = nstep_returns(chunk, 0.9, critic)
-    tail = 0.0 if terminal else critic_value(
-        critic, [(0, [0.1, 0.2]), (1, [0.3, -0.1, 0.5])])
-    expected = brute_returns(rewards, terminal, tail, 0.9)
-    assert got == pytest.approx(expected)
-
-
-def test_nstep_returns_rejects_missing_bootstrap():
-    critic = init_critic(2, 3, seed=0)
-    chunk = _stub_chunk([1.0], False, [[0.0, 0.0]], [[0.0, 0.0, 0.0]])
-    chunk.bootstrap_at = None
-    with pytest.raises(LearnError):
-        nstep_returns(chunk, 0.9, critic)
 
 
 # ---------------------------------------------------------------------------
@@ -775,11 +719,24 @@ def test_update_descends_frozen_objective():
 # the batched update against a per-step loop
 
 
+def brute_returns(rewards, terminal_tail, tail_value, gamma):
+    N = len(rewards)
+    out = []
+    for t in range(N):
+        r = sum(gamma ** (k - t) * rewards[k] for k in range(t, N))
+        if not terminal_tail:
+            r += gamma ** (N - t) * tail_value
+        out.append(r)
+    return out
+
+
 def reference_targets(model, critic, chunks, cfg):
-    """R and A step by step: one critic_value per step."""
+    """R and A step by step: the returns summed term by term, one
+    critic_value per step and per bootstrap state."""
     returns, advantages = [], []
     for chunk in chunks:
-        R = nstep_returns(chunk, cfg.gamma, critic)
+        tail = 0.0 if chunk.terminal_tail else critic_value(critic, entities(bootstrap(chunk)))
+        R = brute_returns(chunk.rewards, chunk.terminal_tail, tail, cfg.gamma)
         returns.append(R)
         advantages.append([r - critic_value(critic, entities(step.obs))
                            for r, step in zip(R, chunk.steps)])
@@ -920,6 +877,19 @@ def test_batch_of_mixed_shapes_raises(case, entry):
     with pytest.raises(LearnError, match=says):
         {"freeze_targets": freeze_targets, "a2c_grads": a2c_grads}[entry](
             model, critic, chunks, cfg)
+
+
+def test_non_terminal_chunk_without_bootstrap_raises():
+    """`a2c_update` rejects a chunk that neither ends its episode nor
+    holds its bootstrap observation, before any parameter moves."""
+    model, critic, batch, cfg = collect_batch(chunks=1)
+    assert not batch[0].terminal_tail
+    batch[0].bootstrap_at = None
+    before = _pack(model, critic).tobytes()
+    with pytest.raises(LearnError, match="non-terminal chunk without a bootstrap observation"):
+        a2c_update(model, critic, batch, cfg,
+                   make_optimizer("sgd", 1.0), make_optimizer("sgd", 1.0))
+    assert _pack(model, critic).tobytes() == before
 
 
 def test_a2c_grads_rejects_mismatched_targets():

@@ -34,8 +34,8 @@ from swarmplan.nets import (
     score_pair_stack,
     score_pairs,
     score_pairs_backward,
-    vector_to_params,
 )
+from a2c_reference import vector_to_params
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
