@@ -21,7 +21,8 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,10 @@ class BattleError(ValueError):
     pass
 
 
+_INTEGER_FIELDS = ("cooldown_frames", "type_id")
+_REAL_FIELDS = ("max_health", "damage_per_attack", "attack_range", "speed", "radius")
+
+
 @dataclass(frozen=True)
 class UnitSpec:
     name: str
@@ -53,6 +58,14 @@ class UnitSpec:
     radius: float = 0.75
 
     def __post_init__(self):
+        checks = [(field, numbers.Integral, "an integer") for field in _INTEGER_FIELDS]
+        checks += [(field, numbers.Real, "a finite number") for field in _REAL_FIELDS]
+        for field, kind, what in checks + [("is_flying", bool, "true or false")]:
+            value = getattr(self, field)
+            bad = not isinstance(value, kind) or (kind is not bool and isinstance(value, bool))
+            # abs(value) <= the largest float rules out NaN, infinities and huge integers.
+            if bad or kind is numbers.Real and not abs(value) <= sys.float_info.max:
+                raise BattleError(f"spec {self.name}: {field} must be {what}, got {value!r}")
         if min(self.max_health, self.damage_per_attack, self.cooldown_frames,
                self.attack_range, self.speed, self.radius) <= 0:
             raise BattleError(f"spec {self.name}: all numeric fields must be positive")
@@ -280,12 +293,13 @@ def spawn_battle(config: BattleConfig) -> BattleState:
 
 
 # A separation pass visits the pairs of discs within _SLACK of contact
-# when it starts, plus any pair its pushes carried into contact. A pair's
-# distance at its turn is at least its start distance less how far each
-# of its discs strayed from its start so far (triangle inequality). So a
-# pass need only look among the pairs within _SCREEN of the widest
-# contact while no two discs together stray that far, and among all
-# pairs otherwise. _ROUNDING absorbs the rounding of the bounds.
+# when it starts. A pair's distance at its turn is at least its start
+# distance less how far each of its discs strayed from its start in the
+# pass (triangle inequality). A skipped pair that this bound cannot keep
+# apart is visited when the pass is redone. A pass need only look among
+# the pairs within _SCREEN of the widest contact while no two discs
+# together stray that far, and among all pairs otherwise. _ROUNDING
+# absorbs the rounding of the bounds.
 _SLACK = 1.0
 _SCREEN = 3.0
 _ROUNDING = 1e-9
@@ -320,9 +334,10 @@ def _separate(pos, radius):
     sees the pushes of the pairs before it (Gauss-Seidel). A pass visits
     only the pairs near contact at the start. A pair it skipped can only
     have overlapped at its turn if its start gap, less how far each disc
-    strayed from its start in the pass, is below zero; such pairs are
-    checked at the positions they had at their turn, and if one did
-    overlap, the pass is redone with it."""
+    strayed from its start in the pass, is below zero; if any such pair
+    is left, the pass is redone with all of them. A visited pair that
+    does not overlap is not pushed, so the last pass is the pass over
+    all pairs, bit for bit."""
     if len(pos) < 2:
         return
     start = pos.copy()
@@ -337,40 +352,15 @@ def _separate(pos, radius):
         gap = rough_all[near] - touch
         visit = gap < _SLACK
         while True:
-            strayed, trail = _sweep(pos, start, a[visit], b[visit],
-                                    vec_norm(start[b[visit]] - start[a[visit]]), touch[visit])
+            strayed = _sweep(pos, start, a[visit], b[visit],
+                             vec_norm(start[b[visit]] - start[a[visit]]), touch[visit])
             if 2.0 * strayed.max() > screen - _ROUNDING:
                 break
-            suspect = np.flatnonzero(~visit & (gap - strayed[a] - strayed[b] < _ROUNDING))
-            hits = [k for k in suspect.tolist()
-                    if _overlapped_at_turn(int(a[k]), int(b[k]), touch[k], start, trail)]
-            if not hits:
+            suspect = ~visit & (gap - strayed[a] - strayed[b] < _ROUNDING)
+            if not suspect.any():
                 return
-            visit[hits] = True
+            visit |= suspect
         screen = np.inf
-
-
-def _overlapped_at_turn(p, q, min_dist, start, trail):
-    """Whether pair (p, q), skipped by a pass, overlapped at its turn."""
-    xp, yp = _position_at(p, (p, q), start, trail)
-    xq, yq = _position_at(q, (p, q), start, trail)
-    dx, dy = xq - xp, yq - yp
-    if math.hypot(dx, dy) >= min_dist + _ROUNDING:
-        return False
-    return _norm(dx, dy) < min_dist
-
-
-def _position_at(k, turn, start, trail):
-    """Disc k's position in a pass just before pair `turn` was reached."""
-    x, y = start[k].tolist()
-    for pair, a, b, xa, ya, xb, yb in trail:
-        if pair >= turn:
-            break
-        if a == k:
-            x, y = xa, ya
-        elif b == k:
-            x, y = xb, yb
-    return x, y
 
 
 def _sweep(pos, start, a_rows, b_rows, dist0, touch):
@@ -378,12 +368,10 @@ def _sweep(pos, start, a_rows, b_rows, dist0, touch):
     `start`, whose start distances are dist0; writes the result to `pos`.
 
     Returns how far each disc strayed from its start at any point of the
-    pass, and its trail: every push in order, as (pair, a, b, xa, ya,
-    xb, yb) with both discs' positions after it."""
+    pass."""
     x0, y0 = start[:, 0].tolist(), start[:, 1].tolist()
     xs, ys = x0[:], y0[:]
     strayed = [0.0] * len(xs)
-    trail = []
     for a, b, dist, min_dist in zip(a_rows.tolist(), b_rows.tolist(),
                                     dist0.tolist(), touch.tolist()):
         if strayed[a] or strayed[b]:
@@ -409,10 +397,9 @@ def _sweep(pos, start, a_rows, b_rows, dist0, touch):
             strayed[a] = da
         if db > strayed[b]:
             strayed[b] = db
-        trail.append(((a, b), a, b, xa, ya, xb, yb))
     pos[:, 0] = xs
     pos[:, 1] = ys
-    return np.array(strayed), trail
+    return np.array(strayed)
 
 
 def step_battle(state: BattleState, our_assignment):
@@ -489,17 +476,11 @@ SCENARIO_DIR = Path(__file__).parent / "scenarios"
 
 
 def load_spec(entry: dict) -> UnitSpec:
-    return UnitSpec(
-        name=entry["name"],
-        max_health=float(entry["max_health"]),
-        damage_per_attack=float(entry["damage_per_attack"]),
-        cooldown_frames=int(entry["cooldown_frames"]),
-        attack_range=float(entry["attack_range"]),
-        speed=float(entry["speed"]),
-        is_flying=bool(entry["is_flying"]),
-        type_id=int(entry["type_id"]),
-        radius=float(entry.get("radius", 0.75)),
-    )
+    """A spec entry of a scenario file, checked as written; reals are
+    then held as floats."""
+    entry = {"radius": 0.75, **entry}
+    spec = UnitSpec(**{field.name: entry[field.name] for field in fields(UnitSpec)})
+    return replace(spec, **{field: float(entry[field]) for field in _REAL_FIELDS})
 
 
 def load_scenario(name_or_path, seed: int = 0) -> BattleConfig:

@@ -8,6 +8,7 @@ bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -45,6 +46,9 @@ def load_arrays(path):
     try:
         header = json.loads(raw[4:4 + hlen].decode("utf-8"))
         entries = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+        if any(isinstance(d, bool) or not isinstance(d, int) or d < 0
+               for _, shape in entries for d in shape):
+            raise ValueError("a dimension is not a non-negative integer")
         meta = dict(header["meta"])
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"bad checkpoint header: {exc!r}") from exc
@@ -53,12 +57,13 @@ def load_arrays(path):
     arrays = {}
     offset = 4 + hlen
     for name, shape in entries:
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 4 * count
+        end = offset + 4 * math.prod(shape)
         if end > len(raw):
             raise CheckpointError(f"truncated payload for array {name}")
         arrays[name] = np.frombuffer(raw[offset:end], dtype="<f4").reshape(shape)
         offset = end
+    if offset < len(raw):
+        raise CheckpointError(f"{len(raw) - offset} bytes after the last array")
     return arrays, meta
 
 

@@ -1,5 +1,7 @@
 """Tests for the battle simulator, its constraints/features, and the
 six scripted heuristics."""
+import json
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from swarmplan.battle import (
     weakest_closest_no_overkill_smart,
 )
 from swarmplan.battle import sim
-from swarmplan.battle.sim import CONTACT_EPS
+from swarmplan.battle.sim import CONTACT_EPS, SCENARIO_DIR
 from battle_replay import frame_record
 
 
@@ -34,6 +36,18 @@ def make_spec(**overrides):
                 is_flying=False, type_id=0, radius=0.75)
     base.update(overrides)
     return UnitSpec(**base)
+
+
+def malformed_spec_files():
+    """m5v5 with one spec field coerced before its checks were added:
+    non-integer counts, non-boolean flags, booleans as reals, and
+    non-finite reals."""
+    good = json.loads((SCENARIO_DIR / "m5v5.json").read_text())
+    for field, value in (("cooldown_frames", 2.5), ("type_id", 1.7), ("is_flying", "false"),
+                         ("max_health", True), ("speed", float("nan")),
+                         ("attack_range", float("inf"))):
+        marine = {**good["specs"]["marine"], field: value}
+        yield json.dumps({**good, "specs": {"marine": marine}})
 
 
 def duel_state(n=1, m=1, seed=0, **spec_overrides):
@@ -93,6 +107,14 @@ class TestSpecsAndScenarios:
         bad.write_text('{"version": 99, "specs": {}, "ours": [], "theirs": []}')
         with pytest.raises(BattleError):
             load_scenario(bad)
+        for text in malformed_spec_files():
+            bad.write_text(text)
+            with pytest.raises(BattleError, match="spec marine: "):
+                load_scenario(bad)
+        # The checks come before the conversion, which a valid file still gets.
+        spec = load_scenario("m5v5").ours[0]
+        assert spec == make_spec(name="marine")
+        assert all(type(getattr(spec, field)) is float for field in sim._REAL_FIELDS)
 
 
 class TestSpawn:

@@ -109,29 +109,28 @@ def crowd(rng, k):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("slack,screen", [(None, None), (0.0, 0.05), (0.05, 1.0)])
 def test_collisions_match_per_pair_loop(monkeypatch, seed, slack, screen):
-    # Narrow margins force the rare paths: skipped pairs that did
-    # overlap, and passes whose pushes outgrow the screened pairs.
+    # Narrow margins force the rare paths: passes redone for skipped
+    # pairs that may have overlapped, and passes whose pushes outgrow the
+    # screened pairs.
     if slack is not None:
         monkeypatch.setattr(sim, "_SLACK", slack)
         monkeypatch.setattr(sim, "_SCREEN", screen)
-    seen = {"hits": 0, "widened passes": 0}
+    seen = {"redone passes": 0, "widened passes": 0}
     outgrown = []  # start positions of separations whose pushes outgrew the screen
-    overlapped_at_turn, sweep = sim._overlapped_at_turn, sim._sweep
-
-    def counting_overlapped_at_turn(*args):
-        hit = overlapped_at_turn(*args)
-        seen["hits"] += hit
-        return hit
+    last = [None, False]  # start positions of the last pass, and whether it was widened
+    sweep = sim._sweep
 
     def counting_sweep(pos, start, *pairs):
         widened = bool(outgrown) and outgrown[-1] is start
         seen["widened passes"] += widened
-        strayed, trail = sweep(pos, start, *pairs)
+        # A pass from the same start on the same screen redoes the last one.
+        seen["redone passes"] += last[0] is start and last[1] == widened
+        last[:] = start, widened
+        strayed = sweep(pos, start, *pairs)
         if not widened and 2.0 * strayed.max() > sim._SCREEN - sim._ROUNDING:
             outgrown.append(start)
-        return strayed, trail
+        return strayed
 
-    monkeypatch.setattr(sim, "_overlapped_at_turn", counting_overlapped_at_turn)
     monkeypatch.setattr(sim, "_sweep", counting_sweep)
     rng = np.random.default_rng(seed)
     for _ in range(60):
@@ -142,5 +141,6 @@ def test_collisions_match_per_pair_loop(monkeypatch, seed, slack, screen):
         state.pos[:] = start
         state.resolve_collisions()  # the pass that step_battle runs
         np.testing.assert_array_equal(state.pos, expect)
+    assert seen["redone passes"] > 0, seen
     if slack is not None:
-        assert seen["hits"] > 0 and seen["widened passes"] > 0, seen
+        assert seen["widened passes"] > 0, seen

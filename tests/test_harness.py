@@ -30,6 +30,7 @@ from swarmplan.harness import (
 from swarmplan.harness.cli import main
 from swarmplan.learn import A2CConfig, BattleMetaEnv
 from swarmplan.nets import init_critic, init_scoring_model, save_arrays, save_models
+from test_battle import malformed_spec_files
 
 SMALL_SEEDS = tuple(range(2000, 2010))
 
@@ -380,10 +381,19 @@ def test_cli_eval_checkpoint(tmp_path, capsys):
     header = json.loads(whole[4:4 + hlen])
     no_arrays = json.dumps({k: v for k, v in header.items() if k != "arrays"}).encode()
     no_dims = json.dumps({**header, "meta": {"has_g": False}}).encode()
+    # Negative dimensions once read as empty arrays: an h_net with no hidden units.
+    no_hidden = json.dumps({**header, "arrays": [
+        {"name": "h_net.layer0.W", "shape": [-1, 5]}, {"name": "h_net.layer0.b", "shape": [-1]},
+        {"name": "h_net.layer1.W", "shape": [1, -1]}, {"name": "h_net.layer1.b", "shape": [1]},
+        *header["arrays"][6:]]}).encode()
+    float_dim = json.dumps(header).replace("[32]", "[32.0]", 1).encode()
     broken = {
         "truncated": whole[:-5],
         "no arrays": struct.pack("<I", len(no_arrays)) + no_arrays,
         "no feature dims": struct.pack("<I", len(no_dims)) + no_dims + whole[4 + hlen:],
+        "negative dims": struct.pack("<I", len(no_hidden)) + no_hidden + whole[4 + hlen:],
+        "non-integer dim": struct.pack("<I", len(float_dim)) + float_dim + whole[4 + hlen:],
+        "bytes after the last array": whole + bytes(4),
     }
     for name, raw in broken.items():
         ckpt.write_bytes(raw)
@@ -467,15 +477,17 @@ def test_cli_train_and_battle_bench(tmp_path, capsys):
 
 
 def test_cli_malformed_scenario_files_exit_2(tmp_path, capsys):
-    """A scenario file that is not JSON, is not a JSON object or lacks a
-    spec field exits 2 with one error line, in battle-bench and eval."""
+    """A scenario file that is not JSON, is not a JSON object, lacks a
+    spec field or holds a malformed one exits 2 with one error line, in
+    battle-bench and eval."""
     good = json.loads((SCENARIO_DIR / "m5v5.json").read_text())
     no_damage = {**good, "specs": {"marine": {
         k: v for k, v in good["specs"]["marine"].items() if k != "damage_per_attack"}}}
     ckpt = tmp_path / "model.bin"
     save_models(ckpt, init_scoring_model(2, 3, with_g=False, seed=0))
     scenario = tmp_path / "scenario.json"
-    for text in ('{"version": 1, "specs"', "[1, 2]", json.dumps(no_damage)):
+    for text in ('{"version": 1, "specs"', "[1, 2]", json.dumps(no_damage),
+                 *malformed_spec_files()):
         scenario.write_text(text)
         assert_cli_error(capsys, "battle-bench", "--scenario", str(scenario),
                          "--policy", "wcnok", "--episodes", "1")

@@ -4,6 +4,9 @@ Gradient correctness is established against central finite differences
 on randomly sampled parameter coordinates; analytic gradients must match
 to a relative error of 1e-4.
 """
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -603,4 +606,15 @@ class TestCheckpoint:
             load_arrays(path)
         path.write_bytes(b"\x04\x00\x00\x00junk")
         with pytest.raises(CheckpointError):
+            load_arrays(path)
+        # Dimensions that are negative or not integers, and bytes after the last array.
+        for shape in ([-1, 3], [2, -1], [2.0, 3], [True, 3], "23"):
+            header = json.dumps({"version": 1, "meta": {},
+                                 "arrays": [{"name": "W", "shape": shape}]}).encode()
+            path.write_bytes(struct.pack("<I", len(header)) + header + bytes(24))
+            with pytest.raises(CheckpointError, match="dimension"):
+                load_arrays(path)
+        save_arrays(path, {"W": np.ones((2, 3))})
+        path.write_bytes(path.read_bytes() + bytes(4))
+        with pytest.raises(CheckpointError, match="4 bytes after the last array"):
             load_arrays(path)
